@@ -22,13 +22,12 @@ from .errors import NumericalFailure, SearchExhausted, ValidationError
 from .lindblad import Superoperator
 from .operator_algebra import (
     DEFAULT_TOLERANCES,
+    EigenvalueCluster,
     ToleranceConfig,
+    _minimal_polynomial_of,
     assert_hermitian,
-    eigenvalues,
-    hermitian_basis,
+    eigen_structure,
     is_hermitian,
-    kernel_dim,
-    minimal_polynomial,
     random_hermitian,
     unvec,
     vec,
@@ -47,21 +46,17 @@ __all__ = [
 ]
 
 
-class EigenvalueCluster(NamedTuple):
-    value: complex
-    algebraic_multiplicity: int
-    geometric_multiplicity: int
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     """Distinct eigenvalues with multiplicities plus the derived resource counts.
 
     ``eta`` is the maximum geometric multiplicity (minimal number of
-    distinct observables), ``mu`` the minimal-polynomial degree (upper
-    bound on instants per observable), ``measurement_budget`` their
-    product, and ``static_observable_count`` the dim^2 - 1 observables a
-    dynamics-blind reconstruction would need instead.
+    distinct observables), ``mu`` the minimal-polynomial degree, i.e. the
+    sum of the eigenvalue indices (upper bound on instants per
+    observable), ``measurement_budget`` their product, and
+    ``static_observable_count`` the dim^2 - 1 observables a dynamics-blind
+    reconstruction would need instead.  ``min_poly`` holds the monic
+    ascending coefficients expanded from the roots, for display.
     """
 
     dim: int
@@ -84,69 +79,24 @@ class VerificationResult(NamedTuple):
     achieved_rank: int
 
 
-def _cluster_eigenvalues(values: np.ndarray, tol: ToleranceConfig,
-                         norm_scale: float) -> list[tuple[complex, int]]:
-    """Single-linkage grouping of near-coincident eigenvalues.
-
-    Two values join the same cluster when they are within
-    ``eig_cluster_rtol * (1 + max(|a|, |b|)) * max(1, norm_scale)`` of each
-    other; exact multiplicities then come back as cluster sizes.
-    """
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    scale = max(1.0, norm_scale)
-    for i in range(n):
-        for j in range(i + 1, n):
-            radius = tol.eig_cluster_rtol * (1.0 + max(abs(values[i]), abs(values[j]))) * scale
-            if abs(values[i] - values[j]) <= radius:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(complex(values[i]))
-    clusters = [(complex(np.mean(members)), len(members)) for members in groups.values()]
-    clusters.sort(key=lambda c: (-c[0].real, c[0].imag))
-    return clusters
-
-
 def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralReport:
-    """Cluster the spectrum, count multiplicities and derive the resource bounds.
+    """Cluster the spectrum once and derive the resource bounds from it.
 
-    Geometric multiplicities are numerical kernel dimensions of
-    ``gen - lambda*I`` at each clustered eigenvalue, so the report is
-    meaningful for defective generators as well.
+    Everything comes from one :func:`eigen_structure` call: ``eta`` is the
+    largest geometric multiplicity, ``mu`` the sum of the eigenvalue
+    indices (the minimal-polynomial degree), and ``min_poly`` is expanded
+    from those roots for display.  Only multiple eigenvalues cost an SVD,
+    and defective generators are handled like any other.
     """
-    mat = gen.matrix
-    n2 = mat.shape[0]
-    eigs = eigenvalues(mat)
-    norm_scale = float(np.linalg.norm(mat)) if mat.size else 0.0
-    clusters = _cluster_eigenvalues(eigs, tol, norm_scale)
-
-    ident = np.eye(n2, dtype=complex)
-    distinct = tuple(
-        EigenvalueCluster(
-            value=value,
-            algebraic_multiplicity=count,
-            geometric_multiplicity=kernel_dim(mat - value * ident, tol),
-        )
-        for value, count in clusters
-    )
+    distinct = eigen_structure(gen.matrix, tol)
     eta = max(c.geometric_multiplicity for c in distinct)
-    min_poly = minimal_polynomial(mat, tol)
-    mu = len(min_poly) - 1
+    mu = sum(c.index for c in distinct)
     return SpectralReport(
         dim=gen.dim,
         distinct_eigenvalues=distinct,
         eta=eta,
         mu=mu,
-        min_poly=min_poly,
+        min_poly=_minimal_polynomial_of(distinct),
         static_observable_count=gen.dim * gen.dim - 1,
         measurement_budget=eta * mu,
     )
@@ -157,6 +107,26 @@ def measurement_budget(report: SpectralReport) -> MeasurementBudget:
     return MeasurementBudget(report.eta, report.mu, report.eta * report.mu)
 
 
+def _checked_observable(gen: Superoperator, observable) -> np.ndarray:
+    q = assert_hermitian(observable, name="observable")
+    if q.shape != (gen.dim, gen.dim):
+        raise ValidationError(f"observable has shape {q.shape}, expected ({gen.dim}, {gen.dim})")
+    return q
+
+
+def _dual_step(adjoint: np.ndarray, current: np.ndarray, dim: int, step: int) -> np.ndarray:
+    """``adjoint @ current``, checked to be a hermitian matrix when unvectorized."""
+    out = adjoint @ current
+    element = unvec(out, dim)
+    if not is_hermitian(element, atol=1e-10):
+        dev = float(np.abs(element - element.conj().T).max())
+        raise NumericalFailure(
+            f"Krylov element {step} is not hermitian (deviation {dev:.3e}); "
+            "the dual generator does not preserve hermiticity"
+        )
+    return out
+
+
 def krylov_subspace(gen: Superoperator, observable, depth: int) -> list[np.ndarray]:
     """[Q, L*Q, ..., (L*)^(depth-1) Q] under the dual generator L*.
 
@@ -165,9 +135,7 @@ def krylov_subspace(gen: Superoperator, observable, depth: int) -> list[np.ndarr
     trace-preserving dissipative dynamics it maps hermitian matrices to
     hermitian matrices, which is re-checked on every element.
     """
-    q = assert_hermitian(observable, name="observable")
-    if q.shape != (gen.dim, gen.dim):
-        raise ValidationError(f"observable has shape {q.shape}, expected ({gen.dim}, {gen.dim})")
+    q = _checked_observable(gen, observable)
     if depth < 1:
         raise ValidationError(f"Krylov depth must be >= 1, got {depth}")
 
@@ -175,59 +143,64 @@ def krylov_subspace(gen: Superoperator, observable, depth: int) -> list[np.ndarr
     elements = [q]
     current = vec(q)
     for step in range(1, depth):
-        current = adjoint @ current
-        element = unvec(current, gen.dim)
-        if not is_hermitian(element, atol=1e-10):
-            dev = float(np.abs(element - element.conj().T).max())
-            raise NumericalFailure(
-                f"Krylov element {step} is not hermitian (deviation {dev:.3e}); "
-                "the dual generator does not preserve hermiticity"
-            )
-        elements.append(element)
+        current = _dual_step(adjoint, current, gen.dim, step)
+        elements.append(unvec(current, gen.dim))
     return elements
 
 
-def _coordinate_rows(gen: Superoperator, observables: Sequence[np.ndarray],
-                     depth: int) -> np.ndarray:
-    """Real coordinates of every Krylov element in the hermitian basis, one per row."""
-    n = gen.dim
-    basis_stack = np.stack([vec(b) for b in hermitian_basis(n)])
-    rows = []
-    for q in observables:
-        for element in krylov_subspace(gen, q, depth):
-            rows.append((basis_stack.conj() @ vec(element)).real)
-    return np.array(rows)
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Residual of ``w`` against the orthonormal rows of ``basis``, Gram-Schmidt applied twice."""
+    for _ in range(2):
+        w = w - basis.T @ (basis.conj() @ w)
+    return w
 
 
 def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> VerificationResult:
     """Test whether the observables' Krylov subspaces span all hermitian matrices.
 
-    Stacks the real basis coordinates of every Krylov element (depth = the
-    minimal-polynomial degree of ``gen``) and computes the numerical rank;
-    the set reconstructs arbitrary states iff that rank reaches dim^2.
-    Rows are normalized before the rank test so that elements of very
-    different magnitude cannot mask each other.
+    Builds an orthonormal basis of the sum of the Krylov spaces under the
+    dual generator (Arnoldi): each observable starts a chain, and every
+    new element is ``L*`` applied to the latest basis vector,
+    orthogonalized twice against the basis (classical Gram-Schmidt).  A
+    chain ends at breakdown.  An observable's own direction counts when
+    its residual exceeds ``rank_rtol`` times its norm, a later element
+    when its residual exceeds ``rank_rtol * |L|_2``, so roundoff never
+    adds a direction.  No Krylov depth is needed.  The set reconstructs
+    arbitrary states iff the basis reaches dim^2 vectors; ``achieved_rank``
+    is its size.
     """
     if len(observables) == 0:
         raise ValidationError("observable set must contain at least one observable")
-    depth = len(minimal_polynomial(gen.matrix, tol)) - 1
-    rows = _coordinate_rows(gen, observables, depth)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    rows = rows / norms
-    sigma = np.linalg.svd(rows, compute_uv=False)
-    achieved = int(np.sum(sigma > tol.rank_rtol * sigma[0])) if sigma.size else 0
     n2 = gen.dim * gen.dim
-    return VerificationResult(ok=achieved == n2, achieved_rank=achieved)
+    adjoint = gen.matrix.conj().T
+    floor = tol.rank_rtol * float(np.linalg.norm(gen.matrix, 2))
+    basis = np.zeros((n2, n2), dtype=complex)
+    size = 0
+    for observable in observables:
+        candidate = vec(_checked_observable(gen, observable))
+        threshold = tol.rank_rtol * float(np.linalg.norm(candidate))
+        step = 0
+        while size < n2:
+            resid = _orthogonalize(candidate, basis[:size])
+            norm = float(np.linalg.norm(resid))
+            if not norm > threshold:
+                break
+            basis[size] = resid / norm
+            size += 1
+            step += 1
+            candidate = _dual_step(adjoint, basis[size - 1], gen.dim, step)
+            threshold = floor
+    return VerificationResult(ok=size == n2, achieved_rank=size)
 
 
 def find_observables(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                      seed: int = 0, max_attempts: int = 100) -> list[np.ndarray]:
     """Search for a passing observable set of minimal size by seeded sampling.
 
-    Draws ``eta`` random hermitian matrices per attempt (complex Gaussian
-    entries, symmetrized) and returns the first set that passes
+    Computes one :func:`spectral_report` for ``eta``, then draws ``eta``
+    random hermitian matrices per attempt (complex Gaussian entries,
+    symmetrized) and returns the first set that passes
     :func:`verify_observables`.  Deterministic for a fixed seed.  Raises
     :class:`SearchExhausted` with the best achieved rank when every
     attempt fails.

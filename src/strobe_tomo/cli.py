@@ -1,8 +1,9 @@
 """Command-line front end: analyze, find-observables, simulate, reconstruct.
 
-Exit codes: 0 success, 2 unreadable/invalid input files or flags,
-3 numerical failure, 4 observable search exhausted, 5 state file violates
-the density-matrix invariants, 6 measurement design rank deficiency.
+Exit codes: 0 success, 2 unreadable/invalid input files or flags or an
+unwritable output path, 3 numerical failure, 4 observable search
+exhausted, 5 state file violates the density-matrix invariants,
+6 measurement design rank deficiency.
 """
 
 from __future__ import annotations
@@ -68,6 +69,20 @@ def _tolerances_from_env() -> ToleranceConfig:
     return ToleranceConfig(rank_rtol=value)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _load_json_file(path: str, what: str):
     try:
         with open(path) as handle:
@@ -125,6 +140,7 @@ def _analysis_document(model, report, tol: ToleranceConfig) -> dict:
                     "im": float(c.value.imag),
                     "algebraic_multiplicity": c.algebraic_multiplicity,
                     "geometric_multiplicity": c.geometric_multiplicity,
+                    "index": c.index,
                 }
                 for c in report.distinct_eigenvalues
             ],
@@ -144,6 +160,7 @@ def _print_analysis_text(report) -> None:
         print(
             f"  lambda = {_fmt_complex(c.value):<24} "
             f"algebraic {c.algebraic_multiplicity:>2}   geometric {c.geometric_multiplicity:>2}"
+            f"   index {c.index:>2}"
         )
     poly = "[" + ", ".join(_fmt_complex(c, 12) for c in report.min_poly) + "]"
     print(f"eta  (minimal distinct observables)   : {report.eta}")
@@ -193,9 +210,12 @@ def _cmd_find_observables(args, tol: ToleranceConfig) -> int:
         return _fail(EXIT_SEARCH, str(exc))
     except NumericalFailure as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
-    with open(args.out, "w") as handle:
-        json.dump([matrix_to_json(q) for q in observables], handle, indent=2)
-        handle.write("\n")
+    try:
+        with open(args.out, "w") as handle:
+            json.dump([matrix_to_json(q) for q in observables], handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"cannot write {args.out!r}: {exc}")
     needed = model.dim * model.dim
     print(f"wrote {len(observables)} observables to {args.out} "
           f"(spanning rank {achieved}/{needed}, verified={ok})")
@@ -224,7 +244,10 @@ def _cmd_simulate(args, tol: ToleranceConfig) -> int:
         return _fail(EXIT_PARSE, str(exc))
     except NumericalFailure as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
-    write_record_csv(record, args.out)
+    try:
+        write_record_csv(record, args.out)
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"cannot write {args.out!r}: {exc}")
     print(f"wrote {len(record.entries)} measurements "
           f"({record.observable_count} observables x {record.grid.size} instants, "
           f"sigma={args.sigma:g}, seed={args.seed}) to {args.out}")
@@ -315,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-observables", help="search for a minimal verified observable set")
     p.add_argument("model_file")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--max-attempts", type=int, default=100, help="sampling attempts before giving up")
+    p.add_argument("--max-attempts", type=_positive_int, default=100,
+                   help="sampling attempts before giving up (>= 1)")
     p.add_argument("--out", required=True, help="output observables JSON path")
     p.set_defaults(func=_cmd_find_observables)
 
@@ -323,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_file")
     p.add_argument("state_file", help="initial density matrix JSON")
     p.add_argument("observables_file")
-    p.add_argument("--sigma", type=float, default=0.0, help="additive Gaussian noise level (default 0)")
+    p.add_argument("--sigma", type=_nonnegative_float, default=0.0,
+                   help="additive Gaussian noise level, finite and >= 0 (default 0)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output record CSV path")
     p.set_defaults(func=_cmd_simulate)

@@ -50,14 +50,22 @@ EVOLVE_EIG_FLOOR = -1e-8
 STATE_EIG_FLOOR = -1e-10
 
 
+def _finite(m, name: str) -> np.ndarray:
+    arr = as_complex_matrix(m, name)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} has non-finite entries")
+    return arr
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     """Constant Hamiltonian plus a list of ``(rate, jump operator)`` channels.
 
-    ``hamiltonian=None`` means the zero matrix.  Rates must be nonnegative
-    and every operator must be ``dim x dim``; the Hamiltonian must be
-    hermitian.  Time-dependent Hamiltonians are rejected: the vectorized
-    generator built from this model is only meaningful when it is constant.
+    ``hamiltonian=None`` means the zero matrix.  Rates must be finite and
+    nonnegative, every operator must be ``dim x dim`` with finite entries,
+    and the Hamiltonian must be hermitian.  Time-dependent Hamiltonians
+    are rejected: the vectorized generator built from this model is only
+    meaningful when it is constant.
     """
 
     dim: int
@@ -75,7 +83,7 @@ class LindbladModel:
                 "time-dependent Hamiltonians are not supported; supply a constant matrix"
             )
         else:
-            ham = assert_hermitian(ham, name="hamiltonian")
+            ham = assert_hermitian(_finite(ham, "hamiltonian"), name="hamiltonian")
             if ham.shape != (self.dim, self.dim):
                 raise ValidationError(
                     f"hamiltonian has shape {ham.shape}, expected ({self.dim}, {self.dim})"
@@ -89,9 +97,11 @@ class LindbladModel:
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"jumps[{idx}] must be a (rate, operator) pair") from exc
             rate = float(rate)
+            if not np.isfinite(rate):
+                raise ValidationError(f"jumps[{idx}].rate must be finite, got {rate}")
             if rate < 0:
                 raise ValidationError(f"jumps[{idx}].rate must be >= 0, got {rate}")
-            op = as_complex_matrix(op, f"jumps[{idx}].matrix")
+            op = _finite(op, f"jumps[{idx}].matrix")
             if op.shape != (self.dim, self.dim):
                 raise ValidationError(
                     f"jumps[{idx}].matrix has shape {op.shape}, expected ({self.dim}, {self.dim})"

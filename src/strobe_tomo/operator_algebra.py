@@ -10,6 +10,7 @@ function is safe to call from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +31,8 @@ __all__ = [
     "kernel_dim",
     "eigenvalues",
     "expm",
+    "EigenvalueCluster",
+    "eigen_structure",
     "minimal_polynomial",
     "hermitian_basis",
     "random_hermitian",
@@ -47,8 +50,10 @@ class ToleranceConfig:
         Singular values below ``rank_rtol * sigma_max`` do not count
         towards the numerical rank.
     eig_cluster_rtol : float
-        Radius factor used when grouping computed eigenvalues into
-        distinct values.
+        Relative spread, as a share of the Frobenius norm, of the computed
+        eigenvalues of a Jordan chain of length 2.  Eigenvalues within
+        ``|m|_F * eig_cluster_rtol**(2/3)`` of each other are grouped into
+        one distinct value, which also holds chains of length 3.
     hermiticity_atol : float
         Absolute floor of the hermiticity predicate.
     """
@@ -167,50 +172,121 @@ def expm(m) -> np.ndarray:
     return scipy.linalg.expm(_square(m))
 
 
+class EigenvalueCluster(NamedTuple):
+    """One distinct eigenvalue: its value, multiplicities and index.
+
+    The index is the size of the largest Jordan block, i.e. the power of
+    ``(x - value)`` in the minimal polynomial.
+    """
+
+    value: complex
+    algebraic_multiplicity: int
+    geometric_multiplicity: int
+    index: int
+
+
+def _group_close(values: np.ndarray, radius: float) -> list[np.ndarray]:
+    """Single-linkage groups of values within ``radius``, as index arrays.
+
+    Distances are tested for all pairs at once; union-find then runs only
+    over the pairs that are close.
+    """
+    parent = list(range(values.size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    close = np.abs(values[:, None] - values[None, :]) <= radius
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        parent[find(int(i))] = find(int(j))
+    groups: dict[int, list[int]] = {}
+    for i in range(values.size):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(members) for members in groups.values()]
+
+
+def _jordan_counts(shifted: np.ndarray, algebraic: int,
+                   tol: ToleranceConfig) -> tuple[int, int]:
+    """(geometric multiplicity, index) from the kernel dimensions of ``shifted**j``.
+
+    The kernel dimensions grow strictly with ``j`` until they reach the
+    algebraic multiplicity at ``j = index``; growth that stops short of it
+    ends the sequence as well.
+    """
+    size = shifted.shape[0]
+    kernels = []
+    power = shifted
+    while True:
+        kernels.append(size - rank(power, tol))
+        if kernels[-1] >= algebraic:
+            index = len(kernels)
+            break
+        if len(kernels) > 1 and kernels[-1] <= kernels[-2]:
+            index = len(kernels) - 1
+            break
+        if len(kernels) == algebraic:
+            index = algebraic
+            break
+        power = power @ shifted
+    return min(algebraic, max(1, kernels[0])), index
+
+
+def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[EigenvalueCluster, ...]:
+    """Distinct eigenvalues of ``m`` with multiplicities and indices.
+
+    The eigenvalues are computed once and grouped by single linkage within
+    ``|m|_F * eig_cluster_rtol**(2/3)``; a group's value is the mean of its
+    members and its size the algebraic multiplicity.  A simple eigenvalue has
+    geometric multiplicity and index 1 and costs nothing more.  For a
+    multiple one both come from the numerical ranks of the powers of
+    ``(m - value*I) / |m|_F``, one SVD per power, stopping at the index.
+    Clusters are ordered by decreasing real part, then increasing
+    imaginary part.
+    """
+    arr = _square(m)
+    values = eigenvalues(arr)
+    norm_f = float(np.linalg.norm(arr))
+    clusters = []
+    # A computed Jordan chain of length k spreads by about |m| * delta**(1/k),
+    # delta the eigensolver's relative backward error.  eig_cluster_rtol is
+    # delta**(1/2), the spread of a chain of length 2, so this radius
+    # delta**(1/3) also holds chains of length 3.
+    radius = norm_f * tol.eig_cluster_rtol ** (2.0 / 3.0)
+    for members in _group_close(values, radius):
+        value = complex(values[members].mean())
+        count = int(members.size)
+        geometric = index = 1
+        if count > 1:
+            shifted = (arr - value * np.eye(arr.shape[0])) / (norm_f or 1.0)
+            geometric, index = _jordan_counts(shifted, count, tol)
+        clusters.append(EigenvalueCluster(value, count, geometric, index))
+    clusters.sort(key=lambda c: (-c.value.real, c.value.imag))
+    return tuple(clusters)
+
+
+def _minimal_polynomial_of(clusters: Sequence[EigenvalueCluster]) -> np.ndarray:
+    """Monic ascending coefficients of ``prod (x - value)**index`` over the clusters.
+
+    Coefficients with magnitude below ``1e-9 * max |c|`` are snapped to zero.
+    """
+    roots = [c.value for c in clusters for _ in range(c.index)]
+    coeffs = np.asarray(np.poly(roots), dtype=complex)[::-1].copy()
+    coeffs[np.abs(coeffs) < 1e-9 * np.abs(coeffs).max()] = 0.0
+    return coeffs
+
+
 def minimal_polynomial(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Monic coefficients (ascending degree) of the minimal polynomial of ``m``.
 
-    Finds the smallest ``k`` for which the flattened powers
-    ``I, M, ..., M^k`` become linearly dependent, then solves for the
-    dependency in the least-squares sense.  The rank-growth test works on a
-    norm-scaled copy of ``m`` and uses twice-reorthogonalized Gram-Schmidt
-    residuals, so defective matrices need no special casing.  Coefficients
-    with magnitude below ``1e-9 * max |c|`` are snapped to zero.
+    Built from the roots given by :func:`eigen_structure`: each distinct
+    eigenvalue appears as often as its index, so the degree is the sum of
+    the indices and defective matrices need no special casing.
+    Coefficients with magnitude below ``1e-9 * max |c|`` are snapped to zero.
     """
-    arr = _square(m)
-    n = arr.shape[0]
-    scale = float(np.linalg.norm(arr, 2)) if arr.size else 0.0
-    scaled = arr / scale if scale > 0 else arr
-
-    flat_powers = [np.eye(n, dtype=complex).reshape(-1)]
-    ortho: list[np.ndarray] = []
-    power = np.eye(n, dtype=complex)
-    degree = n
-    for k in range(1, n + 1):
-        prev = flat_powers[-1].copy()
-        for _ in range(2):
-            for q in ortho:
-                prev -= np.vdot(q, prev) * q
-        ortho.append(prev / np.linalg.norm(prev))
-
-        power = scaled @ power
-        w = power.reshape(-1)
-        resid = w.copy()
-        for _ in range(2):
-            for q in ortho:
-                resid -= np.vdot(q, resid) * q
-        flat_powers.append(w)
-        if np.linalg.norm(resid) <= tol.rank_rtol * np.linalg.norm(w):
-            degree = k
-            break
-
-    stack = np.stack(flat_powers[:degree], axis=1)
-    low, *_ = np.linalg.lstsq(stack, flat_powers[degree], rcond=None)
-    coeffs = np.concatenate([-low, np.ones(1, dtype=complex)])
-    if scale > 0:
-        coeffs *= scale ** (degree - np.arange(degree + 1))
-    coeffs[np.abs(coeffs) < 1e-9 * np.abs(coeffs).max()] = 0.0
-    return coeffs
+    return _minimal_polynomial_of(eigen_structure(m, tol))
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:

@@ -171,14 +171,14 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
                           grid, noise_sigma: float = 0.0, seed: int = 0) -> MeasurementRecord:
     """Sample ``tr(Q_i rho(t_j))`` for every observable and grid instant.
 
-    Entries are ordered observable-major.  With ``noise_sigma > 0`` each
-    value gets independent additive Gaussian noise from a generator seeded
-    with ``seed``, so records are bit-identical across runs with the same
-    arguments.
+    Entries are ordered observable-major.  ``noise_sigma`` must be finite
+    and nonnegative; with ``noise_sigma > 0`` each value gets independent
+    additive Gaussian noise from a generator seeded with ``seed``, so
+    records are bit-identical across runs with the same arguments.
     """
     grid = validate_time_grid(grid)
-    if noise_sigma < 0:
-        raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rho0 = validate_density_matrix(rho0, dim=model.dim, name="rho0")
     checked = _checked_observables(observables, model.dim)
 
@@ -198,17 +198,18 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
 
 def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
                 record: MeasurementRecord, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                project: bool = True, trace_weight: float = 1e3,
-                truth=None) -> ReconstructionResult:
+                project: bool = True, truth=None) -> ReconstructionResult:
     """Recover the initial state from a measurement record by linear inversion.
 
     The unknown state is expanded over the orthonormal hermitian basis with
     real coefficients; each record entry contributes the design row
-    ``tr(Q_i expm(t_j L)[B_k])`` and the exact trace constraint is appended
-    as an extra row weighted ``trace_weight`` times the data rows.  If the
-    design's numerical rank falls short of dim^2 the observables/grid pair
-    cannot determine the state and a :class:`RankDeficiencyError` names the
-    achieved rank.
+    ``tr(Q_i expm(t_j L)[B_k])``.  The trace constraint is exact: the
+    identity coefficient is fixed at ``1/sqrt(dim)`` and least squares
+    solves only for the dim^2 - 1 traceless coordinates.  ``design_rank``
+    counts the fixed coordinate, and ``design_condition`` is the condition
+    number of the traceless columns, i.e. of the data alone.  If the rank
+    falls short of dim^2 the observables/grid pair cannot determine the
+    state and a :class:`RankDeficiencyError` names the achieved rank.
 
     With ``project=True`` (default) the least-squares estimate is made
     physical afterwards: negative eigenvalues are clipped to zero and the
@@ -222,8 +223,8 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
             f"record holds {record.observable_count} observables, got {len(checked)}"
         )
 
-    basis = hermitian_basis(n)
-    basis_stack = np.stack([vec(b) for b in basis])
+    basis = np.stack(hermitian_basis(n))
+    basis_stack = basis.reshape(n * n, n * n)
     gen = build_generator(model)
     maps = {t: propagator(gen, t) for t in set(e.time for e in record.entries)}
 
@@ -233,13 +234,14 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
         weights = vec(checked[entry.observable_index]).conj() @ maps[entry.time]
         rows.append((weights @ basis_stack.T).real)
         rhs.append(entry.value)
-    rows.append(trace_weight * np.array([np.trace(b).real for b in basis]))
-    rhs.append(trace_weight * 1.0)
-    design = np.array(rows)
-    target = np.array(rhs)
+    design = np.array(rows).reshape(-1, n * n)
+    # basis[0] is I/sqrt(n), so unit trace fixes its coefficient
+    identity_coeff = 1.0 / np.sqrt(n)
+    traceless = design[:, 1:]
+    target = np.array(rhs) - identity_coeff * design[:, 0]
 
-    sigma = np.linalg.svd(design, compute_uv=False)
-    design_rank = int(np.sum(sigma > tol.rank_rtol * sigma[0]))
+    sigma = np.linalg.svd(traceless, compute_uv=False)
+    design_rank = 1 + (int(np.sum(sigma > tol.rank_rtol * sigma[0])) if sigma.size else 0)
     required = n * n
     if design_rank < required:
         raise RankDeficiencyError(
@@ -250,9 +252,9 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
         )
     condition = float(sigma[0] / sigma[-1])
 
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    rho_hat = np.tensordot(coeffs, np.stack(basis), axes=1)
-    residual = float(np.linalg.norm(design @ coeffs - target))
+    coeffs, *_ = np.linalg.lstsq(traceless, target, rcond=None)
+    rho_hat = identity_coeff * basis[0] + np.tensordot(coeffs, basis[1:], axes=1)
+    residual = float(np.linalg.norm(traceless @ coeffs - target))
 
     if project:
         rho_hat = _project_to_physical(rho_hat)

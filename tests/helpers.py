@@ -22,6 +22,48 @@ def random_model(n: int, rng: np.random.Generator, max_jumps: int = 3) -> Lindbl
     return LindbladModel(dim=n, hamiltonian=ham, jumps=tuple(jumps))
 
 
+def simple_spectrum_models(n: int, count: int, seed: int) -> list[LindbladModel]:
+    """The first ``count`` random models whose generator spectrum is all simple.
+
+    Simple means every pair of eigenvalues (numpy's eigensolver on the
+    generator assembled from :func:`lindblad_rhs`) lies more than
+    ``1e-6 |L|_F`` apart.
+    """
+    rng = np.random.default_rng(seed)
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    models = []
+    while len(models) < count:
+        model = random_model(n, rng)
+        mat = np.stack([lindblad_rhs(model, e).reshape(-1) for e in units], axis=1)
+        values = np.linalg.eigvals(mat)
+        gaps = np.abs(values[:, None] - values[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() > 1e-6 * np.linalg.norm(mat):
+            models.append(model)
+    return models
+
+
+def jordan_matrix(size: int, blocks, seed: int) -> np.ndarray:
+    """``V J V^-1`` for a random complex ``V``, where ``J`` holds the given blocks.
+
+    ``blocks`` is a sequence of ``(value, length)`` Jordan blocks; the rest
+    of the diagonal gets the simple values ``-0.3 (i+1) + 0.7i (i mod 2)``.
+    """
+    jordan = np.zeros((size, size), dtype=complex)
+    pos = 0
+    for value, length in blocks:
+        for i in range(pos, pos + length):
+            jordan[i, i] = value
+            if i > pos:
+                jordan[i - 1, i] = 1.0
+        pos += length
+    for i in range(pos, size):
+        jordan[i, i] = -0.3 * (i + 1) + 0.7j * (i % 2)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return v @ jordan @ np.linalg.inv(v)
+
+
 def cofactor_det(m: np.ndarray) -> complex:
     """Determinant by cofactor expansion; independent of LAPACK."""
     n = m.shape[0]

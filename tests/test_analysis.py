@@ -18,7 +18,7 @@ from strobe_tomo import (
     verify_observables,
 )
 
-from helpers import span_rank
+from helpers import jordan_matrix, simple_spectrum_models, span_rank
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +102,35 @@ class TestSpectralReport:
         coeffs = cooling_report.min_poly[::-1]
         for c in cooling_report.distinct_eigenvalues:
             assert abs(np.polyval(coeffs, c.value)) <= 1e-7
+
+
+class TestSpectralStructure:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_simple_spectrum_random_models(self, n):
+        for model in simple_spectrum_models(n, count=6, seed=100 + n):
+            gen = build_generator(model)
+            rep = spectral_report(gen)
+            assert len(rep.distinct_eigenvalues) == n * n
+            assert rep.mu == n * n
+            assert rep.eta == 1
+            observables = find_observables(gen, seed=n, max_attempts=5)
+            assert len(observables) == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_jordan_block_under_similarity(self, length, seed):
+        # J_length(-1) + a semisimple double -2.5 + simple values; the
+        # computed eigenvalues of the chain spread by about eps^(1/length)
+        gen = Superoperator(dim=3, matrix=jordan_matrix(9, [(-1.0, length), (-2.5, 1), (-2.5, 1)], seed))
+        rep = spectral_report(gen)
+        clusters = {round(c.value.real, 6): c for c in rep.distinct_eigenvalues}
+        chain, double = clusters[-1.0], clusters[-2.5]
+        assert (chain.algebraic_multiplicity, chain.geometric_multiplicity, chain.index) == (length, 1, length)
+        assert (double.algebraic_multiplicity, double.geometric_multiplicity, double.index) == (2, 2, 1)
+        assert len(rep.distinct_eigenvalues) == 2 + (9 - length - 2)
+        assert rep.eta == 2
+        assert rep.mu == 8
+        assert len(rep.min_poly) == 9
 
 
 class TestMeasurementBudget:
@@ -192,6 +221,15 @@ class TestVerifyObservables:
                 _, achieved = verify_observables(cooling_gen, pool[:size])
                 assert achieved >= previous
                 previous = achieved
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_generator_rank_counts_observables(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(1, n * n):
+            ok, achieved = verify_observables(zero_generator(n),
+                                              [random_hermitian(n, rng) for _ in range(k)])
+            assert not ok
+            assert achieved == k
 
     def test_empty_set_rejected(self, cooling_gen):
         with pytest.raises(ValidationError):

@@ -95,6 +95,25 @@ class TestAnalyze:
     def test_negative_rate_rejected(self, capsys):
         assert main(["analyze", "--gamma1", "-1", "--gamma2", "2"]) == 2
 
+    @pytest.mark.parametrize("field", ["rate", "entry"])
+    def test_non_finite_model_file_exit_two(self, tmp_path, capsys, field):
+        # Python's json reads the NaN literal, so such files do reach the package
+        doc = model_to_json(laser_cooling_model(1.0, 2.0))
+        if field == "rate":
+            doc["jumps"][0]["rate"] = float("nan")
+        else:
+            doc["jumps"][1]["matrix"][2][1] = {"re": float("inf"), "im": 0.0}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        assert main(["analyze", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_json_reports_index(self, capsys):
+        assert main(["analyze", "--gamma1", "1", "--gamma2", "2", "--json"]) == 0
+        analysis = json.loads(capsys.readouterr().out)["analysis"]
+        assert [c["index"] for c in analysis["distinct_eigenvalues"]] == [1, 1, 1]
+
 
 class TestFindObservables:
     def test_deterministic_file_bytes(self, tmp_path, capsys):
@@ -121,13 +140,33 @@ class TestFindObservables:
         assert main(["find-observables", str(model_path), "--seed", "1", "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())) == 4
 
-    def test_exhaustion_exit_code(self, tmp_path, capsys):
+    def test_exhaustion_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a rank threshold of half the largest singular value keeps every
+        # candidate set far from spanning, so the search genuinely runs out
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(model_to_json(laser_cooling_model(1.0, 2.0))))
-        code = main(["find-observables", str(model_path), "--max-attempts", "0",
+        monkeypatch.setenv("STROBE_TOMO_TOLERANCE", "0.5")
+        code = main(["find-observables", str(model_path), "--max-attempts", "3",
                      "--out", str(tmp_path / "obs.json")])
         assert code == 4
-        assert "attempts" in capsys.readouterr().err
+        assert "3 attempts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("attempts", ["0", "-2"])
+    def test_max_attempts_below_one_exit_two(self, tmp_path, capsys, attempts):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model_to_json(laser_cooling_model(1.0, 2.0))))
+        code = main(["find-observables", str(model_path), f"--max-attempts={attempts}",
+                     "--out", str(tmp_path / "obs.json")])
+        assert code == 2
+        assert "--max-attempts" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model_to_json(laser_cooling_model(1.0, 2.0))))
+        code = main(["find-observables", str(model_path),
+                     "--out", str(tmp_path / "missing" / "obs.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
 
 
 class TestSimulate:
@@ -153,6 +192,20 @@ class TestSimulate:
         first = record.entries[0]
         assert first.time == pytest.approx(1 / 3)
         assert first.value == pytest.approx(math.exp(-1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_bad_sigma_exit_two(self, cooling_files, tmp_path, capsys, sigma):
+        out = tmp_path / "rec.csv"
+        assert main(["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
+                     str(cooling_files["obs"]), f"--sigma={sigma}", "--out", str(out)]) == 2
+        assert "--sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exit_two(self, cooling_files, tmp_path, capsys):
+        assert main(["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
+                     str(cooling_files["obs"]),
+                     "--out", str(tmp_path / "missing" / "rec.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
 
     def test_missing_state_file(self, cooling_files, tmp_path, capsys):
         assert main(["simulate", str(cooling_files["model"]),

@@ -81,6 +81,17 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match="time-dependent"):
             LindbladModel(dim=2, hamiltonian=lambda t: np.eye(2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_numbers_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"jumps\[0\]\.rate must be finite"):
+            LindbladModel(dim=2, jumps=((bad, np.eye(2)),))
+        op = np.eye(2, dtype=complex)
+        op[0, 1] = bad
+        with pytest.raises(ValidationError, match=r"jumps\[0\]\.matrix has non-finite"):
+            LindbladModel(dim=2, jumps=((1.0, op),))
+        with pytest.raises(ValidationError, match="hamiltonian has non-finite"):
+            LindbladModel(dim=2, hamiltonian=np.diag([bad, 0.0]))
+
     def test_none_hamiltonian_means_zero(self):
         model = LindbladModel(dim=2)
         assert np.array_equal(model.hamiltonian, np.zeros((2, 2)))

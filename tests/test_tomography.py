@@ -12,17 +12,22 @@ from strobe_tomo import (
     build_generator,
     default_time_grid,
     find_observables,
+    hermitian_basis,
     laser_cooling_model,
+    propagator,
     read_record_csv,
     reconstruct,
     simulate_measurements,
     spectral_report,
     state_distance,
+    unvec,
     validate_time_grid,
+    vec,
+    verify_observables,
     write_record_csv,
 )
 
-from helpers import random_density
+from helpers import random_density, random_model
 
 
 @pytest.fixture(scope="module")
@@ -123,8 +128,10 @@ class TestSimulate:
             simulate_measurements(cooling_model, rho0, [], cooling_grid)
         with pytest.raises(ValidationError, match="hermitian"):
             simulate_measurements(cooling_model, rho0, [np.array([[0, 1], [0, 0]])], cooling_grid)
-        with pytest.raises(ValidationError, match="sigma"):
-            simulate_measurements(cooling_model, rho0, [np.eye(3)], cooling_grid, noise_sigma=-1)
+        for sigma in (-1, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="sigma"):
+                simulate_measurements(cooling_model, rho0, [np.eye(3)], cooling_grid,
+                                      noise_sigma=sigma)
         with pytest.raises(ValidationError, match="trace"):
             simulate_measurements(cooling_model, np.eye(3), [np.eye(3)], cooling_grid)
         with pytest.raises(ValidationError, match="shape"):
@@ -263,6 +270,39 @@ class TestReconstruct:
                                        cooling_grid)
         with pytest.raises(ValidationError, match="shape"):
             reconstruct(cooling_model, [np.eye(2)] * 4, record)
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_random_model_reconstructs_its_truth(self, seed):
+        # a verified single observable on a random 3-level model: the design
+        # is ill-conditioned (about 1e7) but of full rank, and the exact
+        # trace constraint must not turn that into a rank deficiency
+        rng = np.random.default_rng(seed)
+        model = random_model(3, rng)
+        gen = build_generator(model)
+        observables = find_observables(gen, seed=0)
+        assert verify_observables(gen, observables).ok
+        truth = random_density(3, rng)
+        record = simulate_measurements(model, truth, observables,
+                                       default_time_grid(spectral_report(gen)))
+        result = reconstruct(model, observables, record, truth=truth)
+        assert result.design_rank == 9
+        assert result.design_condition > 1e5
+        assert result.frobenius_error <= 1e-6
+
+    def test_design_condition_is_the_datas_own(self, cooling_model, cooling_grid,
+                                               verified_observables):
+        truth = random_density(3, np.random.default_rng(12))
+        record = simulate_measurements(cooling_model, truth, verified_observables,
+                                       cooling_grid)
+        result = reconstruct(cooling_model, verified_observables, record)
+        # oracle: singular values of the traceless design columns, by explicit traces
+        basis = hermitian_basis(3)[1:]
+        gen = build_generator(cooling_model)
+        rows = [[np.trace(verified_observables[e.observable_index].conj().T
+                          @ unvec(propagator(gen, e.time) @ vec(b), 3)).real for b in basis]
+                for e in record.entries]
+        sigma = np.linalg.svd(np.array(rows), compute_uv=False)
+        assert result.design_condition == pytest.approx(sigma[0] / sigma[-1], rel=1e-6)
 
     def test_condition_number_reported(self, cooling_model, cooling_grid,
                                        verified_observables):
