@@ -18,6 +18,7 @@ from .errors import (
 )
 from .operator_algebra import (
     DEFAULT_TOLERANCES,
+    EigenvalueCluster,
     ToleranceConfig,
     eigen_structure,
     eigenvalues,
@@ -25,8 +26,6 @@ from .operator_algebra import (
     hermitian_basis,
     hs_inner,
     is_hermitian,
-    kernel_dim,
-    kron,
     minimal_polynomial,
     random_hermitian,
     rank,
@@ -48,13 +47,10 @@ from .lindblad import (
     validate_density_matrix,
 )
 from .analysis import (
-    EigenvalueCluster,
-    MeasurementBudget,
     SpectralReport,
     VerificationResult,
     find_observables,
     krylov_subspace,
-    measurement_budget,
     spectral_report,
     verify_observables,
 )
@@ -80,12 +76,10 @@ __all__ = [
     "RankDeficiencyError",
     "ToleranceConfig",
     "DEFAULT_TOLERANCES",
-    "kron",
     "vec",
     "unvec",
     "hs_inner",
     "rank",
-    "kernel_dim",
     "eigenvalues",
     "eigen_structure",
     "expm",
@@ -107,10 +101,8 @@ __all__ = [
     "model_from_json",
     "EigenvalueCluster",
     "SpectralReport",
-    "MeasurementBudget",
     "VerificationResult",
     "spectral_report",
-    "measurement_budget",
     "krylov_subspace",
     "verify_observables",
     "find_observables",

@@ -34,12 +34,9 @@ from .operator_algebra import (
 )
 
 __all__ = [
-    "EigenvalueCluster",
     "SpectralReport",
-    "MeasurementBudget",
     "VerificationResult",
     "spectral_report",
-    "measurement_budget",
     "krylov_subspace",
     "verify_observables",
     "find_observables",
@@ -68,12 +65,6 @@ class SpectralReport:
     measurement_budget: int
 
 
-class MeasurementBudget(NamedTuple):
-    eta: int
-    mu: int
-    total: int
-
-
 class VerificationResult(NamedTuple):
     ok: bool
     achieved_rank: int
@@ -100,11 +91,6 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
         static_observable_count=gen.dim * gen.dim - 1,
         measurement_budget=eta * mu,
     )
-
-
-def measurement_budget(report: SpectralReport) -> MeasurementBudget:
-    """(eta, mu, eta*mu): observables, instants per observable, total readouts."""
-    return MeasurementBudget(report.eta, report.mu, report.eta * report.mu)
 
 
 def _checked_observable(gen: Superoperator, observable) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 unreadable/invalid input files or flags or an
 unwritable output path, 3 numerical failure, 4 observable search
-exhausted, 5 state file violates the density-matrix invariants,
-6 measurement design rank deficiency.
+exhausted, 5 state file (``simulate``'s state or ``--truth``) violates the
+density-matrix invariants, 6 measurement design rank deficiency.  The
+commands raise the package's errors and :func:`main` alone maps them to
+codes, through :data:`EXIT_CODES`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -22,9 +25,10 @@ from .errors import (
     SearchExhausted,
     ValidationError,
 )
-from .operator_algebra import DEFAULT_TOLERANCES, ToleranceConfig, assert_hermitian
+from .operator_algebra import DEFAULT_TOLERANCES, HERMITICITY_ATOL, ToleranceConfig, assert_hermitian
 from .lindblad import (
     LindbladModel,
+    _entry_to_json,
     build_generator,
     laser_cooling_model,
     matrix_from_json,
@@ -43,19 +47,21 @@ from .tomography import (
     write_record_csv,
 )
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_NUMERICAL = 3
-EXIT_SEARCH = 4
-EXIT_STATE = 5
-EXIT_RANK = 6
-
 TOLERANCE_ENV_VAR = "STROBE_TOMO_TOLERANCE"
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _StateInvariantError(ValidationError):
+    """A state file that parses but is not a density matrix of the model's dimension."""
+
+
+#: exit code of each error type; the first match wins, so a subclass precedes its base
+EXIT_CODES = (
+    (_StateInvariantError, 5),
+    (ValidationError, 2),
+    (NumericalFailure, 3),
+    (SearchExhausted, 4),
+    (RankDeficiencyError, 6),
+)
 
 
 def _tolerances_from_env() -> ToleranceConfig:
@@ -69,11 +75,14 @@ def _tolerances_from_env() -> ToleranceConfig:
     return ToleranceConfig(rank_rtol=value)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _nonnegative_float(text: str) -> float:
@@ -85,20 +94,33 @@ def _nonnegative_float(text: str) -> float:
 
 def _load_json_file(path: str, what: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise ValidationError(f"{what} {path!r} is not valid UTF-8 JSON: {exc}") from exc
+
+
+def _write_file(path: str, write) -> None:
+    """Call ``write(path)``, reporting an unwritable path as invalid input."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _load_model(path: str) -> LindbladModel:
     return model_from_json(_load_json_file(path, "model file"))
 
 
-def _load_state(path: str) -> np.ndarray:
-    return matrix_from_json(_load_json_file(path, "state file"), "state")
+def _load_state(path: str, dim: int, name: str) -> np.ndarray:
+    """A density matrix from a JSON file; broken invariants raise :class:`_StateInvariantError`."""
+    matrix = matrix_from_json(_load_json_file(path, f"{name} file"), name)
+    try:
+        return validate_density_matrix(matrix, dim=dim, name=name)
+    except ValidationError as exc:
+        raise _StateInvariantError(str(exc)) from exc
 
 
 def _load_observables(path: str) -> list[np.ndarray]:
@@ -118,10 +140,6 @@ def _fmt_complex(z: complex, digits: int = 12) -> str:
     return f"{z.real:.{digits}g}{z.imag:+.{digits}g}j"
 
 
-def _complex_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
 def _analysis_document(model, report, tol: ToleranceConfig) -> dict:
     return {
         "tool": "strobe-tomo",
@@ -129,15 +147,14 @@ def _analysis_document(model, report, tol: ToleranceConfig) -> dict:
         "tolerances": {
             "rank_rtol": tol.rank_rtol,
             "eig_cluster_rtol": tol.eig_cluster_rtol,
-            "hermiticity_atol": tol.hermiticity_atol,
+            "hermiticity_atol": HERMITICITY_ATOL,
         },
         "model": model_to_json(model),
         "analysis": {
             "dim": report.dim,
             "distinct_eigenvalues": [
                 {
-                    "re": float(c.value.real),
-                    "im": float(c.value.imag),
+                    **_entry_to_json(c.value),
                     "algebraic_multiplicity": c.algebraic_multiplicity,
                     "geometric_multiplicity": c.geometric_multiplicity,
                     "index": c.index,
@@ -146,7 +163,7 @@ def _analysis_document(model, report, tol: ToleranceConfig) -> dict:
             ],
             "eta": report.eta,
             "mu": report.mu,
-            "min_poly": [_complex_json(c) for c in report.min_poly],
+            "min_poly": [_entry_to_json(c) for c in report.min_poly],
             "static_observable_count": report.static_observable_count,
             "measurement_budget": report.measurement_budget,
         },
@@ -181,77 +198,39 @@ def _resolve_model(args) -> LindbladModel:
     return laser_cooling_model(args.gamma1, args.gamma2)
 
 
-def _cmd_analyze(args, tol: ToleranceConfig) -> int:
-    try:
-        model = _resolve_model(args)
-    except ValidationError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        report = spectral_report(build_generator(model), tol)
-    except NumericalFailure as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
+def _cmd_analyze(args, tol: ToleranceConfig) -> None:
+    model = _resolve_model(args)
+    report = spectral_report(build_generator(model), tol)
     if args.json:
         print(json.dumps(_analysis_document(model, report, tol), indent=2))
     else:
         _print_analysis_text(report)
-    return EXIT_OK
 
 
-def _cmd_find_observables(args, tol: ToleranceConfig) -> int:
-    try:
-        model = _load_model(args.model_file)
-    except ValidationError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        gen = build_generator(model)
-        observables = find_observables(gen, tol, seed=args.seed, max_attempts=args.max_attempts)
-        ok, achieved = verify_observables(gen, observables, tol)
-    except SearchExhausted as exc:
-        return _fail(EXIT_SEARCH, str(exc))
-    except NumericalFailure as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
-    try:
-        with open(args.out, "w") as handle:
-            json.dump([matrix_to_json(q) for q in observables], handle, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"cannot write {args.out!r}: {exc}")
+def _cmd_find_observables(args, tol: ToleranceConfig) -> None:
+    model = _load_model(args.model_file)
+    gen = build_generator(model)
+    observables = find_observables(gen, tol, seed=args.seed, max_attempts=args.max_attempts)
+    ok, achieved = verify_observables(gen, observables, tol)
+    text = json.dumps([matrix_to_json(q) for q in observables], indent=2) + "\n"
+    _write_file(args.out, lambda path: pathlib.Path(path).write_text(text))
     needed = model.dim * model.dim
     print(f"wrote {len(observables)} observables to {args.out} "
           f"(spanning rank {achieved}/{needed}, verified={ok})")
-    return EXIT_OK
 
 
-def _cmd_simulate(args, tol: ToleranceConfig) -> int:
-    try:
-        model = _load_model(args.model_file)
-        state = _load_state(args.state_file)
-        observables = _load_observables(args.observables_file)
-    except ValidationError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        rho0 = validate_density_matrix(state, dim=model.dim, name="state")
-    except ValidationError as exc:
-        return _fail(EXIT_STATE, str(exc))
-    try:
-        gen = build_generator(model)
-        report = spectral_report(gen, tol)
-        grid = default_time_grid(report)
-        record = simulate_measurements(
-            model, rho0, observables, grid, noise_sigma=args.sigma, seed=args.seed
-        )
-    except ValidationError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except NumericalFailure as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
-    try:
-        write_record_csv(record, args.out)
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"cannot write {args.out!r}: {exc}")
+def _cmd_simulate(args, tol: ToleranceConfig) -> None:
+    model = _load_model(args.model_file)
+    observables = _load_observables(args.observables_file)
+    rho0 = _load_state(args.state_file, model.dim, "state")
+    report = spectral_report(build_generator(model), tol)
+    record = simulate_measurements(
+        model, rho0, observables, default_time_grid(report), noise_sigma=args.sigma, seed=args.seed
+    )
+    _write_file(args.out, lambda path: write_record_csv(record, path))
     print(f"wrote {len(record.entries)} measurements "
           f"({record.observable_count} observables x {record.grid.size} instants, "
           f"sigma={args.sigma:g}, seed={args.seed}) to {args.out}")
-    return EXIT_OK
 
 
 def _reconstruction_document(result, projected: bool) -> dict:
@@ -271,27 +250,12 @@ def _reconstruction_document(result, projected: bool) -> dict:
     return doc
 
 
-def _cmd_reconstruct(args, tol: ToleranceConfig) -> int:
-    try:
-        model = _load_model(args.model_file)
-        observables = _load_observables(args.observables_file)
-        record = read_record_csv(args.record_csv)
-        truth = None
-        if args.truth:
-            truth = validate_density_matrix(_load_state(args.truth), dim=model.dim, name="truth")
-    except ValidationError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        result = reconstruct(
-            model, observables, record,
-            tol=tol, project=not args.no_project, truth=truth,
-        )
-    except RankDeficiencyError as exc:
-        return _fail(EXIT_RANK, str(exc))
-    except ValidationError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except NumericalFailure as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
+def _cmd_reconstruct(args, tol: ToleranceConfig) -> None:
+    model = _load_model(args.model_file)
+    observables = _load_observables(args.observables_file)
+    record = read_record_csv(args.record_csv)
+    truth = _load_state(args.truth, model.dim, "truth") if args.truth else None
+    result = reconstruct(model, observables, record, tol=tol, project=not args.no_project, truth=truth)
 
     if args.json:
         doc = _reconstruction_document(result, projected=not args.no_project)
@@ -299,7 +263,7 @@ def _cmd_reconstruct(args, tol: ToleranceConfig) -> int:
             _, trace_dist = state_distance(result.rho_hat, truth)
             doc["result"]["trace_distance"] = trace_dist
         print(json.dumps(doc, indent=2))
-        return EXIT_OK
+        return
 
     print("reconstructed initial state:")
     for row in result.rho_hat:
@@ -315,7 +279,6 @@ def _cmd_reconstruct(args, tol: ToleranceConfig) -> int:
         frob, trace_dist = state_distance(result.rho_hat, truth)
         print(f"frobenius error  : {frob:.6e}")
         print(f"trace distance   : {trace_dist:.6e}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,15 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_file", nargs="?", help="model JSON (or use --gamma1/--gamma2)")
     p.add_argument("--gamma1", type=float, help="decay rate of the |2> -> |1> channel")
     p.add_argument("--gamma2", type=float, help="decay rate of the |2> -> |3> channel")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit a JSON report document")
-    fmt.add_argument("--text", action="store_true", help="emit a text report (default)")
+    p.add_argument("--json", action="store_true", help="emit a JSON report document (default: text)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("find-observables", help="search for a minimal verified observable set")
     p.add_argument("model_file")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--max-attempts", type=_positive_int, default=100,
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed, >= 0 (default 0)")
+    p.add_argument("--max-attempts", type=_int_at_least(1), default=100,
                    help="sampling attempts before giving up (>= 1)")
     p.add_argument("--out", required=True, help="output observables JSON path")
     p.set_defaults(func=_cmd_find_observables)
@@ -349,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("observables_file")
     p.add_argument("--sigma", type=_nonnegative_float, default=0.0,
                    help="additive Gaussian noise level, finite and >= 0 (default 0)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed, >= 0 (default 0)")
     p.add_argument("--out", required=True, help="output record CSV path")
     p.set_defaults(func=_cmd_simulate)
 
@@ -366,16 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; return 0, argparse's own code, or the :data:`EXIT_CODES` code of the error."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        args.func(args, _tolerances_from_env())
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        tol = _tolerances_from_env()
-    except ValidationError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    return args.func(args, tol)
+    except tuple(kind for kind, _code in EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    return 0
 
 
 def run() -> None:

@@ -11,6 +11,7 @@ resulting dim^2 x dim^2 matrix generates the state evolution
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,17 +113,17 @@ class LindbladModel:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """A dim^2 x dim^2 generator matrix together with its vectorization tag.
+    """A dim^2 x dim^2 generator matrix acting on row-stacked operators.
 
-    Construction only checks the shape, so synthetic generators can be
-    injected for analysis; matrices produced by :func:`build_generator`
-    additionally annihilate the trace functional
+    Row-stacking (``vec`` flattens row by row) is the package's only
+    vectorization convention.  Construction only checks the shape, so
+    synthetic generators can be injected for analysis; matrices produced by
+    :func:`build_generator` additionally annihilate the trace functional
     (``vec(I)^dag @ matrix ~ 0``).
     """
 
     dim: int
     matrix: np.ndarray
-    convention: str = "row-stacking"
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix, "superoperator matrix")
@@ -130,10 +131,6 @@ class Superoperator:
         if mat.shape != (n2, n2):
             raise ValidationError(
                 f"superoperator matrix has shape {mat.shape}, expected ({n2}, {n2})"
-            )
-        if self.convention != "row-stacking":
-            raise ValidationError(
-                f"unsupported vectorization convention {self.convention!r}"
             )
         object.__setattr__(self, "matrix", mat)
 
@@ -189,21 +186,18 @@ def propagator(gen: Superoperator, t: float) -> np.ndarray:
     return expm(t * gen.matrix)
 
 
-def validate_density_matrix(rho, *, dim: int | None = None,
-                            eig_floor: float = STATE_EIG_FLOOR,
-                            trace_atol: float = EVOLVE_TRACE_ATOL,
-                            name: str = "rho") -> np.ndarray:
+def validate_density_matrix(rho, *, dim: int | None = None, name: str = "rho") -> np.ndarray:
     """Check hermiticity, unit trace and positivity; return the coerced array."""
     arr = assert_hermitian(rho, name=name)
     if dim is not None and arr.shape != (dim, dim):
         raise ValidationError(f"{name} has shape {arr.shape}, expected ({dim}, {dim})")
     tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > trace_atol:
+    if abs(tr - 1.0) > EVOLVE_TRACE_ATOL:
         raise ValidationError(f"{name} has trace {tr:.12g}, expected 1")
     lowest = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
-    if lowest < eig_floor:
+    if lowest < STATE_EIG_FLOOR:
         raise ValidationError(
-            f"{name} has eigenvalue {lowest:.3e} below the floor {eig_floor:.1e}"
+            f"{name} has eigenvalue {lowest:.3e} below the floor {STATE_EIG_FLOOR:.1e}"
         )
     return arr
 
@@ -242,7 +236,10 @@ def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
 
 
 def _entry_to_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
+    """``{"re": ..., "im": ...}``; JSON has no NaN or infinity, so a non-finite part is null."""
+    re_part, im_part = float(z.real), float(z.imag)
+    return {"re": re_part if math.isfinite(re_part) else None,
+            "im": im_part if math.isfinite(im_part) else None}
 
 
 def matrix_to_json(m) -> list:
@@ -250,21 +247,26 @@ def matrix_to_json(m) -> list:
     return [[_entry_to_json(z) for z in row] for row in arr]
 
 
+def _number_from_json(obj, field_name: str) -> float:
+    """A JSON number as a float; rejects booleans, non-numbers and integers past the float range."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ValidationError(f"{field_name}: expected a number, got {type(obj).__name__}")
+    try:
+        return float(obj)
+    except OverflowError:
+        raise ValidationError(f"{field_name}: integer out of the float range") from None
+
+
 def _entry_from_json(obj, field_name: str) -> complex:
-    if isinstance(obj, bool):
-        raise ValidationError(f"{field_name}: expected a number or {{re, im}} object")
-    if isinstance(obj, (int, float)):
-        return complex(obj)
     if isinstance(obj, dict):
         try:
             re_part = obj["re"]
             im_part = obj["im"]
         except KeyError as exc:
             raise ValidationError(f"{field_name}: missing key {exc.args[0]!r}") from exc
-        if not isinstance(re_part, (int, float)) or not isinstance(im_part, (int, float)):
-            raise ValidationError(f"{field_name}: 're' and 'im' must be numbers")
-        return complex(re_part, im_part)
-    raise ValidationError(f"{field_name}: expected a number or {{re, im}} object, got {type(obj).__name__}")
+        return complex(_number_from_json(re_part, f"{field_name}.re"),
+                       _number_from_json(im_part, f"{field_name}.im"))
+    return complex(_number_from_json(obj, field_name))
 
 
 def matrix_from_json(obj, field_name: str = "matrix") -> np.ndarray:
@@ -317,11 +319,9 @@ def model_from_json(obj) -> LindbladModel:
             raise ValidationError(f"jumps[{i}]: expected an object with 'rate' and 'matrix'")
         if "rate" not in entry:
             raise ValidationError(f"jumps[{i}]: missing required field 'rate'")
-        rate = entry["rate"]
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            raise ValidationError(f"jumps[{i}].rate: expected a number, got {rate!r}")
+        rate = _number_from_json(entry["rate"], f"jumps[{i}].rate")
         if "matrix" not in entry:
             raise ValidationError(f"jumps[{i}]: missing required field 'matrix'")
-        jumps.append((float(rate), matrix_from_json(entry["matrix"], f"jumps[{i}].matrix")))
+        jumps.append((rate, matrix_from_json(entry["matrix"], f"jumps[{i}].matrix")))
 
     return LindbladModel(dim=dim, hamiltonian=hamiltonian, jumps=tuple(jumps))

@@ -23,12 +23,10 @@ __all__ = [
     "as_complex_matrix",
     "is_hermitian",
     "assert_hermitian",
-    "kron",
     "vec",
     "unvec",
     "hs_inner",
     "rank",
-    "kernel_dim",
     "eigenvalues",
     "expm",
     "EigenvalueCluster",
@@ -39,10 +37,13 @@ __all__ = [
 ]
 
 
+#: absolute floor of the hermiticity predicate, scaled by ``1 + max |A|``
+HERMITICITY_ATOL = 1e-12
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds shared by rank tests, eigenvalue clustering and
-    hermiticity checks.
+    """Numerical thresholds shared by rank tests and eigenvalue clustering.
 
     Attributes
     ----------
@@ -54,19 +55,16 @@ class ToleranceConfig:
         eigenvalues of a Jordan chain of length 2.  Eigenvalues within
         ``|m|_F * eig_cluster_rtol**(2/3)`` of each other are grouped into
         one distinct value, which also holds chains of length 3.
-    hermiticity_atol : float
-        Absolute floor of the hermiticity predicate.
     """
 
     rank_rtol: float = 1e-9
     eig_cluster_rtol: float = 1e-8
-    hermiticity_atol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rank_rtol", "eig_cluster_rtol", "hermiticity_atol"):
+        for name in ("rank_rtol", "eig_cluster_rtol"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValidationError(f"{name} must be strictly positive, got {value!r}")
+            if not 0 < value < np.inf:
+                raise ValidationError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -92,27 +90,26 @@ def _square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def is_hermitian(a, atol: float = DEFAULT_TOLERANCES.hermiticity_atol) -> bool:
-    """Entrywise hermiticity test: max |A - A^dag| <= atol * (1 + max |A|)."""
+def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
+    """Entrywise hermiticity test: max |A - A^dag| <= atol * (1 + max |A|).
+
+    A matrix with a NaN or infinite entry is not hermitian.
+    """
     arr = as_complex_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         return False
     scale = 1.0 + (np.abs(arr).max() if arr.size else 0.0)
+    if not scale < np.inf:
+        return False
     return float(np.abs(arr - arr.conj().T).max()) <= atol * scale
 
 
-def assert_hermitian(a, atol: float = DEFAULT_TOLERANCES.hermiticity_atol,
-                     name: str = "matrix") -> np.ndarray:
+def assert_hermitian(a, name: str = "matrix") -> np.ndarray:
     arr = _square(a, name)
-    if not is_hermitian(arr, atol):
+    if not is_hermitian(arr):
         dev = float(np.abs(arr - arr.conj().T).max())
         raise ValidationError(f"{name} is not hermitian (max |A - A^dag| = {dev:.3e})")
     return arr
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with block (i, j) equal to ``a[i, j] * b``."""
-    return np.kron(as_complex_matrix(a, "a"), as_complex_matrix(b, "b"))
 
 
 def vec(m) -> np.ndarray:
@@ -137,19 +134,19 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(am, bm))
 
 
+def _svd_rank(m: np.ndarray, tol: ToleranceConfig) -> tuple[int, np.ndarray]:
+    """Numerical rank of ``m`` and its descending singular values, from one SVD.
+
+    The rank counts the singular values strictly above ``rank_rtol *
+    sigma_max``: the one threshold behind every rank read off an SVD.
+    """
+    sigma = np.linalg.svd(m, compute_uv=False)
+    return (int(np.sum(sigma > tol.rank_rtol * sigma[0])) if sigma.size else 0), sigma
+
+
 def rank(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Numerical rank: singular values strictly above rank_rtol * sigma_max."""
-    arr = as_complex_matrix(m)
-    if arr.size == 0:
-        return 0
-    sigma = np.linalg.svd(arr, compute_uv=False)
-    return int(np.sum(sigma > tol.rank_rtol * sigma[0]))
-
-
-def kernel_dim(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Dimension of the (right) null space, ``cols - rank``."""
-    arr = as_complex_matrix(m)
-    return arr.shape[1] - rank(arr, tol)
+    return _svd_rank(as_complex_matrix(m), tol)[0]
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -244,11 +241,14 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
     multiple one both come from the numerical ranks of the powers of
     ``(m - value*I) / |m|_F``, one SVD per power, stopping at the index.
     Clusters are ordered by decreasing real part, then increasing
-    imaginary part.
+    imaginary part.  A matrix whose Frobenius norm overflows raises
+    :class:`NumericalFailure`.
     """
     arr = _square(m)
     values = eigenvalues(arr)
     norm_f = float(np.linalg.norm(arr))
+    if not np.isfinite(norm_f):
+        raise NumericalFailure("matrix norm overflows the float range")
     clusters = []
     # A computed Jordan chain of length k spreads by about |m| * delta**(1/k),
     # delta the eigensolver's relative backward error.  eig_cluster_rtol is

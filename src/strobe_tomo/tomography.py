@@ -30,6 +30,7 @@ from .analysis import SpectralReport
 from .operator_algebra import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _svd_rank,
     assert_hermitian,
     hermitian_basis,
     vec,
@@ -102,8 +103,10 @@ class MeasurementRecord:
                 )
             if not np.isfinite(entry.value):
                 raise ValidationError(f"entries[{pos}]: non-finite value {entry.value!r}")
-            if entry.sigma < 0:
-                raise ValidationError(f"entries[{pos}]: sigma must be >= 0, got {entry.sigma}")
+            if not 0 <= entry.sigma < np.inf:
+                raise ValidationError(
+                    f"entries[{pos}]: sigma must be finite and >= 0, got {entry.sigma}"
+                )
             if entry.time not in allowed:
                 raise ValidationError(f"entries[{pos}]: time {entry.time!r} is not on the grid")
 
@@ -119,8 +122,8 @@ class ReconstructionResult:
     frobenius_error: float | None = None
 
 
-def default_time_grid(report: SpectralReport, mu: int | None = None) -> np.ndarray:
-    """Equispaced instants ``j * dt`` for ``j = 1 .. mu``.
+def default_time_grid(report: SpectralReport) -> np.ndarray:
+    """Equispaced instants ``j * dt`` for ``j = 1 .. report.mu``.
 
     ``dt`` is the reciprocal of the largest decay rate ``|Re lambda|`` over
     the nonzero eigenvalues, so the grid straddles the slowest-to-fastest
@@ -128,11 +131,6 @@ def default_time_grid(report: SpectralReport, mu: int | None = None) -> np.ndarr
     reciprocal of the largest eigenvalue magnitude, and a zero generator to
     ``dt = 1``.  No claim of optimality is attached to this choice.
     """
-    if mu is None:
-        mu = report.mu
-    if mu < 1:
-        raise ValidationError(f"grid needs at least one instant, got mu={mu}")
-
     values = np.array([c.value for c in report.distinct_eigenvalues])
     magnitude = np.abs(values)
     zero_floor = 1e-12 * max(1.0, float(magnitude.max()) if magnitude.size else 0.0)
@@ -142,7 +140,7 @@ def default_time_grid(report: SpectralReport, mu: int | None = None) -> np.ndarr
     else:
         fastest = float(np.abs(nonzero.real).max())
         dt = 1.0 / fastest if fastest > zero_floor else 1.0 / float(np.abs(nonzero).max())
-    return dt * np.arange(1, mu + 1, dtype=float)
+    return dt * np.arange(1, report.mu + 1, dtype=float)
 
 
 def _checked_observables(observables, dim: int) -> list[np.ndarray]:
@@ -235,13 +233,15 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
         rows.append((weights @ basis_stack.T).real)
         rhs.append(entry.value)
     design = np.array(rows).reshape(-1, n * n)
+    if not np.all(np.isfinite(design)):
+        raise NumericalFailure("design matrix overflows: expm(t * L) is not finite on the record's instants")
     # basis[0] is I/sqrt(n), so unit trace fixes its coefficient
     identity_coeff = 1.0 / np.sqrt(n)
     traceless = design[:, 1:]
     target = np.array(rhs) - identity_coeff * design[:, 0]
 
-    sigma = np.linalg.svd(traceless, compute_uv=False)
-    design_rank = 1 + (int(np.sum(sigma > tol.rank_rtol * sigma[0])) if sigma.size else 0)
+    traceless_rank, sigma = _svd_rank(traceless, tol)
+    design_rank = 1 + traceless_rank
     required = n * n
     if design_rank < required:
         raise RankDeficiencyError(
@@ -255,6 +255,8 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     coeffs, *_ = np.linalg.lstsq(traceless, target, rcond=None)
     rho_hat = identity_coeff * basis[0] + np.tensordot(coeffs, basis[1:], axes=1)
     residual = float(np.linalg.norm(traceless @ coeffs - target))
+    if not (np.all(np.isfinite(coeffs)) and np.isfinite(residual)):
+        raise NumericalFailure("least-squares estimate is not finite; the record values overflow")
 
     if project:
         rho_hat = _project_to_physical(rho_hat)
@@ -315,25 +317,28 @@ def read_record_csv(path) -> MeasurementRecord:
     """Read a record written by :func:`write_record_csv`.
 
     The grid is recovered as the sorted distinct times and the observable
-    count as one past the largest index seen.
+    count as one past the largest index seen.  A file that cannot be
+    opened, or is not UTF-8 CSV text, raises :class:`ValidationError`.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except OSError as exc:
+        raise ValidationError(f"cannot read record file {path!s}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"record file {path!s} is not UTF-8 CSV text: {exc}") from exc
+    if not rows or tuple(h.strip() for h in rows[0]) != CSV_HEADER:
+        raise ValidationError(f"record file {path!s}: expected header {','.join(CSV_HEADER)}")
     entries = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValidationError(
-                f"record file {path!s}: expected header {','.join(CSV_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValidationError(f"record file {path!s}, line {lineno}: expected 4 fields")
-            try:
-                entries.append(Measurement(int(row[0]), float(row[1]), float(row[2]), float(row[3])))
-            except ValueError as exc:
-                raise ValidationError(f"record file {path!s}, line {lineno}: {exc}") from exc
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValidationError(f"record file {path!s}, line {lineno}: expected 4 fields")
+        try:
+            entries.append(Measurement(int(row[0]), float(row[1]), float(row[2]), float(row[3])))
+        except ValueError as exc:
+            raise ValidationError(f"record file {path!s}, line {lineno}: {exc}") from exc
     if not entries:
         raise ValidationError(f"record file {path!s}: no measurement rows")
     grid = np.array(sorted({e.time for e in entries}))

@@ -13,7 +13,7 @@ from strobe_tomo import (
 )
 from strobe_tomo.cli import main
 
-from helpers import random_density
+from helpers import random_density, random_model
 
 
 @pytest.fixture()
@@ -108,6 +108,36 @@ class TestAnalyze:
         assert "NaN" in path.read_text() or "Infinity" in path.read_text()
         assert main(["analyze", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_min_poly_written_as_null(self, tmp_path, capsys):
+        # nine simple eigenvalues of size ~1e40: the degree-9 coefficients pass 1e308
+        model = random_model(3, np.random.default_rng(1))
+        doc = model_to_json(model)
+        doc["hamiltonian"] = matrix_to_json(model.hamiltonian * 1e40)
+        for jump in doc["jumps"]:
+            jump["rate"] *= 1e40
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(constant)
+
+        analysis = json.loads(out, parse_constant=reject)["analysis"]
+        assert analysis["mu"] == 9
+        assert None in [c["re"] for c in analysis["min_poly"]]
+        assert analysis["min_poly"][-1] == {"re": 1.0, "im": 0.0}
+
+    def test_norm_overflow_exit_three(self, tmp_path, capsys):
+        # finite entries of 2e200 overflow |L|_F; the answer was eta = 9, mu = 1, not 4 and 3
+        doc = model_to_json(laser_cooling_model(1.0, 2.0))
+        doc["jumps"][1]["rate"] = 2e200
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore"):
+            assert main(["analyze", str(path), "--json"]) == 3
+        assert "overflows" in capsys.readouterr().err
 
     def test_json_reports_index(self, capsys):
         assert main(["analyze", "--gamma1", "1", "--gamma2", "2", "--json"]) == 0
@@ -294,6 +324,12 @@ class TestToleranceEnv:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerances"]["rank_rtol"] == 1e-6
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_non_finite_or_zero_value_exit_two(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("STROBE_TOMO_TOLERANCE", value)
+        assert main(["analyze", "--gamma1", "1", "--gamma2", "2", "--json"]) == 2
+        assert "rank_rtol" in capsys.readouterr().err
+
     def test_invalid_value_exit_two(self, monkeypatch, capsys):
         monkeypatch.setenv("STROBE_TOMO_TOLERANCE", "not-a-number")
         assert main(["analyze", "--gamma1", "1", "--gamma2", "2"]) == 2
@@ -307,3 +343,76 @@ class TestArgparseBehaviour:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "strobe-tomo" in capsys.readouterr().out
+
+
+@pytest.fixture()
+def cooling_record(cooling_files):
+    """A noiseless record of the cooling state under the verified observables."""
+    path = cooling_files["dir"] / "record.csv"
+    assert main(["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
+                 str(cooling_files["obs"]), "--out", str(path)]) == 0
+    return path
+
+
+def _reconstruct_args(cooling_files, record, *extra):
+    return ["reconstruct", str(cooling_files["model"]), str(cooling_files["obs"]), str(record), *extra]
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("command", ["find-observables", "simulate"])
+    def test_negative_seed_exit_two(self, cooling_files, tmp_path, capsys, command):
+        inputs = [str(cooling_files["model"])]
+        if command == "simulate":
+            inputs += [str(cooling_files["state"]), str(cooling_files["obs"]), "--sigma", "0"]
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["model", "state", "obs"])
+    def test_non_utf8_json_exit_two(self, cooling_files, tmp_path, capsys, which):
+        cooling_files[which].write_bytes(b'{"dim": 3, "jumps": [\xff\xfe]}')
+        assert main(["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
+                     str(cooling_files["obs"]), "--out", str(tmp_path / "rec.csv")]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_one_infinite_state_entry_exit_five(self, cooling_files, tmp_path, capsys):
+        # json reads Infinity; one infinite off-diagonal entry used to pass the hermiticity test
+        state = json.loads(cooling_files["state"].read_text())
+        state[0][1] = {"re": float("inf"), "im": 0.0}
+        cooling_files["state"].write_text(json.dumps(state))
+        assert main(["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
+                     str(cooling_files["obs"]), "--out", str(tmp_path / "rec.csv")]) == 5
+        assert "not hermitian" in capsys.readouterr().err
+
+    def test_missing_record_exit_two(self, cooling_files, tmp_path, capsys):
+        assert main(_reconstruct_args(cooling_files, tmp_path / "missing.csv")) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_record_exit_two(self, cooling_files, cooling_record, capsys):
+        cooling_record.write_bytes(cooling_record.read_bytes() + b"0,1,\xff,0\n")
+        assert main(_reconstruct_args(cooling_files, cooling_record)) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_record_sigma_exit_two(self, cooling_files, cooling_record, capsys, sigma):
+        lines = cooling_record.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + sigma
+        cooling_record.write_text("\n".join(lines) + "\n")
+        assert main(_reconstruct_args(cooling_files, cooling_record, "--json")) == 2
+        err = capsys.readouterr().err
+        assert "sigma must be finite" in err
+
+    @pytest.mark.parametrize("truth", [np.eye(3), np.eye(2) / 2, np.diag([1.5, -0.5, 0.0])])
+    def test_truth_breaking_invariants_exit_five(self, cooling_files, cooling_record, tmp_path,
+                                                 capsys, truth):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(matrix_to_json(truth)))
+        assert main(_reconstruct_args(cooling_files, cooling_record, "--truth", str(path))) == 5
+        assert "truth" in capsys.readouterr().err
+
+    def test_truth_not_json_exit_two(self, cooling_files, cooling_record, tmp_path, capsys):
+        path = tmp_path / "truth.json"
+        path.write_text("[[1, 0], [0")
+        assert main(_reconstruct_args(cooling_files, cooling_record, "--truth", str(path))) == 2
+        assert "not valid" in capsys.readouterr().err

@@ -102,7 +102,6 @@ class TestBuildGenerator:
     def test_matches_golden_matrix_exactly(self, g1, g2):
         gen = build_generator(laser_cooling_model(g1, g2))
         assert gen.dim == 3
-        assert gen.convention == "row-stacking"
         assert np.array_equal(gen.matrix, golden_generator(g1, g2))
 
     def test_commutator_action(self):
@@ -142,10 +141,6 @@ class TestSuperoperator:
     def test_shape_checked(self):
         with pytest.raises(ValidationError, match="shape"):
             Superoperator(dim=3, matrix=np.eye(4))
-
-    def test_convention_checked(self):
-        with pytest.raises(ValidationError, match="convention"):
-            Superoperator(dim=2, matrix=np.eye(4), convention="column-stacking")
 
     def test_synthetic_injection_allowed(self):
         # trace-functional residual is only enforced for built generators

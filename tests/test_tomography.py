@@ -61,18 +61,20 @@ class TestTimeGrid:
 
     def test_zero_generator_fallback(self):
         report = spectral_report(Superoperator(dim=3, matrix=np.zeros((9, 9))))
-        assert np.array_equal(default_time_grid(report, mu=1), [1.0])
+        assert report.mu == 1
+        assert np.array_equal(default_time_grid(report), [1.0])
 
     def test_simple_spectrum_spacing(self):
         gen = Superoperator(dim=2, matrix=np.diag([0.0, -0.5, -1.0, -2.0]))
         report = spectral_report(gen)
-        assert np.allclose(default_time_grid(report, mu=3), [0.5, 1.0, 1.5], atol=1e-12)
+        assert report.mu == 4
+        assert np.allclose(default_time_grid(report), [0.5, 1.0, 1.5, 2.0], atol=1e-12)
 
     def test_purely_imaginary_spectrum_falls_back_to_magnitude(self):
         gen = Superoperator(dim=2, matrix=np.diag([0.0, 2j, -2j, 0.0]))
         report = spectral_report(gen)
-        grid = default_time_grid(report, mu=2)
-        assert np.allclose(grid, [0.5, 1.0], atol=1e-12)
+        assert report.mu == 3
+        assert np.allclose(default_time_grid(report), [0.5, 1.0, 1.5], atol=1e-12)
 
     @pytest.mark.parametrize("bad", [[], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, np.inf]])
     def test_validate_rejects_bad_grids(self, bad):
@@ -176,6 +178,16 @@ class TestRecordCsv:
         path.write_text("observable_index,time,value,sigma\n")
         with pytest.raises(ValidationError, match="no measurement rows"):
             read_record_csv(path)
+
+    def test_rejects_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"observable_index,time,value,sigma\n0,1,\xff\xfe,0\n")
+        with pytest.raises(ValidationError, match="UTF-8"):
+            read_record_csv(path)
+
+    def test_rejects_missing_file(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot read"):
+            read_record_csv(tmp_path / "missing.csv")
 
 
 class TestReconstruct:
@@ -359,4 +371,10 @@ class TestMeasurementRecordValidation:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValidationError, match="sigma"):
             MeasurementRecord(entries=(Measurement(0, 1.0, 0.5, -0.1),),
+                              observable_count=1, grid=np.array([1.0]))
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValidationError, match="sigma must be finite"):
+            MeasurementRecord(entries=(Measurement(0, 1.0, 0.5, sigma),),
                               observable_count=1, grid=np.array([1.0]))
