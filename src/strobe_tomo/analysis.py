@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericalFailure, SearchExhausted, ValidationError
-from .lindblad import Superoperator
+from .lindblad import Superoperator, _operator
 from .operator_algebra import (
     DEFAULT_TOLERANCES,
     EigenvalueCluster,
@@ -93,11 +93,13 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     )
 
 
-def _checked_observable(gen: Superoperator, observable) -> np.ndarray:
-    q = assert_hermitian(observable, name="observable")
-    if q.shape != (gen.dim, gen.dim):
-        raise ValidationError(f"observable has shape {q.shape}, expected ({gen.dim}, {gen.dim})")
-    return q
+def _checked_observables(observables, dim: int) -> list[np.ndarray]:
+    """A non-empty list of hermitian ``dim x dim`` matrices; errors name ``observables[i]``."""
+    checked = [_operator(assert_hermitian(q, name=f"observables[{i}]"), f"observables[{i}]", dim)
+               for i, q in enumerate(observables)]
+    if not checked:
+        raise ValidationError("observable set must contain at least one observable")
+    return checked
 
 
 def _dual_step(adjoint: np.ndarray, current: np.ndarray, dim: int, step: int) -> np.ndarray:
@@ -121,7 +123,7 @@ def krylov_subspace(gen: Superoperator, observable, depth: int) -> list[np.ndarr
     trace-preserving dissipative dynamics it maps hermitian matrices to
     hermitian matrices, which is re-checked on every element.
     """
-    q = _checked_observable(gen, observable)
+    q = _checked_observables([observable], gen.dim)[0]
     if depth < 1:
         raise ValidationError(f"Krylov depth must be >= 1, got {depth}")
 
@@ -156,15 +158,14 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     arbitrary states iff the basis reaches dim^2 vectors; ``achieved_rank``
     is its size.
     """
-    if len(observables) == 0:
-        raise ValidationError("observable set must contain at least one observable")
+    checked = _checked_observables(observables, gen.dim)
     n2 = gen.dim * gen.dim
     adjoint = gen.matrix.conj().T
     floor = tol.rank_rtol * float(np.linalg.norm(gen.matrix, 2))
     basis = np.zeros((n2, n2), dtype=complex)
     size = 0
-    for observable in observables:
-        candidate = vec(_checked_observable(gen, observable))
+    for observable in checked:
+        candidate = vec(observable)
         threshold = tol.rank_rtol * float(np.linalg.norm(candidate))
         step = 0
         while size < n2:

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import NumericalFailure, ValidationError
 from .operator_algebra import (
+    HERMITICITY_ATOL,
+    _square,
     as_complex_matrix,
     assert_hermitian,
     expm,
@@ -49,12 +51,18 @@ EVOLVE_HERMITICITY_ATOL = 1e-10
 EVOLVE_EIG_FLOOR = -1e-8
 #: eigenvalue floor for states supplied as inputs
 STATE_EIG_FLOOR = -1e-10
+#: largest model dimension: the dense generator of a 64-level model is a
+#: 4096 x 4096 complex matrix (256 MiB), and every analysis step is O(dim^6)
+MAX_DIM = 64
 
 
-def _finite(m, name: str) -> np.ndarray:
+def _operator(m, name: str, dim: int) -> np.ndarray:
+    """``m`` as a ``dim x dim`` complex matrix with finite entries."""
     arr = as_complex_matrix(m, name)
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} has non-finite entries")
+    if arr.shape != (dim, dim):
+        raise ValidationError(f"{name} has shape {arr.shape}, expected ({dim}, {dim})")
     return arr
 
 
@@ -62,11 +70,11 @@ def _finite(m, name: str) -> np.ndarray:
 class LindbladModel:
     """Constant Hamiltonian plus a list of ``(rate, jump operator)`` channels.
 
-    ``hamiltonian=None`` means the zero matrix.  Rates must be finite and
-    nonnegative, every operator must be ``dim x dim`` with finite entries,
-    and the Hamiltonian must be hermitian.  Time-dependent Hamiltonians
-    are rejected: the vectorized generator built from this model is only
-    meaningful when it is constant.
+    ``dim`` is at most :data:`MAX_DIM`; ``hamiltonian=None`` means the zero
+    matrix.  Rates must be finite and nonnegative, every operator must be
+    ``dim x dim`` with finite entries, and the Hamiltonian must be
+    hermitian.  Time-dependent Hamiltonians are rejected: the vectorized
+    generator built from this model is only meaningful when it is constant.
     """
 
     dim: int
@@ -74,8 +82,10 @@ class LindbladModel:
     jumps: tuple[tuple[float, np.ndarray], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
+        if self.dim > MAX_DIM:
+            raise ValidationError(f"dim must be at most {MAX_DIM}, got {self.dim}")
         ham = self.hamiltonian
         if ham is None:
             ham = np.zeros((self.dim, self.dim), dtype=complex)
@@ -84,11 +94,7 @@ class LindbladModel:
                 "time-dependent Hamiltonians are not supported; supply a constant matrix"
             )
         else:
-            ham = assert_hermitian(_finite(ham, "hamiltonian"), name="hamiltonian")
-            if ham.shape != (self.dim, self.dim):
-                raise ValidationError(
-                    f"hamiltonian has shape {ham.shape}, expected ({self.dim}, {self.dim})"
-                )
+            ham = assert_hermitian(_operator(ham, "hamiltonian", self.dim), name="hamiltonian")
         object.__setattr__(self, "hamiltonian", ham)
 
         checked = []
@@ -98,16 +104,9 @@ class LindbladModel:
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"jumps[{idx}] must be a (rate, operator) pair") from exc
             rate = float(rate)
-            if not np.isfinite(rate):
-                raise ValidationError(f"jumps[{idx}].rate must be finite, got {rate}")
-            if rate < 0:
-                raise ValidationError(f"jumps[{idx}].rate must be >= 0, got {rate}")
-            op = _finite(op, f"jumps[{idx}].matrix")
-            if op.shape != (self.dim, self.dim):
-                raise ValidationError(
-                    f"jumps[{idx}].matrix has shape {op.shape}, expected ({self.dim}, {self.dim})"
-                )
-            checked.append((rate, op))
+            if not 0 <= rate < np.inf:
+                raise ValidationError(f"jumps[{idx}].rate must be finite and >= 0, got {rate}")
+            checked.append((rate, _operator(op, f"jumps[{idx}].matrix", self.dim)))
         object.__setattr__(self, "jumps", tuple(checked))
 
 
@@ -186,20 +185,34 @@ def propagator(gen: Superoperator, t: float) -> np.ndarray:
     return expm(t * gen.matrix)
 
 
-def validate_density_matrix(rho, *, dim: int | None = None, name: str = "rho") -> np.ndarray:
-    """Check hermiticity, unit trace and positivity; return the coerced array."""
-    arr = assert_hermitian(rho, name=name)
-    if dim is not None and arr.shape != (dim, dim):
-        raise ValidationError(f"{name} has shape {arr.shape}, expected ({dim}, {dim})")
+def _check_density_matrix(arr: np.ndarray, name: str, *, evolved: bool = False) -> np.ndarray:
+    """Test that the square ``arr`` is hermitian, has unit trace and no negative eigenvalue.
+
+    An evolved state fails with :class:`NumericalFailure`, at tolerances loose enough for
+    the propagator's roundoff; an input state fails with :class:`ValidationError`.
+    """
+    error, hermiticity_atol, eig_floor = (
+        (NumericalFailure, EVOLVE_HERMITICITY_ATOL, EVOLVE_EIG_FLOOR) if evolved
+        else (ValidationError, HERMITICITY_ATOL, STATE_EIG_FLOOR)
+    )
+    if not is_hermitian(arr, hermiticity_atol):
+        dev = float(np.abs(arr - arr.conj().T).max())
+        raise error(f"{name} is not hermitian (max |A - A^dag| = {dev:.3e})")
     tr = complex(np.trace(arr))
     if abs(tr - 1.0) > EVOLVE_TRACE_ATOL:
-        raise ValidationError(f"{name} has trace {tr:.12g}, expected 1")
+        raise error(f"{name} has trace {tr:.12g}, expected 1")
     lowest = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
-    if lowest < STATE_EIG_FLOOR:
-        raise ValidationError(
-            f"{name} has eigenvalue {lowest:.3e} below the floor {STATE_EIG_FLOOR:.1e}"
-        )
+    if lowest < eig_floor:
+        raise error(f"{name} has eigenvalue {lowest:.3e} below the floor {eig_floor:.1e}")
     return arr
+
+
+def validate_density_matrix(rho, *, dim: int | None = None, name: str = "rho") -> np.ndarray:
+    """Check hermiticity, unit trace and positivity; return the coerced array."""
+    arr = _square(rho, name)
+    if dim is not None and arr.shape != (dim, dim):
+        raise ValidationError(f"{name} has shape {arr.shape}, expected ({dim}, {dim})")
+    return _check_density_matrix(arr, name)
 
 
 def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
@@ -208,23 +221,11 @@ def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
     Returns ``unvec(expm(t * gen) vec(rho0))`` after checking that the
     result is still a density matrix: hermitian, unit trace to 1e-10 and
     eigenvalues above -1e-8.  A violation is reported as a numerical
-    failure rather than silently repaired.
+    failure naming the instant rather than silently repaired.
     """
     rho0 = validate_density_matrix(rho0, dim=gen.dim, name="rho0")
     out = unvec(propagator(gen, t) @ vec(rho0), gen.dim)
-
-    if not is_hermitian(out, EVOLVE_HERMITICITY_ATOL):
-        dev = float(np.abs(out - out.conj().T).max())
-        raise NumericalFailure(f"evolved state lost hermiticity (deviation {dev:.3e})")
-    tr = complex(np.trace(out))
-    if abs(tr - 1.0) > EVOLVE_TRACE_ATOL:
-        raise NumericalFailure(f"evolved state has trace {tr:.12g}, expected 1")
-    lowest = float(np.linalg.eigvalsh((out + out.conj().T) / 2.0).min())
-    if lowest < EVOLVE_EIG_FLOOR:
-        raise NumericalFailure(
-            f"evolved state has eigenvalue {lowest:.3e} below the floor {EVOLVE_EIG_FLOOR:.1e}"
-        )
-    return out
+    return _check_density_matrix(out, f"evolved state at t={t:.6g}", evolved=True)
 
 
 # --- JSON encoding -------------------------------------------------------
@@ -248,13 +249,16 @@ def matrix_to_json(m) -> list:
 
 
 def _number_from_json(obj, field_name: str) -> float:
-    """A JSON number as a float; rejects booleans, non-numbers and integers past the float range."""
+    """A JSON number as a finite float; rejects booleans, non-numbers, NaN, infinity and huge integers."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError(f"{field_name}: expected a number, got {type(obj).__name__}")
     try:
-        return float(obj)
+        value = float(obj)
     except OverflowError:
         raise ValidationError(f"{field_name}: integer out of the float range") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{field_name}: non-finite number {value!r}")
+    return value
 
 
 def _entry_from_json(obj, field_name: str) -> complex:
@@ -302,9 +306,6 @@ def model_from_json(obj) -> LindbladModel:
         raise ValidationError(f"model: expected a JSON object, got {type(obj).__name__}")
     if "dim" not in obj:
         raise ValidationError("model: missing required field 'dim'")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValidationError(f"dim: expected a positive integer, got {dim!r}")
 
     hamiltonian = None
     if obj.get("hamiltonian") is not None:
@@ -324,4 +325,4 @@ def model_from_json(obj) -> LindbladModel:
             raise ValidationError(f"jumps[{i}]: missing required field 'matrix'")
         jumps.append((rate, matrix_from_json(entry["matrix"], f"jumps[{i}].matrix")))
 
-    return LindbladModel(dim=dim, hamiltonian=hamiltonian, jumps=tuple(jumps))
+    return LindbladModel(dim=obj["dim"], hamiltonian=hamiltonian, jumps=tuple(jumps))

@@ -40,31 +40,30 @@ __all__ = [
 #: absolute floor of the hermiticity predicate, scaled by ``1 + max |A|``
 HERMITICITY_ATOL = 1e-12
 
+#: relative spread, as a share of the Frobenius norm, of the computed eigenvalues
+#: of a Jordan chain of length 2; eigenvalues within ``|m|_F * EIG_CLUSTER_RTOL**(2/3)``
+#: of each other are one distinct value, which also holds chains of length 3
+EIG_CLUSTER_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds shared by rank tests and eigenvalue clustering.
+    """The numerical threshold shared by every rank test.
 
     Attributes
     ----------
     rank_rtol : float
         Singular values below ``rank_rtol * sigma_max`` do not count
         towards the numerical rank.
-    eig_cluster_rtol : float
-        Relative spread, as a share of the Frobenius norm, of the computed
-        eigenvalues of a Jordan chain of length 2.  Eigenvalues within
-        ``|m|_F * eig_cluster_rtol**(2/3)`` of each other are grouped into
-        one distinct value, which also holds chains of length 3.
     """
 
     rank_rtol: float = 1e-9
-    eig_cluster_rtol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rtol", "eig_cluster_rtol"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:
-                raise ValidationError(f"{name} must be finite and strictly positive, got {value!r}")
+        if not 0 < self.rank_rtol < np.inf:
+            raise ValidationError(
+                f"rank_rtol must be finite and strictly positive, got {self.rank_rtol!r}"
+            )
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -235,7 +234,7 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
     """Distinct eigenvalues of ``m`` with multiplicities and indices.
 
     The eigenvalues are computed once and grouped by single linkage within
-    ``|m|_F * eig_cluster_rtol**(2/3)``; a group's value is the mean of its
+    ``|m|_F * EIG_CLUSTER_RTOL**(2/3)``; a group's value is the mean of its
     members and its size the algebraic multiplicity.  A simple eigenvalue has
     geometric multiplicity and index 1 and costs nothing more.  For a
     multiple one both come from the numerical ranks of the powers of
@@ -251,10 +250,10 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
         raise NumericalFailure("matrix norm overflows the float range")
     clusters = []
     # A computed Jordan chain of length k spreads by about |m| * delta**(1/k),
-    # delta the eigensolver's relative backward error.  eig_cluster_rtol is
+    # delta the eigensolver's relative backward error.  EIG_CLUSTER_RTOL is
     # delta**(1/2), the spread of a chain of length 2, so this radius
     # delta**(1/3) also holds chains of length 3.
-    radius = norm_f * tol.eig_cluster_rtol ** (2.0 / 3.0)
+    radius = norm_f * EIG_CLUSTER_RTOL ** (2.0 / 3.0)
     for members in _group_close(values, radius):
         value = complex(values[members].mean())
         count = int(members.size)

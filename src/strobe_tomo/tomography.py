@@ -14,25 +14,27 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericalFailure, RankDeficiencyError, ValidationError
 from .lindblad import (
     LindbladModel,
+    Superoperator,
+    _check_density_matrix,
     build_generator,
-    evolve,
     propagator,
     validate_density_matrix,
 )
-from .analysis import SpectralReport
+from .analysis import SpectralReport, _checked_observables
 from .operator_algebra import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     _svd_rank,
     assert_hermitian,
     hermitian_basis,
+    unvec,
     vec,
 )
 
@@ -143,55 +145,54 @@ def default_time_grid(report: SpectralReport) -> np.ndarray:
     return dt * np.arange(1, report.mu + 1, dtype=float)
 
 
-def _checked_observables(observables, dim: int) -> list[np.ndarray]:
-    checked = [assert_hermitian(q, name=f"observables[{i}]") for i, q in enumerate(observables)]
-    if not checked:
-        raise ValidationError("observable set must contain at least one observable")
-    for i, q in enumerate(checked):
-        if q.shape != (dim, dim):
-            raise ValidationError(
-                f"observables[{i}] has shape {q.shape}, expected ({dim}, {dim})"
-            )
-    return checked
+def _propagated(gen: Superoperator, instants: np.ndarray,
+                apply: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``apply(expm(t * gen))`` at each instant, stacked along a new first axis.
 
-
-def _expectation(observable: np.ndarray, state: np.ndarray, index: int, t: float) -> float:
-    raw = complex(np.vdot(observable, state))
-    if abs(raw.imag) > EXPECTATION_IMAG_ATOL * (1.0 + abs(raw)):
-        raise NumericalFailure(
-            f"expectation of observable {index} at t={t:.6g} has imaginary part "
-            f"{raw.imag:.3e}; observable/state pair is inconsistent"
-        )
-    return raw.real
+    The one place a record's propagators are formed: one :func:`propagator`
+    call per instant, each applied to what the caller needs and then
+    dropped, so no more than one propagator exists at a time.
+    """
+    return np.array([apply(propagator(gen, float(t))) for t in instants])
 
 
 def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.ndarray],
                           grid, noise_sigma: float = 0.0, seed: int = 0) -> MeasurementRecord:
     """Sample ``tr(Q_i rho(t_j))`` for every observable and grid instant.
 
-    Entries are ordered observable-major.  ``noise_sigma`` must be finite
-    and nonnegative; with ``noise_sigma > 0`` each value gets independent
-    additive Gaussian noise from a generator seeded with ``seed``, so
-    records are bit-identical across runs with the same arguments.
+    Entries are ordered observable-major.  Every evolved state is checked
+    to be a density matrix, as in :func:`evolve`.  ``noise_sigma`` must be
+    finite and nonnegative; with ``noise_sigma > 0`` the values get
+    independent additive Gaussian noise, drawn in entry order from a
+    generator seeded with ``seed``, so records are bit-identical across
+    runs with the same arguments.
     """
     grid = validate_time_grid(grid)
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    rho0 = validate_density_matrix(rho0, dim=model.dim, name="rho0")
+    state0 = vec(validate_density_matrix(rho0, dim=model.dim, name="rho0"))
     checked = _checked_observables(observables, model.dim)
 
-    gen = build_generator(model)
-    states = [evolve(gen, rho0, t) for t in grid]
+    states = _propagated(build_generator(model), grid, lambda p: p @ state0)
+    for t, state in zip(grid, states):
+        _check_density_matrix(unvec(state, model.dim), f"evolved state at t={t:.6g}", evolved=True)
 
-    rng = np.random.default_rng(seed)
-    entries = []
-    for i, q in enumerate(checked):
-        for t, state in zip(grid, states):
-            value = _expectation(q, state, i, t)
-            if noise_sigma > 0:
-                value += rng.normal(0.0, noise_sigma)
-            entries.append(Measurement(i, float(t), float(value), float(noise_sigma)))
-    return MeasurementRecord(entries=tuple(entries), observable_count=len(checked), grid=grid)
+    raw = np.stack([vec(q) for q in checked]).conj() @ states.T
+    inconsistent = np.abs(raw.imag) > EXPECTATION_IMAG_ATOL * (1.0 + np.abs(raw))
+    if inconsistent.any():
+        i, j = np.argwhere(inconsistent)[0]
+        raise NumericalFailure(
+            f"expectation of observable {i} at t={grid[j]:.6g} has imaginary part "
+            f"{raw[i, j].imag:.3e}; observable/state pair is inconsistent"
+        )
+    values = raw.real
+    if noise_sigma > 0:
+        values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, values.shape)
+    entries = tuple(
+        Measurement(i, float(t), float(value), float(noise_sigma))
+        for i, row in enumerate(values) for t, value in zip(grid, row)
+    )
+    return MeasurementRecord(entries=entries, observable_count=len(checked), grid=grid)
 
 
 def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
@@ -222,23 +223,19 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
         )
 
     basis = np.stack(hermitian_basis(n))
-    basis_stack = basis.reshape(n * n, n * n)
-    gen = build_generator(model)
-    maps = {t: propagator(gen, t) for t in set(e.time for e in record.entries)}
-
-    rows = []
-    rhs = []
-    for entry in record.entries:
-        weights = vec(checked[entry.observable_index]).conj() @ maps[entry.time]
-        rows.append((weights @ basis_stack.T).real)
-        rhs.append(entry.value)
-    design = np.array(rows).reshape(-1, n * n)
+    instants, at = np.unique([e.time for e in record.entries], return_inverse=True)
+    duals = np.stack([vec(q) for q in checked]).conj()
+    rows = _propagated(build_generator(model), instants, lambda p: duals @ p)
+    # the reshape gives an empty record the same three axes
+    blocks = rows.reshape(instants.size, len(checked), n * n) @ basis.reshape(n * n, n * n).T
+    design = blocks.real[at, [e.observable_index for e in record.entries]]
+    rhs = np.array([e.value for e in record.entries])
     if not np.all(np.isfinite(design)):
         raise NumericalFailure("design matrix overflows: expm(t * L) is not finite on the record's instants")
     # basis[0] is I/sqrt(n), so unit trace fixes its coefficient
     identity_coeff = 1.0 / np.sqrt(n)
     traceless = design[:, 1:]
-    target = np.array(rhs) - identity_coeff * design[:, 0]
+    target = rhs - identity_coeff * design[:, 0]
 
     traceless_rank, sigma = _svd_rank(traceless, tol)
     design_rank = 1 + traceless_rank
@@ -263,7 +260,7 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
 
     error = None
     if truth is not None:
-        truth = assert_hermitian(truth, name="truth")
+        truth = validate_density_matrix(truth, dim=n, name="truth")
         error = float(np.linalg.norm(rho_hat - truth))
     return ReconstructionResult(
         rho_hat=rho_hat,

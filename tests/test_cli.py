@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,7 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         model = model_from_json(doc["model"])
         assert doc["tolerances"]["rank_rtol"] == 1e-9
+        assert doc["tolerances"]["eig_cluster_rtol"] == 1e-8
         rerun = model_to_json(model)
         assert rerun == doc["model"]
 
@@ -138,6 +140,26 @@ class TestAnalyze:
         with np.errstate(over="ignore"):
             assert main(["analyze", str(path), "--json"]) == 3
         assert "overflows" in capsys.readouterr().err
+
+    def test_overflow_reports_one_error_line(self, tmp_path, capsys):
+        doc = model_to_json(laser_cooling_model(1.0, 2.0))
+        doc["jumps"][0]["rate"] = 1e200
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", str(path)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: matrix norm overflows the float range"
+        ]
+
+    @pytest.mark.parametrize("dim", [10**12, 65])
+    def test_dimension_past_the_cap_exit_two(self, tmp_path, capsys, dim):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"dim": dim, "jumps": []}))
+        assert main(["analyze", str(path)]) == 2
+        assert f"dim must be at most 64, got {dim}" in capsys.readouterr().err
 
     def test_json_reports_index(self, capsys):
         assert main(["analyze", "--gamma1", "1", "--gamma2", "2", "--json"]) == 0
@@ -376,14 +398,38 @@ class TestInputBoundary:
                      str(cooling_files["obs"]), "--out", str(tmp_path / "rec.csv")]) == 2
         assert "UTF-8" in capsys.readouterr().err
 
-    def test_one_infinite_state_entry_exit_five(self, cooling_files, tmp_path, capsys):
-        # json reads Infinity; one infinite off-diagonal entry used to pass the hermiticity test
-        state = json.loads(cooling_files["state"].read_text())
-        state[0][1] = {"re": float("inf"), "im": 0.0}
-        cooling_files["state"].write_text(json.dumps(state))
-        assert main(["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
-                     str(cooling_files["obs"]), "--out", str(tmp_path / "rec.csv")]) == 5
-        assert "not hermitian" in capsys.readouterr().err
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    @pytest.mark.parametrize("which", ["state", "obs", "truth"])
+    def test_non_finite_matrix_entry_exit_two(self, cooling_files, cooling_record, tmp_path,
+                                              capsys, which, value):
+        # json reads Infinity and NaN; the number itself is the error, whatever the matrix
+        doc = json.loads(cooling_files["obs" if which == "obs" else "state"].read_text())
+        matrix = doc[1] if which == "obs" else doc
+        matrix[0][1] = {"re": value, "im": 0.0}
+        path = tmp_path / "truth.json" if which == "truth" else cooling_files[which]
+        path.write_text(json.dumps(doc))
+        if which == "truth":
+            code = main(_reconstruct_args(cooling_files, cooling_record, "--truth", str(path)))
+        else:
+            code = main(["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
+                         str(cooling_files["obs"]), "--out", str(tmp_path / "rec.csv")])
+        assert code == 2
+        field = {"state": "state", "obs": "observables[1]", "truth": "truth"}[which]
+        assert f"{field}[0][1].re: non-finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_non_hermitian_observable_exit_two(self, cooling_files, cooling_record, tmp_path,
+                                               capsys, command):
+        doc = json.loads(cooling_files["obs"].read_text())
+        doc[1][0][1] = {"re": 5.0, "im": 0.0}
+        cooling_files["obs"].write_text(json.dumps(doc))
+        if command == "simulate":
+            argv = ["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
+                    str(cooling_files["obs"]), "--out", str(tmp_path / "rec.csv")]
+        else:
+            argv = _reconstruct_args(cooling_files, cooling_record)
+        assert main(argv) == 2
+        assert "observables[1] is not hermitian" in capsys.readouterr().err
 
     def test_missing_record_exit_two(self, cooling_files, tmp_path, capsys):
         assert main(_reconstruct_args(cooling_files, tmp_path / "missing.csv")) == 2

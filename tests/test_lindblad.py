@@ -1,11 +1,13 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from strobe_tomo import (
     LindbladModel,
+    NumericalFailure,
     Superoperator,
     ValidationError,
     build_generator,
@@ -20,6 +22,8 @@ from strobe_tomo import (
     validate_density_matrix,
     vec,
 )
+
+from strobe_tomo.lindblad import MAX_DIM
 
 from helpers import laser_cooling_populations, lindblad_rhs, random_density, random_model
 
@@ -91,6 +95,22 @@ class TestModelValidation:
             LindbladModel(dim=2, jumps=((1.0, op),))
         with pytest.raises(ValidationError, match="hamiltonian has non-finite"):
             LindbladModel(dim=2, hamiltonian=np.diag([bad, 0.0]))
+
+    def test_boolean_dim_rejected(self):
+        with pytest.raises(ValidationError, match="dim must be a positive integer"):
+            LindbladModel(dim=True)
+
+    @pytest.mark.parametrize("dim", [10**12, MAX_DIM + 1])
+    def test_dimension_cap_checked_before_allocation(self, dim):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"dim must be at most {MAX_DIM}"):
+                LindbladModel(dim=dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a (MAX_DIM + 1)^2 complex Hamiltonian alone would take 67 kB
+        assert peak < 16_000
 
     def test_none_hamiltonian_means_zero(self):
         model = LindbladModel(dim=2)
@@ -223,6 +243,20 @@ class TestEvolve:
             for t in (0.3, 1.0, 2.5):
                 out = evolve(gen, rho0, t)
                 assert abs(np.trace(out @ out).real - purity0) <= 1e-10
+
+    @pytest.mark.parametrize("matrix, rho0, match", [
+        # -I scales the state by exp(-t): its trace leaks away
+        (-np.eye(4), np.eye(2) / 2, "has trace"),
+        # feeds rho_00 into rho_01 alone
+        (np.outer(np.eye(4)[1], np.eye(4)[0]), np.diag([1.0, 0.0]), "is not hermitian"),
+        # grows rho_00 as exp(t) and drains rho_11 by as much, below zero
+        (np.outer(np.eye(4)[0], np.eye(4)[0]) - np.outer(np.eye(4)[3], np.eye(4)[0]),
+         np.diag([1.0, 0.0]), "has eigenvalue"),
+    ], ids=["trace", "hermiticity", "eigenvalue"])
+    def test_unphysical_evolution_is_a_numerical_failure(self, matrix, rho0, match):
+        gen = Superoperator(dim=2, matrix=matrix)
+        with pytest.raises(NumericalFailure, match=f"evolved state at t=0.5 {match}"):
+            evolve(gen, rho0, 0.5)
 
     def test_propagator_rejects_negative_time(self):
         gen = build_generator(laser_cooling_model(1.0, 2.0))

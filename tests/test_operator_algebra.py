@@ -19,6 +19,8 @@ from strobe_tomo import (
     vec,
 )
 
+from strobe_tomo.operator_algebra import EIG_CLUSTER_RTOL
+
 from helpers import cofactor_det, random_density
 
 E1 = np.zeros((3, 3), dtype=complex)
@@ -275,17 +277,16 @@ class TestIsHermitian:
 class TestToleranceConfig:
     def test_defaults(self):
         assert DEFAULT_TOLERANCES.rank_rtol == 1e-9
-        assert DEFAULT_TOLERANCES.eig_cluster_rtol == 1e-8
+        assert EIG_CLUSTER_RTOL == 1e-8
 
     @pytest.mark.parametrize("kwargs", [
         {"rank_rtol": 0.0},
-        {"eig_cluster_rtol": -1e-8},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValidationError):
             ToleranceConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["rank_rtol", "eig_cluster_rtol"])
+    @pytest.mark.parametrize("name", ["rank_rtol"])
     def test_rejects_infinite(self, name):
         with pytest.raises(ValidationError, match="finite"):
             ToleranceConfig(**{name: float("inf")})

@@ -124,6 +124,17 @@ class TestSimulate:
         expected = [(i, t) for i in range(4) for t in cooling_grid]
         assert [(e.observable_index, e.time) for e in record.entries] == expected
 
+    def test_noise_is_one_draw_in_entry_order(self, cooling_model, cooling_grid,
+                                              verified_observables):
+        rho0 = random_density(3, np.random.default_rng(4))
+        clean = simulate_measurements(cooling_model, rho0, verified_observables, cooling_grid)
+        noisy = simulate_measurements(cooling_model, rho0, verified_observables,
+                                      cooling_grid, noise_sigma=1e-3, seed=17)
+        noise = np.random.default_rng(17).normal(0.0, 1e-3, len(clean.entries))
+        assert [e.value for e in noisy.entries] == [
+            e.value + draw for e, draw in zip(clean.entries, noise)
+        ]
+
     def test_rejects_bad_inputs(self, cooling_model, cooling_grid):
         rho0 = random_density(3, np.random.default_rng(3))
         with pytest.raises(ValidationError):
@@ -222,6 +233,25 @@ class TestReconstruct:
         with pytest.raises(RankDeficiencyError):
             reconstruct(cooling_model, verified_observables, degenerate)
 
+    def test_entry_order_and_unmeasured_instants_do_not_matter(self, cooling_model, cooling_grid,
+                                                               verified_observables):
+        truth = random_density(3, np.random.default_rng(14))
+        record = simulate_measurements(cooling_model, truth, verified_observables,
+                                       cooling_grid, noise_sigma=1e-3, seed=3)
+        order = np.random.default_rng(15).permutation(len(record.entries))
+        shuffled = MeasurementRecord(entries=tuple(record.entries[i] for i in order),
+                                     observable_count=4,
+                                     grid=np.concatenate([[0.1], cooling_grid, [5.0]]))
+        a = reconstruct(cooling_model, verified_observables, record, project=False)
+        b = reconstruct(cooling_model, verified_observables, shuffled, project=False)
+        assert np.abs(a.rho_hat - b.rho_hat).max() <= 1e-12
+
+    def test_empty_record_rank_deficient(self, cooling_model, verified_observables):
+        empty = MeasurementRecord(entries=(), observable_count=4, grid=np.array([0.5]))
+        with pytest.raises(RankDeficiencyError) as excinfo:
+            reconstruct(cooling_model, verified_observables, empty)
+        assert excinfo.value.achieved_rank == 1
+
     def test_projection_safety(self, cooling_model, cooling_grid, verified_observables):
         rng = np.random.default_rng(13)
         for sigma in (1e-3, 1e-2):
@@ -282,6 +312,15 @@ class TestReconstruct:
                                        cooling_grid)
         with pytest.raises(ValidationError, match="shape"):
             reconstruct(cooling_model, [np.eye(2)] * 4, record)
+
+    @pytest.mark.parametrize("truth", [np.eye(1), np.eye(2) / 2])
+    def test_truth_of_another_dimension_rejected(self, cooling_model, cooling_grid,
+                                                 verified_observables, truth):
+        # a 1 x 1 truth used to broadcast into a wrong distance, a 2 x 2 one to crash
+        record = simulate_measurements(cooling_model, np.eye(3) / 3, verified_observables,
+                                       cooling_grid)
+        with pytest.raises(ValidationError, match="truth has shape"):
+            reconstruct(cooling_model, verified_observables, record, truth=truth)
 
     @pytest.mark.parametrize("seed", [1, 2, 5])
     def test_random_model_reconstructs_its_truth(self, seed):
