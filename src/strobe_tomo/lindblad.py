@@ -12,6 +12,7 @@ resulting dim^2 x dim^2 matrix generates the state evolution
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,6 @@ from .operator_algebra import (
     as_complex_matrix,
     assert_hermitian,
     expm,
-    is_hermitian,
     unvec,
     vec,
 )
@@ -103,7 +103,14 @@ class LindbladModel:
                 rate, op = item
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"jumps[{idx}] must be a (rate, operator) pair") from exc
-            rate = float(rate)
+            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+                raise ValidationError(
+                    f"jumps[{idx}].rate must be a real number, got {type(rate).__name__}"
+                )
+            try:
+                rate = float(rate)
+            except OverflowError:
+                rate = math.inf
             if not 0 <= rate < np.inf:
                 raise ValidationError(f"jumps[{idx}].rate must be finite and >= 0, got {rate}")
             checked.append((rate, _operator(op, f"jumps[{idx}].matrix", self.dim)))
@@ -185,25 +192,41 @@ def propagator(gen: Superoperator, t: float) -> np.ndarray:
     return expm(t * gen.matrix)
 
 
-def _check_density_matrix(arr: np.ndarray, name: str, *, evolved: bool = False) -> np.ndarray:
-    """Test that the square ``arr`` is hermitian, has unit trace and no negative eigenvalue.
+def _check_density_matrix(arr: np.ndarray, name: str | list[str], *,
+                          evolved: bool = False) -> np.ndarray:
+    """Test that ``arr`` is hermitian, has unit trace and no negative eigenvalue.
 
-    An evolved state fails with :class:`NumericalFailure`, at tolerances loose enough for
-    the propagator's roundoff; an input state fails with :class:`ValidationError`.
+    ``arr`` is one square matrix named ``name``, or a stack of them with one
+    name per matrix; a stack is tested in one batched pass, and the error
+    names its first failing matrix and that matrix's first failing test, in
+    the order hermiticity, trace, eigenvalue floor.  An evolved state fails
+    with :class:`NumericalFailure`, at tolerances loose enough for the
+    propagator's roundoff; an input state fails with :class:`ValidationError`.
     """
     error, hermiticity_atol, eig_floor = (
         (NumericalFailure, EVOLVE_HERMITICITY_ATOL, EVOLVE_EIG_FLOOR) if evolved
         else (ValidationError, HERMITICITY_ATOL, STATE_EIG_FLOOR)
     )
-    if not is_hermitian(arr, hermiticity_atol):
-        dev = float(np.abs(arr - arr.conj().T).max())
-        raise error(f"{name} is not hermitian (max |A - A^dag| = {dev:.3e})")
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > EVOLVE_TRACE_ATOL:
-        raise error(f"{name} has trace {tr:.12g}, expected 1")
-    lowest = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min())
-    if lowest < eig_floor:
-        raise error(f"{name} has eigenvalue {lowest:.3e} below the floor {eig_floor:.1e}")
+    stack, names = (arr[None], [name]) if arr.ndim == 2 else (arr, name)
+    # the entrywise test of is_hermitian; inf - inf is NaN, which fails it
+    scale = 1.0 + np.abs(stack).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    hermitian = (scale < np.inf) & (dev <= hermiticity_atol * scale)
+    tr = np.trace(stack, axis1=1, axis2=2)
+    unit_trace = np.abs(tr - 1.0) <= EVOLVE_TRACE_ATOL
+    tested = hermitian & unit_trace
+    # only finite matrices reach the eigensolver
+    finite = np.where(tested[:, None, None], stack, 0.0)
+    lowest = np.linalg.eigvalsh((finite + finite.conj().swapaxes(1, 2)) / 2.0).min(axis=1)
+    bad = ~tested | (lowest < eig_floor)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not hermitian[i]:
+            raise error(f"{names[i]} is not hermitian (max |A - A^dag| = {dev[i]:.3e})")
+        if not unit_trace[i]:
+            raise error(f"{names[i]} has trace {complex(tr[i]):.12g}, expected 1")
+        raise error(f"{names[i]} has eigenvalue {lowest[i]:.3e} below the floor {eig_floor:.1e}")
     return arr
 
 

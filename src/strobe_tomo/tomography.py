@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericalFailure, RankDeficiencyError, ValidationError
 from .lindblad import (
     LindbladModel,
-    Superoperator,
     _check_density_matrix,
     build_generator,
-    propagator,
     validate_density_matrix,
 )
 from .analysis import SpectralReport, _checked_observables
@@ -33,8 +31,8 @@ from .operator_algebra import (
     ToleranceConfig,
     _svd_rank,
     assert_hermitian,
+    expm,
     hermitian_basis,
-    unvec,
     vec,
 )
 
@@ -56,6 +54,8 @@ CSV_HEADER = ("observable_index", "time", "value", "sigma")
 
 #: imaginary part allowed on a noiseless expectation value before it is discarded
 EXPECTATION_IMAG_ATOL = 1e-10
+#: a grid is equispaced when every ``t_j`` is ``j * t_1`` to this relative tolerance
+EQUISPACED_RTOL = 1e-12
 
 
 class Measurement(NamedTuple):
@@ -84,8 +84,8 @@ class MeasurementRecord:
     """Expectation-value samples ``(observable index, time, value, sigma)``.
 
     ``grid`` holds the distinct measurement instants; every entry's time
-    must be one of them, and every index must be below
-    ``observable_count``.  Repeated (index, time) entries are legal and
+    must be one of them, and every index must be an integer in
+    ``[0, observable_count)``.  Repeated (index, time) entries are legal and
     mean repeated measurements.
     """
 
@@ -95,22 +95,34 @@ class MeasurementRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", validate_time_grid(self.grid))
-        object.__setattr__(self, "entries", tuple(Measurement(*e) for e in self.entries))
-        allowed = set(self.grid.tolist())
-        for pos, entry in enumerate(self.entries):
-            if not (0 <= entry.observable_index < self.observable_count):
-                raise ValidationError(
-                    f"entries[{pos}]: observable index {entry.observable_index} "
-                    f"out of range [0, {self.observable_count})"
-                )
-            if not np.isfinite(entry.value):
-                raise ValidationError(f"entries[{pos}]: non-finite value {entry.value!r}")
-            if not 0 <= entry.sigma < np.inf:
-                raise ValidationError(
-                    f"entries[{pos}]: sigma must be finite and >= 0, got {entry.sigma}"
-                )
-            if entry.time not in allowed:
-                raise ValidationError(f"entries[{pos}]: time {entry.time!r} is not on the grid")
+        entries = tuple(e if isinstance(e, Measurement) else Measurement(*e) for e in self.entries)
+        object.__setattr__(self, "entries", entries)
+        index, time, value, sigma = _columns(entries)
+        # the grid is sorted, so a time is on it iff it equals its insertion neighbour
+        nearest = self.grid[np.minimum(np.searchsorted(self.grid, time), self.grid.size - 1)]
+        # one test per entry column, in the order they are reported
+        passed = (
+            (0 <= index) & (index < self.observable_count) & (index == np.floor(index)),
+            np.isfinite(value),
+            (0 <= sigma) & (sigma < np.inf),
+            nearest == time,
+        )
+        failed = ~np.logical_and.reduce(passed)
+        if failed.any():
+            pos = int(np.argmax(failed))
+            entry = entries[pos]
+            message = (
+                f"observable index {entry.observable_index} out of range [0, {self.observable_count})",
+                f"non-finite value {entry.value!r}",
+                f"sigma must be finite and >= 0, got {entry.sigma}",
+                f"time {entry.time!r} is not on the grid",
+            )[[bool(test[pos]) for test in passed].index(False)]
+            raise ValidationError(f"entries[{pos}]: {message}")
+
+
+def _columns(entries: Sequence[Measurement]) -> np.ndarray:
+    """The entries as four float columns: index, time, value, sigma."""
+    return np.array(entries, dtype=float).reshape(-1, 4).T
 
 
 @dataclass(frozen=True)
@@ -145,15 +157,26 @@ def default_time_grid(report: SpectralReport) -> np.ndarray:
     return dt * np.arange(1, report.mu + 1, dtype=float)
 
 
-def _propagated(gen: Superoperator, instants: np.ndarray,
-                apply: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``apply(expm(t * gen))`` at each instant, stacked along a new first axis.
+def _propagated(mat: np.ndarray, instants: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """``expm(t * mat) @ operand`` at each instant, stacked along a new first axis.
 
-    The one place a record's propagators are formed: one :func:`propagator`
-    call per instant, each applied to what the caller needs and then
-    dropped, so no more than one propagator exists at a time.
+    The one place a record is propagated.  The operand is carried from one
+    instant to the next by the exponential of the gap, so no propagator is
+    formed per instant: an equispaced grid (``t_j = j * t_1`` to a relative
+    :data:`EQUISPACED_RTOL`) costs one exponential, any other grid one per
+    gap.  The stepped results match separate exponentials to roundoff, not
+    bit for bit.
     """
-    return np.array([apply(propagator(gen, float(t))) for t in instants])
+    out = np.empty((instants.size,) + operand.shape, dtype=complex)
+    steps = np.arange(1, instants.size + 1)
+    equispaced = np.all(np.abs(instants - steps * instants[:1]) <= EQUISPACED_RTOL * instants)
+    current, previous = operand, 0.0
+    for j, t in enumerate(instants):
+        if j == 0 or not equispaced:
+            step = expm((t - previous) * mat)
+        current = step @ current
+        out[j], previous = current, t
+    return out
 
 
 def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.ndarray],
@@ -173,9 +196,9 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     state0 = vec(validate_density_matrix(rho0, dim=model.dim, name="rho0"))
     checked = _checked_observables(observables, model.dim)
 
-    states = _propagated(build_generator(model), grid, lambda p: p @ state0)
-    for t, state in zip(grid, states):
-        _check_density_matrix(unvec(state, model.dim), f"evolved state at t={t:.6g}", evolved=True)
+    states = _propagated(build_generator(model).matrix, grid, state0)
+    _check_density_matrix(states.reshape(-1, model.dim, model.dim),
+                          [f"evolved state at t={t:.6g}" for t in grid], evolved=True)
 
     raw = np.stack([vec(q) for q in checked]).conj() @ states.T
     inconsistent = np.abs(raw.imag) > EXPECTATION_IMAG_ATOL * (1.0 + np.abs(raw))
@@ -188,9 +211,10 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     values = raw.real
     if noise_sigma > 0:
         values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, values.shape)
+    times, sigma = grid.tolist(), float(noise_sigma)
     entries = tuple(
-        Measurement(i, float(t), float(value), float(noise_sigma))
-        for i, row in enumerate(values) for t, value in zip(grid, row)
+        Measurement(i, t, value, sigma)
+        for i, row in enumerate(values.tolist()) for t, value in zip(times, row)
     )
     return MeasurementRecord(entries=entries, observable_count=len(checked), grid=grid)
 
@@ -223,13 +247,13 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
         )
 
     basis = np.stack(hermitian_basis(n))
-    instants, at = np.unique([e.time for e in record.entries], return_inverse=True)
+    index, time, rhs, _sigma = _columns(record.entries)
+    instants, at = np.unique(time, return_inverse=True)
     duals = np.stack([vec(q) for q in checked]).conj()
-    rows = _propagated(build_generator(model), instants, lambda p: duals @ p)
-    # the reshape gives an empty record the same three axes
-    blocks = rows.reshape(instants.size, len(checked), n * n) @ basis.reshape(n * n, n * n).T
-    design = blocks.real[at, [e.observable_index for e in record.entries]]
-    rhs = np.array([e.value for e in record.entries])
+    # expm(t L)^T = expm(t L^T), so the dual rows step as columns
+    rows = _propagated(build_generator(model).matrix.T, instants, duals.T).swapaxes(1, 2)
+    blocks = rows @ basis.reshape(n * n, n * n).T
+    design = blocks.real[at, index.astype(int)]
     if not np.all(np.isfinite(design)):
         raise NumericalFailure("design matrix overflows: expm(t * L) is not finite on the record's instants")
     # basis[0] is I/sqrt(n), so unit trace fixes its coefficient

@@ -23,7 +23,7 @@ from strobe_tomo import (
     vec,
 )
 
-from strobe_tomo.lindblad import MAX_DIM
+from strobe_tomo.lindblad import MAX_DIM, _check_density_matrix
 
 from helpers import laser_cooling_populations, lindblad_rhs, random_density, random_model
 
@@ -115,6 +115,20 @@ class TestModelValidation:
     def test_none_hamiltonian_means_zero(self):
         model = LindbladModel(dim=2)
         assert np.array_equal(model.hamiltonian, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("rate", ["x", None, 1 + 2j, np.complex128(1.0), True, np.True_])
+    def test_non_real_rate_rejected(self, rate):
+        with pytest.raises(ValidationError, match=r"jumps\[1\]\.rate must be a real number"):
+            LindbladModel(dim=2, jumps=((1.0, np.eye(2)), (rate, np.eye(2))))
+
+    @pytest.mark.parametrize("rate", [2, np.int64(2), np.float32(2.0), 2.0])
+    def test_real_rate_types_accepted(self, rate):
+        model = LindbladModel(dim=2, jumps=((rate, np.eye(2)),))
+        assert type(model.jumps[0][0]) is float and model.jumps[0][0] == 2.0
+
+    def test_huge_integer_rate_rejected(self):
+        with pytest.raises(ValidationError, match=r"jumps\[0\]\.rate must be finite"):
+            LindbladModel(dim=2, jumps=((10**400, np.eye(2)),))
 
 
 class TestBuildGenerator:
@@ -282,6 +296,60 @@ class TestDensityValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError, match="eigenvalue"):
             validate_density_matrix(np.diag([1.5, -0.5]))
+
+
+def _broken(rho: np.ndarray, test: str) -> np.ndarray:
+    """``rho`` changed so that it fails ``test`` and passes the tests before it."""
+    out = rho.copy()
+    if test == "hermitian":
+        out[0, 1] += 1e-6
+    elif test == "trace":
+        out *= 1.0 + 1e-6
+    else:
+        out = np.diag([1.0 + 1e-6, -1e-6, 0.0]).astype(complex)
+    return out
+
+
+class TestStackedDensityCheck:
+    """A stack of evolved states is checked in one pass; the first failing one is named."""
+
+    TESTS = ("hermitian", "trace", "eigenvalue")
+
+    @pytest.fixture
+    def stack(self):
+        rng = np.random.default_rng(11)
+        return np.stack([random_density(3, rng) for _ in range(6)])
+
+    def test_valid_stack_passes(self, stack):
+        assert _check_density_matrix(stack, [f"s{i}" for i in range(6)], evolved=True) is stack
+
+    @pytest.mark.parametrize("test", TESTS)
+    def test_first_failing_instant_is_named(self, stack, test):
+        stack[3] = _broken(stack[3], test)
+        # a later state failing a different test does not take precedence
+        other = self.TESTS[(self.TESTS.index(test) + 1) % 3]
+        stack[5] = _broken(stack[5], other)
+        names = [f"evolved state at t={0.5 * (i + 1):.6g}" for i in range(6)]
+        expected = {"hermitian": "is not hermitian", "trace": "has trace",
+                    "eigenvalue": "has eigenvalue .* below the floor"}[test]
+        with pytest.raises(NumericalFailure, match=rf"^evolved state at t=2 {expected}"):
+            _check_density_matrix(stack, names, evolved=True)
+
+    @pytest.mark.parametrize("test", TESTS)
+    def test_stack_matches_one_by_one(self, stack, test):
+        # the stacked check raises what checking each state alone raises first
+        stack[2] = _broken(stack[2], test)
+        names = [f"state {i}" for i in range(6)]
+        with pytest.raises(NumericalFailure) as one_by_one:
+            for arr, name in zip(stack, names):
+                _check_density_matrix(arr, name, evolved=True)
+        with pytest.raises(NumericalFailure, match=re.escape(str(one_by_one.value))):
+            _check_density_matrix(stack, names, evolved=True)
+
+    def test_non_finite_state_fails_hermiticity(self, stack):
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(NumericalFailure, match="s1 is not hermitian"):
+            _check_density_matrix(stack, [f"s{i}" for i in range(6)], evolved=True)
 
 
 class TestModelJson:

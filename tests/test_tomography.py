@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+import strobe_tomo.tomography as tomography
 
 from strobe_tomo import (
     Measurement,
@@ -149,6 +152,86 @@ class TestSimulate:
             simulate_measurements(cooling_model, np.eye(3), [np.eye(3)], cooling_grid)
         with pytest.raises(ValidationError, match="shape"):
             simulate_measurements(cooling_model, rho0, [np.eye(2)], cooling_grid)
+
+
+def _record_grid(grid: np.ndarray, path) -> np.ndarray:
+    """``grid`` as read back from a record CSV file holding one entry per instant."""
+    record = MeasurementRecord(entries=tuple(Measurement(0, t, 0.0, 0.0) for t in grid),
+                               observable_count=1, grid=grid)
+    write_record_csv(record, path)
+    return read_record_csv(path).grid
+
+
+def _horizon(mat: np.ndarray) -> float:
+    """Three slowest decay times of the generator, or 10 if nothing decays."""
+    rates = np.abs(np.linalg.eigvals(mat).real)
+    rates = rates[rates > 1e-9]
+    return 3.0 / rates.min() if rates.size else 10.0
+
+
+class TestPropagation:
+    """Stepping along the grid matches one exponential per instant."""
+
+    @pytest.fixture(params=["laser"] + [f"random-{n}" for n in (3, 4, 5, 6)])
+    def generator(self, request):
+        if request.param == "laser":
+            return build_generator(laser_cooling_model(1.0, 2.0)).matrix
+        n = int(request.param.split("-")[1])
+        return build_generator(random_model(n, np.random.default_rng(40 + n))).matrix
+
+    @pytest.mark.parametrize("kind", ["equispaced", "csv-256", "log"])
+    def test_matches_expm_per_instant(self, generator, kind, tmp_path):
+        a = _horizon(generator)
+        if kind == "equispaced":
+            grid = a * np.arange(1, 17) / 16
+        elif kind == "csv-256":
+            grid = _record_grid(a * np.arange(1, 257) / 256, tmp_path / "record.csv")
+        else:
+            grid = np.geomspace(a / 1e3, a, 40)
+        rng = np.random.default_rng(5)
+        size = generator.shape[0]
+        # the state vector as simulate steps it, and three dual rows as reconstruct does
+        cases = [(generator, rng.standard_normal(size) + 1j * rng.standard_normal(size)),
+                 (generator.T, rng.standard_normal((size, 3)) + 0j)]
+        for mat, operand in cases:
+            stepped = tomography._propagated(mat, grid, operand)
+            for t, got in zip(grid, stepped):
+                expected = scipy.linalg.expm(t * mat) @ operand
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = []
+        original = tomography.expm
+
+        def counted(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(tomography, "expm", counted)
+        return calls
+
+    def _stages(self, grid, path, calls):
+        """expm calls of simulate and of reconstruct on the record read back from CSV."""
+        model = laser_cooling_model(1.0, 2.0)
+        observables = find_observables(build_generator(model), seed=3)
+        rho0 = random_density(3, np.random.default_rng(9))
+        record = simulate_measurements(model, rho0, observables, grid)
+        simulated = len(calls)
+        write_record_csv(record, path)
+        result = reconstruct(model, observables, read_record_csv(path), truth=rho0)
+        assert result.frobenius_error < 1e-9
+        return simulated, len(calls) - simulated
+
+    def test_equispaced_grid_costs_one_exponential_per_stage(self, expm_calls, tmp_path):
+        # 3 j / 240 differs from j * (3 / 240) in the last bit at 85 of the instants
+        grid = 3.0 * np.arange(1, 241) / 240
+        assert self._stages(grid, tmp_path / "record.csv", expm_calls) == (1, 1)
+
+    def test_other_grid_costs_at_most_one_exponential_per_gap(self, expm_calls, tmp_path):
+        grid = np.geomspace(0.01, 3.0, 40)
+        simulated, reconstructed = self._stages(grid, tmp_path / "record.csv", expm_calls)
+        assert 1 < simulated <= grid.size and 1 < reconstructed <= grid.size
 
 
 class TestRecordCsv:
@@ -402,6 +485,11 @@ class TestMeasurementRecordValidation:
             MeasurementRecord(entries=(Measurement(2, 1.0, 0.5, 0.0),),
                               observable_count=2, grid=np.array([1.0]))
 
+    def test_rejects_fractional_index(self):
+        with pytest.raises(ValidationError, match=r"entries\[0\]: observable index 0\.5 out of range"):
+            MeasurementRecord(entries=(Measurement(0.5, 1.0, 0.5, 0.0),),
+                              observable_count=2, grid=np.array([1.0]))
+
     def test_rejects_time_off_grid(self):
         with pytest.raises(ValidationError, match="grid"):
             MeasurementRecord(entries=(Measurement(0, 2.0, 0.5, 0.0),),
@@ -417,3 +505,30 @@ class TestMeasurementRecordValidation:
         with pytest.raises(ValidationError, match="sigma must be finite"):
             MeasurementRecord(entries=(Measurement(0, 1.0, 0.5, sigma),),
                               observable_count=1, grid=np.array([1.0]))
+
+    #: per test in check order: a field value that fails it, and the message it raises
+    FAILURES = (
+        ("observable_index", 5, r"observable index 5 out of range \[0, 2\)"),
+        ("value", math.nan, "non-finite value nan"),
+        ("sigma", -0.1, r"sigma must be finite and >= 0, got -0\.1"),
+        ("time", 2.5, r"time 2\.5 is not on the grid"),
+    )
+
+    @pytest.mark.parametrize("test", range(4))
+    def test_first_bad_entry_and_first_failed_test_are_named(self, test):
+        good = Measurement(1, 1.0, 0.5, 0.0)
+        # entries[2] fails this test and every later one; entries[4] fails another test
+        first = good._replace(**{field: bad for field, bad, _ in self.FAILURES[test:]})
+        field, bad, _ = self.FAILURES[(test + 1) % 4]
+        entries = (good, good, first, good, good._replace(**{field: bad}), good)
+        message = self.FAILURES[test][2]
+        with pytest.raises(ValidationError, match=rf"^entries\[2\]: {message}$"):
+            MeasurementRecord(entries=entries, observable_count=2, grid=np.array([1.0, 2.0]))
+
+    def test_measurements_are_kept_and_tuples_converted(self):
+        kept = Measurement(0, 1.0, 0.5, 0.0)
+        record = MeasurementRecord(entries=(kept, (1, 2.0, 0.25, 0.1)), observable_count=2,
+                                   grid=np.array([1.0, 2.0]))
+        assert record.entries[0] is kept
+        assert record.entries[1] == Measurement(1, 2.0, 0.25, 0.1)
+        assert type(record.entries[1]) is Measurement
