@@ -55,7 +55,6 @@ from .analysis import (
     verify_observables,
 )
 from .tomography import (
-    Measurement,
     MeasurementRecord,
     ReconstructionResult,
     default_time_grid,
@@ -106,7 +105,6 @@ __all__ = [
     "krylov_subspace",
     "verify_observables",
     "find_observables",
-    "Measurement",
     "MeasurementRecord",
     "ReconstructionResult",
     "validate_time_grid",

@@ -229,7 +229,7 @@ def _cmd_simulate(args, tol: ToleranceConfig) -> None:
           f"sigma={args.sigma:g}, seed={args.seed}) to {args.out}")
 
 
-def _reconstruction_document(result, projected: bool) -> dict:
+def _reconstruction_document(result, projected: bool, distances) -> dict:
     doc = {
         "tool": "strobe-tomo",
         "version": __version__,
@@ -241,8 +241,8 @@ def _reconstruction_document(result, projected: bool) -> dict:
             "projected": projected,
         },
     }
-    if result.frobenius_error is not None:
-        doc["result"]["frobenius_error"] = result.frobenius_error
+    if distances is not None:
+        doc["result"]["frobenius_error"], doc["result"]["trace_distance"] = distances
     return doc
 
 
@@ -251,14 +251,11 @@ def _cmd_reconstruct(args, tol: ToleranceConfig) -> None:
     observables = _load_observables(args.observables_file)
     record = read_record_csv(args.record_csv)
     truth = _load_state(args.truth, model.dim, "truth") if args.truth else None
-    result = reconstruct(model, observables, record, tol=tol, project=not args.no_project, truth=truth)
+    result = reconstruct(model, observables, record, tol=tol, project=not args.no_project)
+    distances = state_distance(result.rho_hat, truth) if truth is not None else None
 
     if args.json:
-        doc = _reconstruction_document(result, projected=not args.no_project)
-        if truth is not None:
-            _, trace_dist = state_distance(result.rho_hat, truth)
-            doc["result"]["trace_distance"] = trace_dist
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_reconstruction_document(result, not args.no_project, distances), indent=2))
         return
 
     print("reconstructed initial state:")
@@ -271,8 +268,8 @@ def _cmd_reconstruct(args, tol: ToleranceConfig) -> None:
         print("projection       : eigenvalues clipped to >= 0, trace renormalized")
     else:
         print("projection       : skipped (raw least-squares estimate)")
-    if truth is not None:
-        frob, trace_dist = state_distance(result.rho_hat, truth)
+    if distances is not None:
+        frob, trace_dist = distances
         print(f"frobenius error  : {frob:.6e}")
         print(f"trace distance   : {trace_dist:.6e}")
 

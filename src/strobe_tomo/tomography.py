@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .operator_algebra import (
 )
 
 __all__ = [
-    "Measurement",
     "MeasurementRecord",
     "ReconstructionResult",
     "validate_time_grid",
@@ -58,13 +57,6 @@ EXPECTATION_IMAG_ATOL = 1e-10
 EQUISPACED_RTOL = 1e-12
 
 
-class Measurement(NamedTuple):
-    observable_index: int
-    time: float
-    value: float
-    sigma: float
-
-
 def validate_time_grid(instants) -> np.ndarray:
     """Coerce to a 1-D float array of distinct, positive, increasing times."""
     grid = np.asarray(instants, dtype=float).reshape(-1)
@@ -81,23 +73,33 @@ def validate_time_grid(instants) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Expectation-value samples ``(observable index, time, value, sigma)``.
+    """Expectation-value samples, one row ``(observable index, time, value, sigma)`` each.
 
-    ``grid`` holds the distinct measurement instants; every entry's time
-    must be one of them, and every index must be an integer in
-    ``[0, observable_count)``.  Repeated (index, time) entries are legal and
-    mean repeated measurements.
+    ``entries`` may be given as any sequence of 4-tuples and is stored as a
+    read-only ``(rows, 4)`` float array.  ``grid`` holds the distinct
+    measurement instants; every entry's time must be one of them, and
+    every index must be an integer in ``[0, observable_count)``.  Repeated
+    (index, time) entries are legal and mean repeated measurements.
     """
 
-    entries: tuple[Measurement, ...]
+    entries: np.ndarray
     observable_count: int
     grid: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "grid", validate_time_grid(self.grid))
-        entries = tuple(e if isinstance(e, Measurement) else Measurement(*e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
-        index, time, value, sigma = _columns(entries)
+        try:
+            rows = np.array(self.entries, dtype=float)
+            if rows.shape == (0,):
+                rows = rows.reshape(0, 4)
+            if rows.ndim != 2 or rows.shape[1] != 4:
+                raise ValueError(f"got shape {rows.shape}")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError("entries must be rows of 4 finite numbers "
+                                  f"(observable index, time, value, sigma): {exc}") from exc
+        rows.setflags(write=False)
+        object.__setattr__(self, "entries", rows)
+        index, time, value, sigma = rows.T
         # the grid is sorted, so a time is on it iff it equals its insertion neighbour
         nearest = self.grid[np.minimum(np.searchsorted(self.grid, time), self.grid.size - 1)]
         # one test per entry column, in the order they are reported
@@ -110,19 +112,16 @@ class MeasurementRecord:
         failed = ~np.logical_and.reduce(passed)
         if failed.any():
             pos = int(np.argmax(failed))
-            entry = entries[pos]
+            bad_index, bad_time, bad_value, bad_sigma = rows[pos].tolist()
+            if bad_index.is_integer():
+                bad_index = int(bad_index)
             message = (
-                f"observable index {entry.observable_index} out of range [0, {self.observable_count})",
-                f"non-finite value {entry.value!r}",
-                f"sigma must be finite and >= 0, got {entry.sigma}",
-                f"time {entry.time!r} is not on the grid",
+                f"observable index {bad_index} out of range [0, {self.observable_count})",
+                f"non-finite value {bad_value!r}",
+                f"sigma must be finite and >= 0, got {bad_sigma}",
+                f"time {bad_time!r} is not on the grid",
             )[[bool(test[pos]) for test in passed].index(False)]
             raise ValidationError(f"entries[{pos}]: {message}")
-
-
-def _columns(entries: Sequence[Measurement]) -> np.ndarray:
-    """The entries as four float columns: index, time, value, sigma."""
-    return np.array(entries, dtype=float).reshape(-1, 4).T
 
 
 @dataclass(frozen=True)
@@ -211,12 +210,10 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     values = raw.real
     if noise_sigma > 0:
         values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, values.shape)
-    times, sigma = grid.tolist(), float(noise_sigma)
-    entries = tuple(
-        Measurement(i, t, value, sigma)
-        for i, row in enumerate(values.tolist()) for t, value in zip(times, row)
-    )
-    return MeasurementRecord(entries=entries, observable_count=len(checked), grid=grid)
+    count = len(checked)
+    entries = np.column_stack((np.arange(count).repeat(grid.size), np.tile(grid, count),
+                               values.reshape(-1), np.full(values.size, float(noise_sigma))))
+    return MeasurementRecord(entries=entries, observable_count=count, grid=grid)
 
 
 def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
@@ -247,7 +244,7 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
         )
 
     basis = np.stack(hermitian_basis(n))
-    index, time, rhs, _sigma = _columns(record.entries)
+    index, time, rhs, _sigma = record.entries.T
     instants, at = np.unique(time, return_inverse=True)
     duals = np.stack([vec(q) for q in checked]).conj()
     # expm(t L)^T = expm(t L^T), so the dual rows step as columns
@@ -322,16 +319,11 @@ def state_distance(a, b) -> tuple[float, float]:
 
 def write_record_csv(record: MeasurementRecord, path) -> None:
     """Write a record as CSV with 17-significant-digit floats (exact roundtrip)."""
+    lines = [",".join(CSV_HEADER)]
+    lines += [f"{int(index)},{time:.17g},{value:.17g},{sigma:.17g}"
+              for index, time, value, sigma in record.entries.tolist()]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for entry in record.entries:
-            writer.writerow([
-                entry.observable_index,
-                format(entry.time, ".17g"),
-                format(entry.value, ".17g"),
-                format(entry.sigma, ".17g"),
-            ])
+        handle.write("\r\n".join(lines) + "\r\n")
 
 
 def read_record_csv(path) -> MeasurementRecord:
@@ -350,18 +342,20 @@ def read_record_csv(path) -> MeasurementRecord:
         raise ValidationError(f"record file {path!s} is not UTF-8 CSV text: {exc}") from exc
     if not rows or tuple(h.strip() for h in rows[0]) != CSV_HEADER:
         raise ValidationError(f"record file {path!s}: expected header {','.join(CSV_HEADER)}")
-    entries = []
+    entries = np.empty((len(rows) - 1, 4))
+    filled = 0
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 4:
             raise ValidationError(f"record file {path!s}, line {lineno}: expected 4 fields")
         try:
-            entries.append(Measurement(int(row[0]), float(row[1]), float(row[2]), float(row[3])))
-        except ValueError as exc:
+            entries[filled] = [int(row[0]), float(row[1]), float(row[2]), float(row[3])]
+        except (ValueError, OverflowError) as exc:
             raise ValidationError(f"record file {path!s}, line {lineno}: {exc}") from exc
-    if not entries:
+        filled += 1
+    if not filled:
         raise ValidationError(f"record file {path!s}: no measurement rows")
-    grid = np.array(sorted({e.time for e in entries}))
-    count = max(e.observable_index for e in entries) + 1
-    return MeasurementRecord(entries=tuple(entries), observable_count=count, grid=grid)
+    entries = entries[:filled]
+    count = int(entries[:, 0].max()) + 1
+    return MeasurementRecord(entries=entries, observable_count=count, grid=np.unique(entries[:, 1]))

@@ -229,7 +229,7 @@ class TestSimulate:
         assert main(["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
                      str(obs_path), "--out", str(out)]) == 0
         record = read_record_csv(out)
-        assert all(entry.value == pytest.approx(1.0, abs=1e-12) for entry in record.entries)
+        assert np.allclose(record.entries[:, 2], 1.0, rtol=0.0, atol=1e-12)
 
     def test_excited_projector_value(self, cooling_files, tmp_path):
         proj = np.diag([0.0, 1.0, 0.0])
@@ -241,9 +241,9 @@ class TestSimulate:
         assert main(["simulate", str(cooling_files["model"]), str(state_path),
                      str(obs_path), "--out", str(out)]) == 0
         record = read_record_csv(out)
-        first = record.entries[0]
-        assert first.time == pytest.approx(1 / 3)
-        assert first.value == pytest.approx(math.exp(-1.0), abs=1e-12)
+        _index, time, value, _sigma = record.entries[0]
+        assert time == pytest.approx(1 / 3)
+        assert value == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
     def test_bad_sigma_exit_two(self, cooling_files, tmp_path, capsys, sigma):

@@ -7,7 +7,6 @@ import scipy.linalg
 import strobe_tomo.tomography as tomography
 
 from strobe_tomo import (
-    Measurement,
     MeasurementRecord,
     RankDeficiencyError,
     Superoperator,
@@ -90,16 +89,15 @@ class TestSimulate:
         rho0 = random_density(3, np.random.default_rng(0))
         record = simulate_measurements(cooling_model, rho0, [np.eye(3)], cooling_grid)
         assert len(record.entries) == 3
-        for entry in record.entries:
-            assert entry.value == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(record.entries[:, 2], 1.0, rtol=0.0, atol=1e-12)
 
     def test_excited_population_decay(self, cooling_model, cooling_grid):
         # oracle: rho22(t) = exp(-(g1+g2) t) from the rate equations
         proj = np.diag([0.0, 1.0, 0.0])
         record = simulate_measurements(cooling_model, proj, [proj], cooling_grid)
-        first = record.entries[0]
-        assert first.time == pytest.approx(1 / 3)
-        assert first.value == pytest.approx(math.exp(-1.0), abs=1e-12)
+        _index, time, value, _sigma = record.entries[0]
+        assert time == pytest.approx(1 / 3)
+        assert value == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_noisy_record_deterministic_for_seed(self, cooling_model, cooling_grid,
                                                  verified_observables):
@@ -108,7 +106,7 @@ class TestSimulate:
                                       cooling_grid, noise_sigma=1e-3, seed=11)
         second = simulate_measurements(cooling_model, rho0, verified_observables,
                                        cooling_grid, noise_sigma=1e-3, seed=11)
-        assert first.entries == second.entries
+        assert np.array_equal(first.entries, second.entries)
         assert np.array_equal(first.grid, second.grid)
 
     def test_noise_changes_values(self, cooling_model, cooling_grid, verified_observables):
@@ -116,16 +114,16 @@ class TestSimulate:
         clean = simulate_measurements(cooling_model, rho0, verified_observables, cooling_grid)
         noisy = simulate_measurements(cooling_model, rho0, verified_observables,
                                       cooling_grid, noise_sigma=1e-2, seed=5)
-        deltas = [abs(a.value - b.value) for a, b in zip(clean.entries, noisy.entries)]
-        assert max(deltas) > 0
-        assert all(entry.sigma == 1e-2 for entry in noisy.entries)
+        deltas = np.abs(clean.entries[:, 2] - noisy.entries[:, 2])
+        assert deltas.max() > 0
+        assert np.all(noisy.entries[:, 3] == 1e-2)
 
     def test_entry_layout_is_observable_major(self, cooling_model, cooling_grid,
                                                verified_observables):
         rho0 = random_density(3, np.random.default_rng(2))
         record = simulate_measurements(cooling_model, rho0, verified_observables, cooling_grid)
-        expected = [(i, t) for i in range(4) for t in cooling_grid]
-        assert [(e.observable_index, e.time) for e in record.entries] == expected
+        expected = [[i, t] for i in range(4) for t in cooling_grid]
+        assert record.entries[:, :2].tolist() == expected
 
     def test_noise_is_one_draw_in_entry_order(self, cooling_model, cooling_grid,
                                               verified_observables):
@@ -134,9 +132,7 @@ class TestSimulate:
         noisy = simulate_measurements(cooling_model, rho0, verified_observables,
                                       cooling_grid, noise_sigma=1e-3, seed=17)
         noise = np.random.default_rng(17).normal(0.0, 1e-3, len(clean.entries))
-        assert [e.value for e in noisy.entries] == [
-            e.value + draw for e, draw in zip(clean.entries, noise)
-        ]
+        assert np.array_equal(noisy.entries[:, 2], clean.entries[:, 2] + noise)
 
     def test_rejects_bad_inputs(self, cooling_model, cooling_grid):
         rho0 = random_density(3, np.random.default_rng(3))
@@ -156,7 +152,7 @@ class TestSimulate:
 
 def _record_grid(grid: np.ndarray, path) -> np.ndarray:
     """``grid`` as read back from a record CSV file holding one entry per instant."""
-    record = MeasurementRecord(entries=tuple(Measurement(0, t, 0.0, 0.0) for t in grid),
+    record = MeasurementRecord(entries=[(0, t, 0.0, 0.0) for t in grid],
                                observable_count=1, grid=grid)
     write_record_csv(record, path)
     return read_record_csv(path).grid
@@ -243,7 +239,7 @@ class TestRecordCsv:
         path = tmp_path / "record.csv"
         write_record_csv(record, path)
         back = read_record_csv(path)
-        assert back.entries == record.entries
+        assert back.entries.tobytes() == record.entries.tobytes()
         assert back.observable_count == record.observable_count
         assert np.array_equal(back.grid, record.grid)
 
@@ -263,9 +259,11 @@ class TestRecordCsv:
 
     def test_rejects_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("observable_index,time,value,sigma\n0,abc,2,3\n")
-        with pytest.raises(ValidationError, match="line 2"):
-            read_record_csv(path)
+        # a text cell, and an index past the float range
+        for row in ("0,abc,2,3", "1" + "0" * 400 + ",1,2,3"):
+            path.write_text(f"observable_index,time,value,sigma\n{row}\n")
+            with pytest.raises(ValidationError, match="line 2"):
+                read_record_csv(path)
 
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -331,6 +329,7 @@ class TestReconstruct:
 
     def test_empty_record_rank_deficient(self, cooling_model, verified_observables):
         empty = MeasurementRecord(entries=(), observable_count=4, grid=np.array([0.5]))
+        assert empty.entries.shape == (0, 4)
         with pytest.raises(RankDeficiencyError) as excinfo:
             reconstruct(cooling_model, verified_observables, empty)
         assert excinfo.value.achieved_rank == 1
@@ -432,9 +431,9 @@ class TestReconstruct:
         # oracle: singular values of the traceless design columns, by explicit traces
         basis = hermitian_basis(3)[1:]
         gen = build_generator(cooling_model)
-        rows = [[np.trace(verified_observables[e.observable_index].conj().T
-                          @ unvec(propagator(gen, e.time) @ vec(b), 3)).real for b in basis]
-                for e in record.entries]
+        rows = [[np.trace(verified_observables[int(index)].conj().T
+                          @ unvec(propagator(gen, time) @ vec(b), 3)).real for b in basis]
+                for index, time, _value, _sigma in record.entries]
         sigma = np.linalg.svd(np.array(rows), compute_uv=False)
         assert result.design_condition == pytest.approx(sigma[0] / sigma[-1], rel=1e-6)
 
@@ -482,53 +481,77 @@ class TestStateDistance:
 class TestMeasurementRecordValidation:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValidationError, match="out of range"):
-            MeasurementRecord(entries=(Measurement(2, 1.0, 0.5, 0.0),),
+            MeasurementRecord(entries=((2, 1.0, 0.5, 0.0),),
                               observable_count=2, grid=np.array([1.0]))
 
     def test_rejects_fractional_index(self):
         with pytest.raises(ValidationError, match=r"entries\[0\]: observable index 0\.5 out of range"):
-            MeasurementRecord(entries=(Measurement(0.5, 1.0, 0.5, 0.0),),
+            MeasurementRecord(entries=((0.5, 1.0, 0.5, 0.0),),
                               observable_count=2, grid=np.array([1.0]))
 
     def test_rejects_time_off_grid(self):
         with pytest.raises(ValidationError, match="grid"):
-            MeasurementRecord(entries=(Measurement(0, 2.0, 0.5, 0.0),),
+            MeasurementRecord(entries=((0, 2.0, 0.5, 0.0),),
                               observable_count=1, grid=np.array([1.0]))
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValidationError, match="sigma"):
-            MeasurementRecord(entries=(Measurement(0, 1.0, 0.5, -0.1),),
+            MeasurementRecord(entries=((0, 1.0, 0.5, -0.1),),
                               observable_count=1, grid=np.array([1.0]))
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_rejects_non_finite_sigma(self, sigma):
         with pytest.raises(ValidationError, match="sigma must be finite"):
-            MeasurementRecord(entries=(Measurement(0, 1.0, 0.5, sigma),),
+            MeasurementRecord(entries=((0, 1.0, 0.5, sigma),),
                               observable_count=1, grid=np.array([1.0]))
 
-    #: per test in check order: a field value that fails it, and the message it raises
+    #: per test in check order: the column, a value that fails it, and the message it raises
     FAILURES = (
-        ("observable_index", 5, r"observable index 5 out of range \[0, 2\)"),
-        ("value", math.nan, "non-finite value nan"),
-        ("sigma", -0.1, r"sigma must be finite and >= 0, got -0\.1"),
-        ("time", 2.5, r"time 2\.5 is not on the grid"),
+        (0, 5, r"observable index 5 out of range \[0, 2\)"),
+        (2, math.nan, "non-finite value nan"),
+        (3, -0.1, r"sigma must be finite and >= 0, got -0\.1"),
+        (1, 2.5, r"time 2\.5 is not on the grid"),
     )
+
+    @staticmethod
+    def _replaced(entry: tuple, changes) -> tuple:
+        row = list(entry)
+        for column, bad, _ in changes:
+            row[column] = bad
+        return tuple(row)
 
     @pytest.mark.parametrize("test", range(4))
     def test_first_bad_entry_and_first_failed_test_are_named(self, test):
-        good = Measurement(1, 1.0, 0.5, 0.0)
+        good = (1, 1.0, 0.5, 0.0)
         # entries[2] fails this test and every later one; entries[4] fails another test
-        first = good._replace(**{field: bad for field, bad, _ in self.FAILURES[test:]})
-        field, bad, _ = self.FAILURES[(test + 1) % 4]
-        entries = (good, good, first, good, good._replace(**{field: bad}), good)
+        first = self._replaced(good, self.FAILURES[test:])
+        other = self._replaced(good, [self.FAILURES[(test + 1) % 4]])
+        entries = (good, good, first, good, other, good)
         message = self.FAILURES[test][2]
         with pytest.raises(ValidationError, match=rf"^entries\[2\]: {message}$"):
             MeasurementRecord(entries=entries, observable_count=2, grid=np.array([1.0, 2.0]))
 
-    def test_measurements_are_kept_and_tuples_converted(self):
-        kept = Measurement(0, 1.0, 0.5, 0.0)
-        record = MeasurementRecord(entries=(kept, (1, 2.0, 0.25, 0.1)), observable_count=2,
-                                   grid=np.array([1.0, 2.0]))
-        assert record.entries[0] is kept
-        assert record.entries[1] == Measurement(1, 2.0, 0.25, 0.1)
-        assert type(record.entries[1]) is Measurement
+    @pytest.mark.parametrize("entries", [
+        ((0, 1.0, 0.5),),
+        ((0, 1.0, 0.5),) * 4,
+        (("a", 1.0, 0.5, 0.0),),
+        ((0, 1.0, (0.5, 0.25), 0.0),),
+        (((0,), (1.0,), (0.5,), (0.0,)),),
+        ((10**400, 1.0, 0.5, 0.0),),
+    ], ids=["3-tuple", "four 3-tuples", "text cell", "ragged nested cell", "nested cells",
+            "index past the float range"])
+    def test_rejects_entries_that_are_not_rows_of_four_numbers(self, entries):
+        with pytest.raises(ValidationError, match=r"^entries must be rows of 4 finite numbers"):
+            MeasurementRecord(entries=entries, observable_count=1, grid=np.array([1.0]))
+
+    def test_entries_are_a_read_only_copy(self):
+        source = np.array([(0, 1.0, 0.5, 0.0), (1, 2.0, 0.25, 0.1)])
+        record = MeasurementRecord(entries=source, observable_count=2, grid=np.array([1.0, 2.0]))
+        from_tuples = MeasurementRecord(entries=[(0, 1.0, 0.5, 0.0), (1, 2.0, 0.25, 0.1)],
+                                        observable_count=2, grid=np.array([1.0, 2.0]))
+        assert record.entries.dtype == float and record.entries.shape == (2, 4)
+        assert np.array_equal(record.entries, from_tuples.entries)
+        with pytest.raises(ValueError):
+            record.entries[0, 2] = 9.0
+        source[0, 2] = 9.0
+        assert record.entries[0, 2] == 0.5
