@@ -24,7 +24,6 @@ from .operator_algebra import (
     eigenvalues,
     expm,
     hermitian_basis,
-    hs_inner,
     is_hermitian,
     minimal_polynomial,
     random_hermitian,
@@ -42,15 +41,12 @@ from .lindblad import (
     matrix_to_json,
     model_from_json,
     model_to_json,
-    propagator,
-    trace_functional_residual,
     validate_density_matrix,
 )
 from .analysis import (
     SpectralReport,
     VerificationResult,
     find_observables,
-    krylov_subspace,
     spectral_report,
     verify_observables,
 )
@@ -77,7 +73,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "vec",
     "unvec",
-    "hs_inner",
     "rank",
     "eigenvalues",
     "eigen_structure",
@@ -90,10 +85,8 @@ __all__ = [
     "Superoperator",
     "laser_cooling_model",
     "build_generator",
-    "propagator",
     "evolve",
     "validate_density_matrix",
-    "trace_functional_residual",
     "matrix_to_json",
     "matrix_from_json",
     "model_to_json",
@@ -102,7 +95,6 @@ __all__ = [
     "SpectralReport",
     "VerificationResult",
     "spectral_report",
-    "krylov_subspace",
     "verify_observables",
     "find_observables",
     "MeasurementRecord",

@@ -37,13 +37,12 @@ __all__ = [
     "SpectralReport",
     "VerificationResult",
     "spectral_report",
-    "krylov_subspace",
     "verify_observables",
     "find_observables",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Distinct eigenvalues with multiplicities plus the derived resource counts.
 
@@ -53,7 +52,8 @@ class SpectralReport:
     observable), ``measurement_budget`` their product, and
     ``static_observable_count`` the dim^2 - 1 observables a dynamics-blind
     reconstruction would need instead.  ``min_poly`` holds the monic
-    ascending coefficients expanded from the roots, for display.
+    ascending coefficients expanded from the roots, for display.  Reports
+    compare and hash by identity; compare contents with ``np.array_equal``.
     """
 
     dim: int
@@ -102,40 +102,6 @@ def _checked_observables(observables, dim: int) -> list[np.ndarray]:
     return checked
 
 
-def _dual_step(adjoint: np.ndarray, current: np.ndarray, dim: int, step: int) -> np.ndarray:
-    """``adjoint @ current``, checked to be a hermitian matrix when unvectorized."""
-    out = adjoint @ current
-    element = unvec(out, dim)
-    if not is_hermitian(element, atol=1e-10):
-        dev = float(np.abs(element - element.conj().T).max())
-        raise NumericalFailure(
-            f"Krylov element {step} is not hermitian (deviation {dev:.3e}); "
-            "the dual generator does not preserve hermiticity"
-        )
-    return out
-
-
-def krylov_subspace(gen: Superoperator, observable, depth: int) -> list[np.ndarray]:
-    """[Q, L*Q, ..., (L*)^(depth-1) Q] under the dual generator L*.
-
-    The dual generator is the Hilbert-Schmidt adjoint of ``gen``, i.e. the
-    conjugate transpose of its matrix acting on vectorized operators.  For
-    trace-preserving dissipative dynamics it maps hermitian matrices to
-    hermitian matrices, which is re-checked on every element.
-    """
-    q = _checked_observables([observable], gen.dim)[0]
-    if depth < 1:
-        raise ValidationError(f"Krylov depth must be >= 1, got {depth}")
-
-    adjoint = gen.matrix.conj().T
-    elements = [q]
-    current = vec(q)
-    for step in range(1, depth):
-        current = _dual_step(adjoint, current, gen.dim, step)
-        elements.append(unvec(current, gen.dim))
-    return elements
-
-
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Residual of ``w`` against the orthonormal rows of ``basis``, Gram-Schmidt applied twice."""
     for _ in range(2):
@@ -156,7 +122,8 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     when its residual exceeds ``rank_rtol * |L|_2``, so roundoff never
     adds a direction.  No Krylov depth is needed.  The set reconstructs
     arbitrary states iff the basis reaches dim^2 vectors; ``achieved_rank``
-    is its size.
+    is its size.  ``L*`` is the conjugate transpose of ``gen.matrix``; an
+    element it makes non-hermitian raises :class:`NumericalFailure`.
     """
     checked = _checked_observables(observables, gen.dim)
     n2 = gen.dim * gen.dim
@@ -176,7 +143,12 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
             basis[size] = resid / norm
             size += 1
             step += 1
-            candidate = _dual_step(adjoint, basis[size - 1], gen.dim, step)
+            candidate = adjoint @ basis[size - 1]
+            element = unvec(candidate, gen.dim)
+            if not is_hermitian(element, atol=1e-10):
+                dev = float(np.abs(element - element.conj().T).max())
+                raise NumericalFailure(f"Krylov element {step} is not hermitian (deviation {dev:.3e}); "
+                                       "the dual generator does not preserve hermiticity")
             threshold = floor
     return VerificationResult(ok=size == n2, achieved_rank=size)
 

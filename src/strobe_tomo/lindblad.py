@@ -33,10 +33,8 @@ __all__ = [
     "Superoperator",
     "laser_cooling_model",
     "build_generator",
-    "propagator",
     "evolve",
     "validate_density_matrix",
-    "trace_functional_residual",
     "matrix_to_json",
     "matrix_from_json",
     "model_to_json",
@@ -51,22 +49,25 @@ EVOLVE_HERMITICITY_ATOL = 1e-10
 EVOLVE_EIG_FLOOR = -1e-8
 #: eigenvalue floor for states supplied as inputs
 STATE_EIG_FLOOR = -1e-10
+#: a grid is equispaced when every ``t_j`` is ``j * t_1`` to this relative tolerance
+EQUISPACED_RTOL = 1e-12
 #: largest model dimension: the dense generator of a 64-level model is a
 #: 4096 x 4096 complex matrix (256 MiB), and every analysis step is O(dim^6)
 MAX_DIM = 64
 
 
 def _operator(m, name: str, dim: int) -> np.ndarray:
-    """``m`` as a ``dim x dim`` complex matrix with finite entries."""
-    arr = as_complex_matrix(m, name)
+    """A read-only copy of ``m`` as a ``dim x dim`` complex matrix with finite entries."""
+    arr = as_complex_matrix(m, name).copy()
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} has non-finite entries")
     if arr.shape != (dim, dim):
         raise ValidationError(f"{name} has shape {arr.shape}, expected ({dim}, {dim})")
+    arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
     """Constant Hamiltonian plus a list of ``(rate, jump operator)`` channels.
 
@@ -75,6 +76,8 @@ class LindbladModel:
     ``dim x dim`` with finite entries, and the Hamiltonian must be
     hermitian.  Time-dependent Hamiltonians are rejected: the vectorized
     generator built from this model is only meaningful when it is constant.
+    The operators are stored as read-only copies.  Models compare and hash
+    by identity; compare contents with ``np.array_equal``.
     """
 
     dim: int
@@ -86,15 +89,12 @@ class LindbladModel:
             raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
         if self.dim > MAX_DIM:
             raise ValidationError(f"dim must be at most {MAX_DIM}, got {self.dim}")
-        ham = self.hamiltonian
-        if ham is None:
-            ham = np.zeros((self.dim, self.dim), dtype=complex)
-        elif callable(ham):
+        ham = np.zeros((self.dim, self.dim)) if self.hamiltonian is None else self.hamiltonian
+        if callable(ham):
             raise ValidationError(
                 "time-dependent Hamiltonians are not supported; supply a constant matrix"
             )
-        else:
-            ham = assert_hermitian(_operator(ham, "hamiltonian", self.dim), name="hamiltonian")
+        ham = assert_hermitian(_operator(ham, "hamiltonian", self.dim), name="hamiltonian")
         object.__setattr__(self, "hamiltonian", ham)
 
         checked = []
@@ -117,7 +117,7 @@ class LindbladModel:
         object.__setattr__(self, "jumps", tuple(checked))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """A dim^2 x dim^2 generator matrix acting on row-stacked operators.
 
@@ -125,7 +125,8 @@ class Superoperator:
     vectorization convention.  Construction only checks the shape, so
     synthetic generators can be injected for analysis; matrices produced by
     :func:`build_generator` additionally annihilate the trace functional
-    (``vec(I)^dag @ matrix ~ 0``).
+    (``vec(I)^dag @ matrix ~ 0``).  Compared and hashed by identity;
+    compare contents with ``np.array_equal``.
     """
 
     dim: int
@@ -154,12 +155,6 @@ def laser_cooling_model(gamma1: float, gamma2: float) -> LindbladModel:
     return LindbladModel(dim=3, jumps=((gamma1, e1), (gamma2, e2)))
 
 
-def trace_functional_residual(sup: Superoperator) -> float:
-    """Max |vec(I)^dag @ matrix|: zero iff the generator preserves the trace."""
-    ident = np.eye(sup.dim, dtype=complex).reshape(-1)
-    return float(np.abs(ident.conj() @ sup.matrix).max())
-
-
 def build_generator(model: LindbladModel) -> Superoperator:
     """Vectorize a model into its dim^2 x dim^2 generator matrix.
 
@@ -177,7 +172,7 @@ def build_generator(model: LindbladModel) -> Superoperator:
         )
     sup = Superoperator(dim=n, matrix=mat)
     scale = max(1.0, float(np.abs(mat).max()) if mat.size else 0.0)
-    residual = trace_functional_residual(sup)
+    residual = float(np.abs(vec(eye).conj() @ mat).max())
     if residual > 1e-10 * scale:
         raise NumericalFailure(
             f"generator fails to annihilate the trace functional (residual {residual:.3e})"
@@ -185,11 +180,26 @@ def build_generator(model: LindbladModel) -> Superoperator:
     return sup
 
 
-def propagator(gen: Superoperator, t: float) -> np.ndarray:
-    """The dim^2 x dim^2 map expm(t * gen) acting on vectorized operators."""
-    if t < 0:
-        raise ValidationError(f"propagation time must be >= 0, got {t}")
-    return expm(t * gen.matrix)
+def _propagated(mat: np.ndarray, instants: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """``expm(t * mat) @ operand`` at each instant, stacked along a new first axis.
+
+    The package's one forward map.  The operand is carried from one instant
+    to the next by the exponential of the gap, so no propagator is formed
+    per instant: an equispaced grid (``t_j = j * t_1`` to a relative
+    :data:`EQUISPACED_RTOL`) costs one exponential, any other grid one per
+    gap.  The stepped results match separate exponentials to roundoff, not
+    bit for bit.
+    """
+    out = np.empty((instants.size,) + operand.shape, dtype=complex)
+    steps = np.arange(1, instants.size + 1)
+    equispaced = np.all(np.abs(instants - steps * instants[:1]) <= EQUISPACED_RTOL * instants)
+    current, previous = operand, 0.0
+    for j, t in enumerate(instants):
+        if j == 0 or not equispaced:
+            step = expm((t - previous) * mat)
+        current = step @ current
+        out[j], previous = current, t
+    return out
 
 
 def _check_density_matrix(arr: np.ndarray, name: str | list[str], *,
@@ -201,7 +211,7 @@ def _check_density_matrix(arr: np.ndarray, name: str | list[str], *,
     names its first failing matrix and that matrix's first failing test, in
     the order hermiticity, trace, eigenvalue floor.  An evolved state fails
     with :class:`NumericalFailure`, at tolerances loose enough for the
-    propagator's roundoff; an input state fails with :class:`ValidationError`.
+    forward map's roundoff; an input state fails with :class:`ValidationError`.
     """
     error, hermiticity_atol, eig_floor = (
         (NumericalFailure, EVOLVE_HERMITICITY_ATOL, EVOLVE_EIG_FLOOR) if evolved
@@ -247,7 +257,9 @@ def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
     failure naming the instant rather than silently repaired.
     """
     rho0 = validate_density_matrix(rho0, dim=gen.dim, name="rho0")
-    out = unvec(propagator(gen, t) @ vec(rho0), gen.dim)
+    if t < 0:
+        raise ValidationError(f"propagation time must be >= 0, got {t}")
+    out = unvec(_propagated(gen.matrix, np.array([t], dtype=float), vec(rho0))[0], gen.dim)
     return _check_density_matrix(out, f"evolved state at t={t:.6g}", evolved=True)
 
 

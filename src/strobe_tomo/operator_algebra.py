@@ -25,7 +25,6 @@ __all__ = [
     "assert_hermitian",
     "vec",
     "unvec",
-    "hs_inner",
     "rank",
     "eigenvalues",
     "expm",
@@ -122,15 +121,6 @@ def unvec(v, n: int) -> np.ndarray:
     if arr.size != n * n:
         raise ValidationError(f"cannot unvec length-{arr.size} vector into a {n}x{n} matrix")
     return arr.reshape(n, n)
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dag B), conjugate-linear in ``a``."""
-    am = as_complex_matrix(a, "a")
-    bm = as_complex_matrix(b, "b")
-    if am.shape != bm.shape:
-        raise ValidationError(f"shape mismatch in inner product: {am.shape} vs {bm.shape}")
-    return complex(np.vdot(am, bm))
 
 
 def _svd_rank(m: np.ndarray, tol: ToleranceConfig) -> tuple[int, np.ndarray]:
@@ -289,12 +279,12 @@ def minimal_polynomial(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarr
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal hermitian basis of the n x n matrices under :func:`hs_inner`.
+    """Orthonormal hermitian basis of the n x n matrices under ``tr(A^dag B)``.
 
     Returns ``n**2`` matrices: the normalized identity followed by the
     generalized Gell-Mann families (symmetric, antisymmetric, diagonal).
-    Every hermitian ``H`` expands as ``sum_k hs_inner(B_k, H) * B_k`` with
-    real coefficients.
+    Every hermitian ``H`` expands as ``sum_k tr(B_k H) * B_k`` with real
+    coefficients.
     """
     if n < 2:
         raise ValidationError(f"hermitian basis needs dimension >= 2, got {n}")

@@ -22,6 +22,7 @@ from .errors import NumericalFailure, RankDeficiencyError, ValidationError
 from .lindblad import (
     LindbladModel,
     _check_density_matrix,
+    _propagated,
     build_generator,
     validate_density_matrix,
 )
@@ -31,7 +32,6 @@ from .operator_algebra import (
     ToleranceConfig,
     _svd_rank,
     assert_hermitian,
-    expm,
     hermitian_basis,
     vec,
 )
@@ -53,8 +53,6 @@ CSV_HEADER = ("observable_index", "time", "value", "sigma")
 
 #: imaginary part allowed on a noiseless expectation value before it is discarded
 EXPECTATION_IMAG_ATOL = 1e-10
-#: a grid is equispaced when every ``t_j`` is ``j * t_1`` to this relative tolerance
-EQUISPACED_RTOL = 1e-12
 
 
 def validate_time_grid(instants) -> np.ndarray:
@@ -71,7 +69,7 @@ def validate_time_grid(instants) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """Expectation-value samples, one row ``(observable index, time, value, sigma)`` each.
 
@@ -80,6 +78,7 @@ class MeasurementRecord:
     measurement instants; every entry's time must be one of them, and
     every index must be an integer in ``[0, observable_count)``.  Repeated
     (index, time) entries are legal and mean repeated measurements.
+    Records compare and hash by identity; compare contents with ``np.array_equal``.
     """
 
     entries: np.ndarray
@@ -87,6 +86,9 @@ class MeasurementRecord:
     grid: np.ndarray
 
     def __post_init__(self):
+        count = self.observable_count
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValidationError(f"observable_count must be a non-negative integer, got {count!r}")
         object.__setattr__(self, "grid", validate_time_grid(self.grid))
         try:
             rows = np.array(self.entries, dtype=float)
@@ -124,9 +126,12 @@ class MeasurementRecord:
             raise ValidationError(f"entries[{pos}]: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Estimated initial state plus the inversion diagnostics."""
+    """Estimated initial state plus the inversion diagnostics.
+
+    Results compare and hash by identity; compare contents with ``np.array_equal``.
+    """
 
     rho_hat: np.ndarray
     residual_norm: float
@@ -154,28 +159,6 @@ def default_time_grid(report: SpectralReport) -> np.ndarray:
         fastest = float(np.abs(nonzero.real).max())
         dt = 1.0 / fastest if fastest > zero_floor else 1.0 / float(np.abs(nonzero).max())
     return dt * np.arange(1, report.mu + 1, dtype=float)
-
-
-def _propagated(mat: np.ndarray, instants: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    """``expm(t * mat) @ operand`` at each instant, stacked along a new first axis.
-
-    The one place a record is propagated.  The operand is carried from one
-    instant to the next by the exponential of the gap, so no propagator is
-    formed per instant: an equispaced grid (``t_j = j * t_1`` to a relative
-    :data:`EQUISPACED_RTOL`) costs one exponential, any other grid one per
-    gap.  The stepped results match separate exponentials to roundoff, not
-    bit for bit.
-    """
-    out = np.empty((instants.size,) + operand.shape, dtype=complex)
-    steps = np.arange(1, instants.size + 1)
-    equispaced = np.all(np.abs(instants - steps * instants[:1]) <= EQUISPACED_RTOL * instants)
-    current, previous = operand, 0.0
-    for j, t in enumerate(instants):
-        if j == 0 or not equispaced:
-            step = expm((t - previous) * mat)
-        current = step @ current
-        out[j], previous = current, t
-    return out
 
 
 def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.ndarray],

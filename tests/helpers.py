@@ -109,3 +109,17 @@ def span_rank(matrices, rtol: float = 1e-9) -> int:
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.sum(sigma > rtol * sigma[0]))
+
+
+def krylov_subspace(gen, observable, depth: int) -> list[np.ndarray]:
+    """[Q, L*Q, ..., (L*)^(depth-1) Q], the monomial Krylov chain under the dual generator.
+
+    ``L*`` is the conjugate transpose of ``gen.matrix`` acting on row-stacked
+    matrices.  The reference that the Arnoldi loop of ``verify_observables``
+    is checked against.
+    """
+    adjoint = gen.matrix.conj().T
+    elements = [np.asarray(observable, dtype=complex)]
+    for _ in range(1, depth):
+        elements.append((adjoint @ elements[-1].reshape(-1)).reshape(gen.dim, gen.dim))
+    return elements

@@ -15,7 +15,6 @@ from strobe_tomo import (
     default_time_grid,
     eigenvalues,
     find_observables,
-    krylov_subspace,
     laser_cooling_model,
     minimal_polynomial,
     random_hermitian,
@@ -26,7 +25,7 @@ from strobe_tomo import (
     verify_observables,
 )
 
-from helpers import laser_cooling_populations, random_density, random_model
+from helpers import krylov_subspace, laser_cooling_populations, random_density, random_model
 
 POSITIVE_RATE_PAIRS = [(1.0, 2.0), (0.5, 0.5), (2.0, 3.0), (0.1, 5.0), (3.0, 0.7)]
 

@@ -9,7 +9,6 @@ from strobe_tomo import (
     eigenvalues,
     expm,
     hermitian_basis,
-    hs_inner,
     is_hermitian,
     laser_cooling_model,
     minimal_polynomial,
@@ -25,8 +24,6 @@ from helpers import cofactor_det, random_density
 
 E1 = np.zeros((3, 3), dtype=complex)
 E1[0, 1] = 1.0
-E2 = np.zeros((3, 3), dtype=complex)
-E2[2, 1] = 1.0
 
 
 class TestKron:
@@ -80,30 +77,6 @@ class TestVec:
             direct = vec(a @ x @ b)
             lifted = np.kron(a, b.T) @ vec(x)
             assert np.abs(direct - lifted).max() <= 1e-12
-
-
-class TestHsInner:
-    def test_identity_norm(self):
-        assert hs_inner(np.eye(3), np.eye(3)) == pytest.approx(3.0)
-
-    def test_disjoint_supports(self):
-        assert hs_inner(E1, E2) == 0
-
-    def test_unit_vector(self):
-        assert hs_inner(E1, E1) == pytest.approx(1.0)
-
-    def test_conjugate_symmetry_and_positivity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-            assert hs_inner(a, a).real > 0
-            assert abs(hs_inner(a, a).imag) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            hs_inner(np.eye(2), np.eye(3))
 
 
 class TestRank:
@@ -244,7 +217,7 @@ class TestHermitianBasis:
         for i, a in enumerate(basis):
             assert np.abs(a - a.conj().T).max() <= 1e-15
             for j, b in enumerate(basis):
-                assert hs_inner(a, b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-14)
+                assert np.vdot(a, b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-14)
 
     def test_qutrit_count(self):
         assert len(hermitian_basis(3)) == 9
@@ -253,7 +226,7 @@ class TestHermitianBasis:
     def test_expansion_completeness(self, n):
         rng = np.random.default_rng(n)
         h = random_hermitian(n, rng)
-        rebuilt = sum(hs_inner(b, h) * b for b in hermitian_basis(n))
+        rebuilt = sum(np.vdot(b, h) * b for b in hermitian_basis(n))
         assert np.abs(rebuilt - h).max() <= 1e-12
 
     def test_rejects_dimension_below_two(self):

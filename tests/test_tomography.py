@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import strobe_tomo.tomography as tomography
+import strobe_tomo.lindblad as lindblad
 
 from strobe_tomo import (
     MeasurementRecord,
@@ -16,7 +16,6 @@ from strobe_tomo import (
     find_observables,
     hermitian_basis,
     laser_cooling_model,
-    propagator,
     read_record_csv,
     reconstruct,
     simulate_measurements,
@@ -190,7 +189,7 @@ class TestPropagation:
         cases = [(generator, rng.standard_normal(size) + 1j * rng.standard_normal(size)),
                  (generator.T, rng.standard_normal((size, 3)) + 0j)]
         for mat, operand in cases:
-            stepped = tomography._propagated(mat, grid, operand)
+            stepped = lindblad._propagated(mat, grid, operand)
             for t, got in zip(grid, stepped):
                 expected = scipy.linalg.expm(t * mat) @ operand
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -198,13 +197,13 @@ class TestPropagation:
     @pytest.fixture
     def expm_calls(self, monkeypatch):
         calls = []
-        original = tomography.expm
+        original = lindblad.expm
 
         def counted(m):
             calls.append(m.shape)
             return original(m)
 
-        monkeypatch.setattr(tomography, "expm", counted)
+        monkeypatch.setattr(lindblad, "expm", counted)
         return calls
 
     def _stages(self, grid, path, calls):
@@ -432,7 +431,8 @@ class TestReconstruct:
         basis = hermitian_basis(3)[1:]
         gen = build_generator(cooling_model)
         rows = [[np.trace(verified_observables[int(index)].conj().T
-                          @ unvec(propagator(gen, time) @ vec(b), 3)).real for b in basis]
+                          @ unvec(scipy.linalg.expm(time * gen.matrix) @ vec(b), 3)).real
+                 for b in basis]
                 for index, time, _value, _sigma in record.entries]
         sigma = np.linalg.svd(np.array(rows), compute_uv=False)
         assert result.design_condition == pytest.approx(sigma[0] / sigma[-1], rel=1e-6)
@@ -544,6 +544,12 @@ class TestMeasurementRecordValidation:
         with pytest.raises(ValidationError, match=r"^entries must be rows of 4 finite numbers"):
             MeasurementRecord(entries=entries, observable_count=1, grid=np.array([1.0]))
 
+    @pytest.mark.parametrize("count", ["x", None, 2.5, True, -1])
+    def test_rejects_observable_count_that_is_not_a_non_negative_integer(self, count):
+        with pytest.raises(ValidationError, match=r"^observable_count must be a non-negative integer"):
+            MeasurementRecord(entries=((0, 1.0, 0.5, 0.0),), observable_count=count,
+                              grid=np.array([1.0]))
+
     def test_entries_are_a_read_only_copy(self):
         source = np.array([(0, 1.0, 0.5, 0.0), (1, 2.0, 0.25, 0.1)])
         record = MeasurementRecord(entries=source, observable_count=2, grid=np.array([1.0, 2.0]))
@@ -555,3 +561,22 @@ class TestMeasurementRecordValidation:
             record.entries[0, 2] = 9.0
         source[0, 2] = 9.0
         assert record.entries[0, 2] == 0.5
+
+
+class TestIdentityEquality:
+    """The dataclasses that hold arrays compare and hash by identity."""
+
+    @staticmethod
+    def _pipeline(observables, grid) -> dict:
+        model = laser_cooling_model(1.0, 2.0)
+        gen = build_generator(model)
+        record = simulate_measurements(model, np.eye(3) / 3, observables, grid)
+        return {"model": model, "generator": gen, "report": spectral_report(gen),
+                "record": record, "result": reconstruct(model, observables, record)}
+
+    @pytest.mark.parametrize("name", ["model", "generator", "report", "record", "result"])
+    def test_compares_and_hashes_by_identity(self, name, verified_observables, cooling_grid):
+        first = self._pipeline(verified_observables, cooling_grid)[name]
+        twin = self._pipeline(verified_observables, cooling_grid)[name]
+        assert first == first and first != twin
+        assert hash(first) == hash(first) and len({first, twin}) == 2
