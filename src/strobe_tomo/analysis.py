@@ -116,11 +116,14 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     Builds an orthonormal basis of the sum of the Krylov spaces under the
     dual generator (Arnoldi): each observable starts a chain, and every
     new element is ``L*`` applied to the latest basis vector,
-    orthogonalized twice against the basis (classical Gram-Schmidt).  A
-    chain ends at breakdown.  An observable's own direction counts when
-    its residual exceeds ``rank_rtol`` times its norm, a later element
-    when its residual exceeds ``rank_rtol * |L|_2``, so roundoff never
-    adds a direction.  No Krylov depth is needed.  The set reconstructs
+    orthogonalized twice against the basis (classical Gram-Schmidt) and
+    replaced by its hermitian part.  That last step drops the roundoff of
+    the projections, which normalization amplifies near breakdown, so the
+    hermiticity test below sees only what ``L*`` itself does.  A chain
+    ends at breakdown.  An observable's own direction counts when its
+    residual exceeds ``rank_rtol`` times its norm, a later element when
+    its residual exceeds ``rank_rtol * |L|_2``, so roundoff never adds a
+    direction.  No Krylov depth is needed.  The set reconstructs
     arbitrary states iff the basis reaches dim^2 vectors; ``achieved_rank``
     is its size.  ``L*`` is the conjugate transpose of ``gen.matrix``; an
     element it makes non-hermitian raises :class:`NumericalFailure`.
@@ -136,7 +139,8 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
         threshold = tol.rank_rtol * float(np.linalg.norm(candidate))
         step = 0
         while size < n2:
-            resid = _orthogonalize(candidate, basis[:size])
+            resid = _orthogonalize(candidate, basis[:size]).reshape(gen.dim, gen.dim)
+            resid = ((resid + resid.conj().T) / 2.0).reshape(-1)
             norm = float(np.linalg.norm(resid))
             if not norm > threshold:
                 break

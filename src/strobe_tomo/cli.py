@@ -11,6 +11,7 @@ codes, through :data:`EXIT_CODES`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import pathlib
@@ -319,10 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and shared by later calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command; return 0, argparse's own code, or the :data:`EXIT_CODES` code of the error."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         # every overflow ends in an explicit finiteness check, reported as an error line
         with np.errstate(all="ignore"):
             args.func(args, _tolerances_from_env())

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -125,8 +126,11 @@ class Superoperator:
     vectorization convention.  Construction only checks the shape, so
     synthetic generators can be injected for analysis; matrices produced by
     :func:`build_generator` additionally annihilate the trace functional
-    (``vec(I)^dag @ matrix ~ 0``).  Compared and hashed by identity;
-    compare contents with ``np.array_equal``.
+    (``vec(I)^dag @ matrix ~ 0``).  The matrix is stored read-only: a
+    caller's array is copied, unless it is already a read-only complex
+    array that owns its memory, as :func:`build_generator` passes.
+    Compared and hashed by identity; compare contents with
+    ``np.array_equal``.
     """
 
     dim: int
@@ -139,6 +143,9 @@ class Superoperator:
             raise ValidationError(
                 f"superoperator matrix has shape {mat.shape}, expected ({n2}, {n2})"
             )
+        if mat.flags.writeable or not mat.flags.owndata:
+            mat = mat.copy()
+            mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
 
@@ -170,6 +177,7 @@ def build_generator(model: LindbladModel) -> Superoperator:
             np.kron(op, op.conj())
             - 0.5 * (np.kron(opdop, eye) + np.kron(eye, opdop.T))
         )
+    mat.setflags(write=False)
     sup = Superoperator(dim=n, matrix=mat)
     scale = max(1.0, float(np.abs(mat).max()) if mat.size else 0.0)
     residual = float(np.abs(vec(eye).conj() @ mat).max())
@@ -181,34 +189,51 @@ def build_generator(model: LindbladModel) -> Superoperator:
 
 
 def _propagated(mat: np.ndarray, instants: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    """``expm(t * mat) @ operand`` at each instant, stacked along a new first axis.
+    """``expm(t * mat) @ operand`` at each instant, stacked along a new second axis.
 
-    The package's one forward map.  The operand is carried from one instant
-    to the next by the exponential of the gap, so no propagator is formed
-    per instant: an equispaced grid (``t_j = j * t_1`` to a relative
-    :data:`EQUISPACED_RTOL`) costs one exponential, any other grid one per
-    gap.  The stepped results match separate exponentials to roundoff, not
-    bit for bit.
+    The package's one forward map; no propagator is formed per instant.
+    ``out[:, j]`` is the operand propagated to ``instants[j]``, so the
+    instants lie side by side in the columns of one array.  On an
+    equispaced grid (``t_j = j * t_1`` to a relative
+    :data:`EQUISPACED_RTOL`) the one exponential ``S = expm(t_1 * mat)``
+    gives the first instant, and the grid fills by doubling: with ``d``
+    instants done, the next ``d`` are ``S**d`` times the first ``d``, in
+    one matrix product, then ``S**d`` is squared; about ``log2(m)``
+    products for ``m`` instants.  Any other grid carries the operand from
+    one instant to the next, one exponential per gap.  Either way the
+    results match separate exponentials to roundoff, not bit for bit.
     """
-    out = np.empty((instants.size,) + operand.shape, dtype=complex)
-    steps = np.arange(1, instants.size + 1)
-    equispaced = np.all(np.abs(instants - steps * instants[:1]) <= EQUISPACED_RTOL * instants)
-    current, previous = operand, 0.0
-    for j, t in enumerate(instants):
-        if j == 0 or not equispaced:
-            step = expm((t - previous) * mat)
-        current = step @ current
-        out[j], previous = current, t
-    return out
+    size = instants.size
+    cols = operand.reshape(operand.shape[0], -1)
+    width = cols.shape[1]
+    out = np.empty((cols.shape[0], size * width), dtype=complex)
+    steps = np.arange(1, size + 1)
+    if size and np.all(np.abs(instants - steps * instants[:1]) <= EQUISPACED_RTOL * instants):
+        power = expm(instants[0] * mat)
+        np.matmul(power, cols, out=out[:, :width])
+        done = 1
+        while done < size:
+            count = min(done, size - done)
+            np.matmul(power, out[:, :count * width], out=out[:, done * width:(done + count) * width])
+            done += count
+            if done < size:
+                power = power @ power
+    else:
+        current, previous = cols, 0.0
+        for j, t in enumerate(instants):
+            current = expm((t - previous) * mat) @ current
+            out[:, j * width:(j + 1) * width], previous = current, t
+    return out.reshape((cols.shape[0], size) + operand.shape[1:])
 
 
-def _check_density_matrix(arr: np.ndarray, name: str | list[str], *,
+def _check_density_matrix(arr: np.ndarray, name: str | Callable[[int], str], *,
                           evolved: bool = False) -> np.ndarray:
     """Test that ``arr`` is hermitian, has unit trace and no negative eigenvalue.
 
-    ``arr`` is one square matrix named ``name``, or a stack of them with one
-    name per matrix; a stack is tested in one batched pass, and the error
-    names its first failing matrix and that matrix's first failing test, in
+    ``arr`` is one square matrix named ``name``, or a stack of them whose
+    ``i``-th matrix is named ``name(i)``, formatted only when it fails; a
+    stack is tested in one batched pass, and the error names its first
+    failing matrix and that matrix's first failing test, in
     the order hermiticity, trace, eigenvalue floor.  An evolved state fails
     with :class:`NumericalFailure`, at tolerances loose enough for the
     forward map's roundoff; an input state fails with :class:`ValidationError`.
@@ -217,7 +242,7 @@ def _check_density_matrix(arr: np.ndarray, name: str | list[str], *,
         (NumericalFailure, EVOLVE_HERMITICITY_ATOL, EVOLVE_EIG_FLOOR) if evolved
         else (ValidationError, HERMITICITY_ATOL, STATE_EIG_FLOOR)
     )
-    stack, names = (arr[None], [name]) if arr.ndim == 2 else (arr, name)
+    stack, names = (arr[None], lambda _: name) if arr.ndim == 2 else (arr, name)
     # the entrywise test of is_hermitian; inf - inf is NaN, which fails it
     scale = 1.0 + np.abs(stack).max(axis=(1, 2))
     with np.errstate(invalid="ignore"):
@@ -233,10 +258,10 @@ def _check_density_matrix(arr: np.ndarray, name: str | list[str], *,
     if bad.any():
         i = int(np.argmax(bad))
         if not hermitian[i]:
-            raise error(f"{names[i]} is not hermitian (max |A - A^dag| = {dev[i]:.3e})")
+            raise error(f"{names(i)} is not hermitian (max |A - A^dag| = {dev[i]:.3e})")
         if not unit_trace[i]:
-            raise error(f"{names[i]} has trace {complex(tr[i]):.12g}, expected 1")
-        raise error(f"{names[i]} has eigenvalue {lowest[i]:.3e} below the floor {eig_floor:.1e}")
+            raise error(f"{names(i)} has trace {complex(tr[i]):.12g}, expected 1")
+        raise error(f"{names(i)} has eigenvalue {lowest[i]:.3e} below the floor {eig_floor:.1e}")
     return arr
 
 
@@ -259,7 +284,7 @@ def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
     rho0 = validate_density_matrix(rho0, dim=gen.dim, name="rho0")
     if t < 0:
         raise ValidationError(f"propagation time must be >= 0, got {t}")
-    out = unvec(_propagated(gen.matrix, np.array([t], dtype=float), vec(rho0))[0], gen.dim)
+    out = unvec(_propagated(gen.matrix, np.array([t], dtype=float), vec(rho0))[:, 0], gen.dim)
     return _check_density_matrix(out, f"evolved state at t={t:.6g}", evolved=True)
 
 

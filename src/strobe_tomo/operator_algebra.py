@@ -123,19 +123,10 @@ def unvec(v, n: int) -> np.ndarray:
     return arr.reshape(n, n)
 
 
-def _svd_rank(m: np.ndarray, tol: ToleranceConfig) -> tuple[int, np.ndarray]:
-    """Numerical rank of ``m`` and its descending singular values, from one SVD.
-
-    The rank counts the singular values strictly above ``rank_rtol *
-    sigma_max``: the one threshold behind every rank read off an SVD.
-    """
-    sigma = np.linalg.svd(m, compute_uv=False)
-    return (int(np.sum(sigma > tol.rank_rtol * sigma[0])) if sigma.size else 0), sigma
-
-
 def rank(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Numerical rank: singular values strictly above rank_rtol * sigma_max."""
-    return _svd_rank(as_complex_matrix(m), tol)[0]
+    sigma = np.linalg.svd(as_complex_matrix(m), compute_uv=False)
+    return int(np.sum(sigma > tol.rank_rtol * sigma[0])) if sigma.size else 0
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -30,7 +30,6 @@ from .analysis import SpectralReport, _checked_observables
 from .operator_algebra import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    _svd_rank,
     assert_hermitian,
     hermitian_basis,
     vec,
@@ -179,10 +178,10 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     checked = _checked_observables(observables, model.dim)
 
     states = _propagated(build_generator(model).matrix, grid, state0)
-    _check_density_matrix(states.reshape(-1, model.dim, model.dim),
-                          [f"evolved state at t={t:.6g}" for t in grid], evolved=True)
+    _check_density_matrix(states.T.reshape(-1, model.dim, model.dim),
+                          lambda j: f"evolved state at t={grid[j]:.6g}", evolved=True)
 
-    raw = np.stack([vec(q) for q in checked]).conj() @ states.T
+    raw = np.stack([vec(q) for q in checked]).conj() @ states
     inconsistent = np.abs(raw.imag) > EXPECTATION_IMAG_ATOL * (1.0 + np.abs(raw))
     if inconsistent.any():
         i, j = np.argwhere(inconsistent)[0]
@@ -231,9 +230,10 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     instants, at = np.unique(time, return_inverse=True)
     duals = np.stack([vec(q) for q in checked]).conj()
     # expm(t L)^T = expm(t L^T), so the dual rows step as columns
-    rows = _propagated(build_generator(model).matrix.T, instants, duals.T).swapaxes(1, 2)
-    blocks = rows @ basis.reshape(n * n, n * n).T
-    design = blocks.real[at, index.astype(int)]
+    rows = _propagated(build_generator(model).matrix.T, instants, duals.T)
+    # blocks[k, j, i] = tr(Q_i expm(t_j L)[B_k]), all instants in one product
+    blocks = (basis.reshape(n * n, n * n) @ rows.reshape(n * n, -1)).reshape(rows.shape)
+    design = blocks.real[:, at, index.astype(int)].T
     if not np.all(np.isfinite(design)):
         raise NumericalFailure("design matrix overflows: expm(t * L) is not finite on the record's instants")
     # basis[0] is I/sqrt(n), so unit trace fixes its coefficient
@@ -241,8 +241,10 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     traceless = design[:, 1:]
     target = rhs - identity_coeff * design[:, 0]
 
-    traceless_rank, sigma = _svd_rank(traceless, tol)
-    design_rank = 1 + traceless_rank
+    # one SVD-based solve; LAPACK's gelsd drops singular values <= rank_rtol * sigma_max,
+    # the strict threshold of operator_algebra.rank, and reports the rank it kept
+    coeffs, _, traceless_rank, sigma = np.linalg.lstsq(traceless, target, rcond=tol.rank_rtol)
+    design_rank = 1 + int(traceless_rank)
     required = n * n
     if design_rank < required:
         raise RankDeficiencyError(
@@ -252,8 +254,6 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
             required_rank=required,
         )
     condition = float(sigma[0] / sigma[-1])
-
-    coeffs, *_ = np.linalg.lstsq(traceless, target, rcond=None)
     rho_hat = identity_coeff * basis[0] + np.tensordot(coeffs, basis[1:], axes=1)
     residual = float(np.linalg.norm(traceless @ coeffs - target))
     if not (np.all(np.isfinite(coeffs)) and np.isfinite(residual)):
@@ -302,29 +302,15 @@ def state_distance(a, b) -> tuple[float, float]:
 
 def write_record_csv(record: MeasurementRecord, path) -> None:
     """Write a record as CSV with 17-significant-digit floats (exact roundtrip)."""
-    lines = [",".join(CSV_HEADER)]
-    lines += [f"{int(index)},{time:.17g},{value:.17g},{sigma:.17g}"
-              for index, time, value, sigma in record.entries.tolist()]
+    rows = record.entries.shape[0]
+    text = ",".join(CSV_HEADER) + "\r\n"
+    text += ("%d,%.17g,%.17g,%.17g\r\n" * rows) % tuple(record.entries.ravel().tolist())
     with open(path, "w", newline="") as handle:
-        handle.write("\r\n".join(lines) + "\r\n")
+        handle.write(text)
 
 
-def read_record_csv(path) -> MeasurementRecord:
-    """Read a record written by :func:`write_record_csv`.
-
-    The grid is recovered as the sorted distinct times and the observable
-    count as one past the largest index seen.  A file that cannot be
-    opened, or is not UTF-8 CSV text, raises :class:`ValidationError`.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
-        raise ValidationError(f"cannot read record file {path!s}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationError(f"record file {path!s} is not UTF-8 CSV text: {exc}") from exc
-    if not rows or tuple(h.strip() for h in rows[0]) != CSV_HEADER:
-        raise ValidationError(f"record file {path!s}: expected header {','.join(CSV_HEADER)}")
+def _entries_by_line(rows: list[list[str]], path) -> np.ndarray:
+    """The measurement rows converted one line at a time; an error names its line."""
     entries = np.empty((len(rows) - 1, 4))
     filled = 0
     for lineno, row in enumerate(rows[1:], start=2):
@@ -337,8 +323,38 @@ def read_record_csv(path) -> MeasurementRecord:
         except (ValueError, OverflowError) as exc:
             raise ValidationError(f"record file {path!s}, line {lineno}: {exc}") from exc
         filled += 1
-    if not filled:
+    return entries[:filled]
+
+
+def read_record_csv(path) -> MeasurementRecord:
+    """Read a record written by :func:`write_record_csv`.
+
+    The grid is recovered as the sorted distinct times and the observable
+    count as one past the largest index seen.  The index column is read
+    with ``int()`` and the others with ``float()``, all rows at once; only
+    when that fails are the rows converted one by one, so that the error
+    names the offending line.  A file that cannot be opened, or is not
+    UTF-8 CSV text, raises :class:`ValidationError`.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except OSError as exc:
+        raise ValidationError(f"cannot read record file {path!s}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"record file {path!s} is not UTF-8 CSV text: {exc}") from exc
+    if not rows or tuple(h.strip() for h in rows[0]) != CSV_HEADER:
+        raise ValidationError(f"record file {path!s}: expected header {','.join(CSV_HEADER)}")
+    body = list(filter(None, rows[1:]))
+    try:
+        if set(map(len, body)) != {4}:
+            raise ValueError("not every row has 4 fields")
+        index, *numbers = zip(*body)
+        # numpy converts strings with int() and float(), as the line-by-line path does
+        entries = np.column_stack((np.array(index, dtype=np.int64), np.array(numbers, dtype=float).T))
+    except (ValueError, OverflowError):
+        entries = _entries_by_line(rows, path)
+    if not entries.size:
         raise ValidationError(f"record file {path!s}: no measurement rows")
-    entries = entries[:filled]
     count = int(entries[:, 0].max()) + 1
     return MeasurementRecord(entries=entries, observable_count=count, grid=np.unique(entries[:, 1]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from strobe_tomo import (
+    LindbladModel,
     NumericalFailure,
     SearchExhausted,
     Superoperator,
@@ -15,7 +16,7 @@ from strobe_tomo import (
     verify_observables,
 )
 
-from helpers import jordan_matrix, krylov_subspace, simple_spectrum_models, span_rank
+from helpers import jordan_matrix, krylov_subspace, random_density, simple_spectrum_models, span_rank
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +180,29 @@ class TestKrylovSubspace:
         with pytest.raises(NumericalFailure, match=r"^Krylov element 1 is not hermitian "
                                                    r"\(deviation .*\); .* does not preserve hermiticity$"):
             verify_observables(sup, [np.ones((3, 3)) / 3 + np.eye(3) * 0.5])
+
+
+def _benchmark_search_input(seed: int, n: int, cls: int, round_: int):
+    """The model and search seed of one generic-search benchmark input, drawn as its generator does."""
+    rng = np.random.default_rng([seed, 2, cls, round_])
+    ham = random_hermitian(n, rng)
+    jumps = tuple((float(rng.uniform(0.1, 1.5)), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                  for _ in range(int(rng.integers(1, 4))))
+    random_density(n, rng)  # the initial state is drawn before the search seed
+    return LindbladModel(dim=n, hamiltonian=ham, jumps=jumps), int(rng.integers(2**31))
+
+
+class TestVerifyRoundoff:
+    """Roundoff in the Arnoldi loop never reads as a generator that breaks hermiticity."""
+
+    # two dissipative n = 4 models whose 16th Krylov element used to miss the
+    # hermiticity test by about 1e-10, with |L|_2 = 18.3 and 42.0
+    @pytest.mark.parametrize("seed, round_", [(2, 485), (5, 214)])
+    def test_valid_generator_passes(self, seed, round_):
+        model, search_seed = _benchmark_search_input(seed, 4, 1, round_)
+        gen = build_generator(model)
+        observables = find_observables(gen, seed=search_seed)
+        assert verify_observables(gen, observables) == (True, 16)
 
 
 class TestVerifyObservables:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +16,7 @@ from strobe_tomo import (
     model_to_json,
     read_record_csv,
 )
+import strobe_tomo
 from strobe_tomo.cli import main
 
 from helpers import random_density, random_model
@@ -319,6 +324,29 @@ class TestReconstruct:
         assert code == 6
         err = capsys.readouterr().err
         assert "rank" in err and "9" in err
+
+    def test_calls_in_one_process_print_what_each_prints_alone(self, cooling_files, tmp_path,
+                                                               capsys):
+        record_path = tmp_path / "rec.csv"
+        assert main(["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
+                     str(cooling_files["obs"]), "--sigma", "1e-4", "--out", str(record_path)]) == 0
+        common = ["reconstruct", str(cooling_files["model"]), str(cooling_files["obs"]),
+                  str(record_path), "--truth", str(cooling_files["state"])]
+        calls = [common + ["--json"], common]
+        # each call alone, in a fresh interpreter
+        src = pathlib.Path(strobe_tomo.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        alone = [subprocess.run([sys.executable, "-m", "strobe_tomo", *argv], env=env,
+                                capture_output=True, text=True, check=True).stdout
+                 for argv in calls]
+        capsys.readouterr()
+        together = []
+        for argv in calls:
+            assert main(argv) == 0
+            together.append(capsys.readouterr().out)
+        assert together == alone
+        assert json.loads(together[0])["result"]["design_rank"] == 9
+        assert "design rank      : 9" in together[1]
 
     def test_no_project_reports_raw(self, cooling_files, tmp_path, capsys):
         pure = np.zeros((3, 3))

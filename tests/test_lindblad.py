@@ -196,6 +196,21 @@ class TestSuperoperator:
         sup = Superoperator(dim=3, matrix=np.diag(np.arange(0.0, -9.0, -1.0)))
         assert trace_residual(sup) > 0
 
+    def test_matrix_is_a_read_only_copy(self):
+        # writing into the caller's array does not reach the generator
+        m = np.diag(np.arange(0.0, -9.0, -1.0)).astype(complex)
+        sup = Superoperator(dim=3, matrix=m)
+        m[0, 0] = np.nan
+        assert np.isfinite(sup.matrix).all()
+        with pytest.raises(ValueError, match="read-only"):
+            sup.matrix[0, 0] = 5.0
+
+    def test_built_generator_is_read_only(self):
+        gen = build_generator(laser_cooling_model(1.0, 2.0))
+        with pytest.raises(ValueError, match="read-only"):
+            gen.matrix[0, 0] = 5.0
+        assert np.array_equal(gen.matrix, golden_generator(1.0, 2.0))
+
 
 class TestEvolve:
     def test_time_zero_is_identity(self):
@@ -331,7 +346,7 @@ class TestStackedDensityCheck:
         return np.stack([random_density(3, rng) for _ in range(6)])
 
     def test_valid_stack_passes(self, stack):
-        assert _check_density_matrix(stack, [f"s{i}" for i in range(6)], evolved=True) is stack
+        assert _check_density_matrix(stack, "s{}".format, evolved=True) is stack
 
     @pytest.mark.parametrize("test", TESTS)
     def test_first_failing_instant_is_named(self, stack, test):
@@ -343,7 +358,7 @@ class TestStackedDensityCheck:
         expected = {"hermitian": "is not hermitian", "trace": "has trace",
                     "eigenvalue": "has eigenvalue .* below the floor"}[test]
         with pytest.raises(NumericalFailure, match=rf"^evolved state at t=2 {expected}"):
-            _check_density_matrix(stack, names, evolved=True)
+            _check_density_matrix(stack, names.__getitem__, evolved=True)
 
     @pytest.mark.parametrize("test", TESTS)
     def test_stack_matches_one_by_one(self, stack, test):
@@ -354,12 +369,12 @@ class TestStackedDensityCheck:
             for arr, name in zip(stack, names):
                 _check_density_matrix(arr, name, evolved=True)
         with pytest.raises(NumericalFailure, match=re.escape(str(one_by_one.value))):
-            _check_density_matrix(stack, names, evolved=True)
+            _check_density_matrix(stack, names.__getitem__, evolved=True)
 
     def test_non_finite_state_fails_hermiticity(self, stack):
         stack[1, 0, 0] = np.nan
         with pytest.raises(NumericalFailure, match="s1 is not hermitian"):
-            _check_density_matrix(stack, [f"s{i}" for i in range(6)], evolved=True)
+            _check_density_matrix(stack, "s{}".format, evolved=True)
 
 
 class TestModelJson:

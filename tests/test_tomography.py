@@ -165,7 +165,7 @@ def _horizon(mat: np.ndarray) -> float:
 
 
 class TestPropagation:
-    """Stepping along the grid matches one exponential per instant."""
+    """Doubling or stepping along the grid matches one exponential per instant."""
 
     @pytest.fixture(params=["laser"] + [f"random-{n}" for n in (3, 4, 5, 6)])
     def generator(self, request):
@@ -174,24 +174,30 @@ class TestPropagation:
         n = int(request.param.split("-")[1])
         return build_generator(random_model(n, np.random.default_rng(40 + n))).matrix
 
-    @pytest.mark.parametrize("kind", ["equispaced", "csv-256", "log"])
+    # "equispaced" has 16 instants; the other lengths lie on both sides of
+    # powers of two, where the doubling ends with a partial product
+    @pytest.mark.parametrize("kind", ["equispaced", "csv-256", "log"]
+                             + [f"equispaced-{m}" for m in (1, 2, 3, 5, 100, 255, 257)])
     def test_matches_expm_per_instant(self, generator, kind, tmp_path):
         a = _horizon(generator)
-        if kind == "equispaced":
-            grid = a * np.arange(1, 17) / 16
+        if kind.startswith("equispaced"):
+            m = int(kind.split("-")[1]) if "-" in kind else 16
+            grid = a * np.arange(1, m + 1) / m
         elif kind == "csv-256":
             grid = _record_grid(a * np.arange(1, 257) / 256, tmp_path / "record.csv")
         else:
             grid = np.geomspace(a / 1e3, a, 40)
         rng = np.random.default_rng(5)
         size = generator.shape[0]
-        # the state vector as simulate steps it, and three dual rows as reconstruct does
-        cases = [(generator, rng.standard_normal(size) + 1j * rng.standard_normal(size)),
-                 (generator.T, rng.standard_normal((size, 3)) + 0j)]
-        for mat, operand in cases:
-            stepped = lindblad._propagated(mat, grid, operand)
-            for t, got in zip(grid, stepped):
-                expected = scipy.linalg.expm(t * mat) @ operand
+        # the state vector as simulate propagates it, and three dual rows as reconstruct does
+        state = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        duals = rng.standard_normal((size, 3)) + 0j
+        states = lindblad._propagated(generator, grid, state)
+        rows = lindblad._propagated(generator.T, grid, duals)
+        for t, got_state, got_rows in zip(grid, states.swapaxes(0, 1), rows.swapaxes(0, 1)):
+            # expm(t L^T) = expm(t L)^T
+            prop = scipy.linalg.expm(t * generator)
+            for got, expected in ((got_state, prop @ state), (got_rows, prop.T @ duals)):
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.fixture
@@ -263,6 +269,23 @@ class TestRecordCsv:
             path.write_text(f"observable_index,time,value,sigma\n{row}\n")
             with pytest.raises(ValidationError, match="line 2"):
                 read_record_csv(path)
+
+    @pytest.mark.parametrize("bad", ["0,1,x,0", "0,1,2", "0,1,2,3,4", "1.0,1,2,0", "0,1,2,0,"])
+    def test_error_names_the_line_after_valid_rows(self, tmp_path, bad):
+        # a bad cell, a ragged row, or a float literal in the index column on
+        # line 5, after three valid rows and a blank line
+        path = tmp_path / "bad.csv"
+        path.write_text("observable_index,time,value,sigma\n0,1,0.5,0\n\n1,1,0.25,0\n"
+                        f"{bad}\n0,2,0.5,0\n")
+        with pytest.raises(ValidationError, match="line 5: "):
+            read_record_csv(path)
+
+    def test_cells_read_as_int_and_float_read_them(self, tmp_path):
+        path = tmp_path / "record.csv"
+        rows = [" 1 ,1.5e0, -2 ,0", "+0,1_5e-1,.25,1E-3", "00,\t3\t,1_0,5."]
+        path.write_text("observable_index,time,value,sigma\n" + "\n".join(rows) + "\n")
+        expected = [[int(r[0]), *map(float, r[1:])] for r in (row.split(",") for row in rows)]
+        assert read_record_csv(path).entries.tolist() == expected
 
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,0 +1,232 @@
+"""Per-input answers of the benchmark workloads, recorded on one checkout and compared.
+
+Record the answers of a checkout (run from anywhere; ``CHECKOUT`` is the
+root of a source tree with ``src/`` and ``perfbench/``)::
+
+    python3 tools/same_answers.py record CHECKOUT --out answers.json \\
+        --seeds 1 2 3 --rounds paper-loop=40 generic-spectrum=6 generic-search=500 long-record=8
+
+Each input is made, run and checked by the checkout's own
+``perfbench/workloads.py`` and ``perfbench/oracle.py``, untimed.  For each
+one the file holds ``eta``, ``mu``, the failure causes, ``rho_hat``, the
+design rank and condition that ``reconstruct`` reported.  For a
+long-record input it also holds the SHA-256 of the CSV that
+``write_record_csv`` makes of one fixed record, whose values the oracle
+computes with one exponential per instant, and whether ``read_record_csv``
+reads that file back to the same entries.  (The record the workload
+simulates itself may differ between checkouts in the last bits of its
+values.)  Compare two such files::
+
+    python3 tools/same_answers.py compare parent.json change.json
+
+The comparison lists every input whose ``eta``, ``mu``, causes, design
+rank, CSV bytes or CSV roundtrip differ, or whose ``rho_hat`` differs from the first
+file's by more than 1e-12 (Frobenius) where the first file's design
+condition is below 1e4, and by more than 1e-14 times that condition
+elsewhere.  It exits with 1 when it lists anything.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+# one BLAS thread, as in the benchmark, before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import hashlib
+import json
+import shutil
+import tempfile
+
+import numpy as np
+import scipy.linalg
+
+#: rounds per workload when ``--rounds`` does not name it
+DEFAULT_ROUNDS = {"paper-loop": 40, "generic-spectrum": 6, "generic-search": 500, "long-record": 8}
+#: design condition below which rho_hat must agree to ABSOLUTE_TOL
+WELL_CONDITIONED = 1e4
+ABSOLUTE_TOL = 1e-12
+#: elsewhere rho_hat must agree to this multiple of the design condition
+RELATIVE_TOL = 1e-14
+#: differences printed per field
+SHOWN = 20
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record", help="run the workloads of one checkout and write its answers")
+    rec.add_argument("checkout", help="root of the source checkout to run")
+    rec.add_argument("--out", required=True, help="output JSON path")
+    rec.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    rec.add_argument("--rounds", nargs="+", default=[], metavar="WORKLOAD=N",
+                     help="rounds per workload (defaults: %s)"
+                          % " ".join(f"{k}={v}" for k, v in DEFAULT_ROUNDS.items()))
+    cmp_ = sub.add_parser("compare", help="list the inputs whose answers differ")
+    cmp_.add_argument("first", help="answers of the reference checkout")
+    cmp_.add_argument("second", help="answers of the checkout under test")
+    return parser.parse_args(argv)
+
+
+def rounds_per_workload(items: list[str]) -> dict[str, int]:
+    rounds = dict(DEFAULT_ROUNDS)
+    for item in items:
+        name, _, count = item.partition("=")
+        if name not in rounds or not count.isdigit():
+            sys.exit(f"same_answers: bad --rounds item {item!r}; use WORKLOAD=N with WORKLOAD "
+                     f"one of {', '.join(DEFAULT_ROUNDS)}")
+        rounds[name] = int(count)
+    return rounds
+
+
+class DesignProbe:
+    """Wraps ``reconstruct`` to keep the design rank and condition of its last call."""
+
+    def __init__(self, reconstruct):
+        self.reconstruct = reconstruct
+        self.last: dict = {}
+
+    def __call__(self, *args, **kwargs):
+        try:
+            result = self.reconstruct(*args, **kwargs)
+        except Exception as exc:
+            self.last = {"design_rank": getattr(exc, "achieved_rank", None)}
+            raise
+        self.last = {"design_rank": result.design_rank, "design_condition": result.design_condition}
+        return result
+
+
+def oracle_record(st, oracle, inp: dict):
+    """The noiseless record of a long-record input, its values computed by the oracle."""
+    mat = oracle.superoperator(inp["ham"], inp["jumps"])
+    duals = np.array([np.asarray(q, dtype=complex).reshape(-1).conj() for q in inp["observables"]])
+    state = np.asarray(inp["rho0"], dtype=complex).reshape(-1)
+    values = np.array([(duals @ (scipy.linalg.expm(t * mat) @ state)).real for t in inp["grid"]]).T
+    count, size = values.shape
+    entries = np.column_stack((np.arange(count).repeat(size), np.tile(inp["grid"], count),
+                               values.reshape(-1), np.zeros(values.size)))
+    return st.MeasurementRecord(entries=entries, observable_count=count, grid=inp["grid"])
+
+
+def csv_answers(st, oracle, inp: dict, path: str) -> dict:
+    """The SHA-256 of the oracle record's CSV, and whether reading it back gives the record."""
+    rec = oracle_record(st, oracle, inp)
+    st.write_record_csv(rec, path)
+    with open(path, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    back = st.read_record_csv(path)
+    os.remove(path)
+    return {"csv_sha256": digest, "csv_roundtrip": back.entries.tobytes() == rec.entries.tobytes()}
+
+
+def record(args) -> None:
+    root = os.path.abspath(args.checkout)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import strobe_tomo
+    import strobe_tomo.cli
+    import oracle
+    import workloads
+
+    if not os.path.abspath(strobe_tomo.__file__).startswith(os.path.join(root, "src") + os.sep):
+        sys.exit(f"same_answers: imported strobe_tomo from {strobe_tomo.__file__}, not from {root}")
+    probe = DesignProbe(strobe_tomo.reconstruct)
+    # workloads calls strobe_tomo.reconstruct, and the CLI its own imported name
+    strobe_tomo.reconstruct = strobe_tomo.cli.reconstruct = probe
+    answers = []
+    workdir = tempfile.mkdtemp(prefix="same-answers-")
+    try:
+        for name, count in rounds_per_workload(args.rounds).items():
+            wl = workloads.build(name, workdir)
+            for seed in args.seeds:
+                for k in range(count):
+                    for cls, cls_name in enumerate(wl.classes):
+                        inp = wl.make(seed, cls, k)
+                        out: dict = {}
+                        probe.last = {}
+                        try:
+                            wl.run(inp, out)
+                        except Exception as exc:  # the answer is the failure's cause
+                            out["error"] = type(exc).__name__
+                        try:
+                            causes = wl.check(inp, out)
+                        except oracle.Unverifiable:
+                            causes = ["unverifiable"]
+                        entry = {"workload": name, "seed": seed, "class": cls_name, "round": k,
+                                 "eta": out.get("eta"), "mu": out.get("mu"), "causes": causes,
+                                 **probe.last}
+                        if "rho_hat" in out:
+                            rho = np.asarray(out["rho_hat"], dtype=complex)
+                            entry["rho_hat"] = [rho.real.tolist(), rho.imag.tolist()]
+                        if "paths" in inp:
+                            entry.update(csv_answers(strobe_tomo, oracle, inp,
+                                                     os.path.join(workdir, "oracle-record.csv")))
+                        answers.append(entry)
+            print(f"{name}: {sum(a['workload'] == name for a in answers)} inputs", file=sys.stderr)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    with open(args.out, "w") as handle:
+        json.dump({"checkout": root, "answers": answers}, handle)
+
+
+def key(entry: dict) -> tuple:
+    return entry["workload"], entry["seed"], entry["class"], entry["round"]
+
+
+def rho_gap(a: dict, b: dict) -> tuple[float, float] | None:
+    """(Frobenius distance of the two rho_hat, allowed distance), or None when neither has one."""
+    if "rho_hat" not in a and "rho_hat" not in b:
+        return None
+    if "rho_hat" not in a or "rho_hat" not in b:
+        return float("inf"), 0.0
+    ra, rb = (np.array(e["rho_hat"][0]) + 1j * np.array(e["rho_hat"][1]) for e in (a, b))
+    condition = a.get("design_condition") or float("inf")
+    allowed = ABSOLUTE_TOL if condition < WELL_CONDITIONED else RELATIVE_TOL * condition
+    return float(np.linalg.norm(ra - rb)), allowed
+
+
+def compare(args) -> int:
+    with open(args.first) as handle:
+        first = {key(e): e for e in json.load(handle)["answers"]}
+    with open(args.second) as handle:
+        second = {key(e): e for e in json.load(handle)["answers"]}
+    common = sorted(first.keys() & second.keys())
+    differences: dict[str, list[str]] = {}
+    worst = 0.0
+    for k in common:
+        a, b = first[k], second[k]
+        label = "{} seed {} {} round {}".format(*k)
+        for field in ("eta", "mu", "causes", "design_rank", "csv_sha256", "csv_roundtrip"):
+            if a.get(field) != b.get(field):
+                differences.setdefault(field, []).append(f"{label}: {a.get(field)!r} -> {b.get(field)!r}")
+        gap = rho_gap(a, b)
+        if gap is not None:
+            distance, allowed = gap
+            if allowed > 0:
+                worst = max(worst, distance / allowed)
+            if not distance <= allowed:
+                differences.setdefault("rho_hat", []).append(
+                    f"{label}: |delta| {distance:.3e} > {allowed:.3e} "
+                    f"(condition {a.get('design_condition')})")
+    missing = len(first.keys() ^ second.keys())
+    print(f"compared {len(common)} inputs ({missing} in only one file); "
+          f"largest rho_hat gap {worst:.3g} of its allowance")
+    for field, lines in differences.items():
+        print(f"{field}: {len(lines)} inputs differ")
+        for line in lines[:SHOWN]:
+            print(f"  {line}")
+    return 1 if differences or missing else 0
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.command == "record":
+        record(args)
+        return 0
+    return compare(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
