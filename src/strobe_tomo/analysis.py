@@ -14,6 +14,7 @@ random sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .operator_algebra import (
     DEFAULT_TOLERANCES,
     EigenvalueCluster,
     ToleranceConfig,
+    _hermitian_form,
     _minimal_polynomial_of,
     assert_hermitian,
     eigen_structure,
@@ -51,18 +53,24 @@ class SpectralReport:
     sum of the eigenvalue indices (upper bound on instants per
     observable), ``measurement_budget`` their product, and
     ``static_observable_count`` the dim^2 - 1 observables a dynamics-blind
-    reconstruction would need instead.  ``min_poly`` holds the monic
-    ascending coefficients expanded from the roots, for display.  Reports
-    compare and hash by identity; compare contents with ``np.array_equal``.
+    reconstruction would need instead.  The clusters come from the
+    generator in hermitian coordinates, a real matrix for every generator
+    that preserves hermiticity (see :func:`spectral_report`).
+    ``min_poly`` holds the monic ascending coefficients expanded from the
+    roots, for display; it is computed on first access.  Reports compare
+    and hash by identity; compare contents with ``np.array_equal``.
     """
 
     dim: int
     distinct_eigenvalues: tuple[EigenvalueCluster, ...]
     eta: int
     mu: int
-    min_poly: np.ndarray
     static_observable_count: int
     measurement_budget: int
+
+    @cached_property
+    def min_poly(self) -> np.ndarray:
+        return _minimal_polynomial_of(self.distinct_eigenvalues)
 
 
 class VerificationResult(NamedTuple):
@@ -73,13 +81,19 @@ class VerificationResult(NamedTuple):
 def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralReport:
     """Cluster the spectrum once and derive the resource bounds from it.
 
-    Everything comes from one :func:`eigen_structure` call: ``eta`` is the
-    largest geometric multiplicity, ``mu`` the sum of the eigenvalue
-    indices (the minimal-polynomial degree), and ``min_poly`` is expanded
-    from those roots for display.  Only multiple eigenvalues cost an SVD,
-    and defective generators are handled like any other.
+    Everything comes from one :func:`eigen_structure` call on the
+    generator in hermitian coordinates, ``T^dag L T`` with ``T`` the
+    columns ``vec(B_k)`` of :func:`hermitian_basis`: a unitary change of
+    basis, so the spectrum and the Jordan structure are those of ``L``.
+    For a generator that preserves hermiticity, as every Lindblad
+    generator does, that matrix is real, and the eigenvalues and SVDs run
+    in real arithmetic; any other generator is analysed as given.  ``eta``
+    is the largest geometric multiplicity, ``mu`` the sum of the
+    eigenvalue indices (the minimal-polynomial degree).  Only multiple
+    eigenvalues cost an SVD, and defective generators are handled like any
+    other.
     """
-    distinct = eigen_structure(gen.matrix, tol)
+    distinct = eigen_structure(_hermitian_form(gen.matrix, gen.dim), tol)
     eta = max(c.geometric_multiplicity for c in distinct)
     mu = sum(c.index for c in distinct)
     return SpectralReport(
@@ -87,7 +101,6 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
         distinct_eigenvalues=distinct,
         eta=eta,
         mu=mu,
-        min_poly=_minimal_polynomial_of(distinct),
         static_observable_count=gen.dim * gen.dim - 1,
         measurement_budget=eta * mu,
     )
@@ -120,13 +133,15 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     replaced by its hermitian part.  That last step drops the roundoff of
     the projections, which normalization amplifies near breakdown, so the
     hermiticity test below sees only what ``L*`` itself does.  A chain
-    ends at breakdown.  An observable's own direction counts when its
-    residual exceeds ``rank_rtol`` times its norm, a later element when
-    its residual exceeds ``rank_rtol * |L|_2``, so roundoff never adds a
-    direction.  No Krylov depth is needed.  The set reconstructs
-    arbitrary states iff the basis reaches dim^2 vectors; ``achieved_rank``
-    is its size.  ``L*`` is the conjugate transpose of ``gen.matrix``; an
-    element it makes non-hermitian raises :class:`NumericalFailure`.
+    ends at breakdown, and the loop once the basis is complete: ``L*`` is
+    never applied to the element that completes it.  An observable's own
+    direction counts when its residual exceeds ``rank_rtol`` times its
+    norm, a later element when its residual exceeds ``rank_rtol * |L|_2``,
+    so roundoff never adds a direction.  No Krylov depth is needed.  The
+    set reconstructs arbitrary states iff the basis reaches dim^2 vectors;
+    ``achieved_rank`` is its size.  ``L*`` is the conjugate transpose of
+    ``gen.matrix``; an element it makes non-hermitian raises
+    :class:`NumericalFailure`.
     """
     checked = _checked_observables(observables, gen.dim)
     n2 = gen.dim * gen.dim
@@ -146,6 +161,8 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
                 break
             basis[size] = resid / norm
             size += 1
+            if size == n2:
+                break
             step += 1
             candidate = adjoint @ basis[size - 1]
             element = unvec(candidate, gen.dim)

@@ -267,7 +267,7 @@ def _check_density_matrix(arr: np.ndarray, name: str | Callable[[int], str], *,
 
 def validate_density_matrix(rho, *, dim: int | None = None, name: str = "rho") -> np.ndarray:
     """Check hermiticity, unit trace and positivity; return the coerced array."""
-    arr = _square(rho, name)
+    arr = _square(rho, name, dtype=complex)
     if dim is not None and arr.shape != (dim, dim):
         raise ValidationError(f"{name} has shape {arr.shape}, expected ({dim}, {dim})")
     return _check_density_matrix(arr, name)

@@ -1,7 +1,9 @@
-"""Dense complex matrix kernel.
+"""Dense matrix kernel.
 
 All values are plain ``numpy.ndarray`` with ``complex128`` entries, kept in
-row-major (C) order so that :func:`vec` is literal row-stacking.  The
+row-major (C) order so that :func:`vec` is literal row-stacking; the
+spectral routines (:func:`eigenvalues`, :func:`rank`, :func:`eigen_structure`)
+keep a real ``float64`` input real and run real LAPACK on it.  The
 routines here are the shared substrate for generator construction, spectral
 analysis and reconstruction; none of them keeps internal state, so every
 function is safe to call from multiple threads.
@@ -10,6 +12,7 @@ function is safe to call from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -70,8 +73,15 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D complex128 array, rejecting anything else."""
+    return _matrix(a, name, complex)
+
+
+def _matrix(a, name: str = "matrix", dtype=None) -> np.ndarray:
+    """``a`` as a 2-D array of ``dtype``; by default float64 for real entries, complex128 otherwise."""
     try:
-        arr = np.asarray(a, dtype=complex)
+        arr = np.asarray(a, dtype=dtype)
+        if dtype is None and arr.dtype.char not in "dD":
+            arr = arr.astype(float if arr.dtype.kind in "biuf" else complex)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} is not convertible to a complex matrix: {exc}") from exc
     if arr.ndim != 2:
@@ -79,8 +89,8 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _square(a, name: str = "matrix") -> np.ndarray:
-    arr = as_complex_matrix(a, name)
+def _square(a, name: str = "matrix", dtype=None) -> np.ndarray:
+    arr = _matrix(a, name, dtype)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     if arr.size == 0:
@@ -103,7 +113,7 @@ def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
 
 
 def assert_hermitian(a, name: str = "matrix") -> np.ndarray:
-    arr = _square(a, name)
+    arr = _square(a, name, dtype=complex)
     if not is_hermitian(arr):
         dev = float(np.abs(arr - arr.conj().T).max())
         raise ValidationError(f"{name} is not hermitian (max |A - A^dag| = {dev:.3e})")
@@ -124,8 +134,11 @@ def unvec(v, n: int) -> np.ndarray:
 
 
 def rank(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Numerical rank: singular values strictly above rank_rtol * sigma_max."""
-    sigma = np.linalg.svd(as_complex_matrix(m), compute_uv=False)
+    """Numerical rank: singular values strictly above rank_rtol * sigma_max.
+
+    A real matrix gets a real SVD.
+    """
+    sigma = np.linalg.svd(_matrix(m), compute_uv=False)
     return int(np.sum(sigma > tol.rank_rtol * sigma[0])) if sigma.size else 0
 
 
@@ -133,7 +146,10 @@ def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a square matrix, with multiplicity.
 
     Backed by the LAPACK nonsymmetric solver (Hessenberg reduction followed
-    by shifted QR).  Non-convergence is reported, never silently truncated.
+    by shifted QR), in real arithmetic for a real matrix: its complex
+    eigenvalues then come in exact conjugate pairs, and the result is a
+    real array when every eigenvalue is real.  Non-convergence is
+    reported, never silently truncated.
     """
     arr = _square(m)
     try:
@@ -146,7 +162,7 @@ def eigenvalues(m) -> np.ndarray:
 
 def expm(m) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with a Pade approximant."""
-    return scipy.linalg.expm(_square(m))
+    return scipy.linalg.expm(_square(m, dtype=complex))
 
 
 class EigenvalueCluster(NamedTuple):
@@ -162,11 +178,13 @@ class EigenvalueCluster(NamedTuple):
     index: int
 
 
-def _group_close(values: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Single-linkage groups of values within ``radius``, as index arrays.
+def _group_close(values: np.ndarray, radius: float) -> tuple[np.ndarray, list[list[int]]]:
+    """Single-linkage groups of values within ``radius``: the lone values, then the groups.
 
     Distances are tested for all pairs at once; union-find then runs only
-    over the pairs that are close.
+    over the pairs that are close.  Returns the indices of the values with
+    no other value within ``radius``, and the index lists of the groups of
+    two or more.
     """
     parent = list(range(values.size))
 
@@ -176,13 +194,16 @@ def _group_close(values: np.ndarray, radius: float) -> list[np.ndarray]:
             i = parent[i]
         return i
 
-    close = np.abs(values[:, None] - values[None, :]) <= radius
-    for i, j in zip(*np.nonzero(np.triu(close, 1))):
-        parent[find(int(i))] = find(int(j))
+    close = np.abs(values[:, None] - values) <= radius
+    np.fill_diagonal(close, False)
+    first, second = np.nonzero(close)
+    for i, j in zip(first.tolist(), second.tolist()):
+        parent[find(i)] = find(j)
+    paired = close.any(axis=1)
     groups: dict[int, list[int]] = {}
-    for i in range(values.size):
+    for i in np.flatnonzero(paired).tolist():
         groups.setdefault(find(i), []).append(i)
-    return [np.array(members) for members in groups.values()]
+    return np.flatnonzero(~paired), list(groups.values())
 
 
 def _jordan_counts(shifted: np.ndarray, algebraic: int,
@@ -215,34 +236,39 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
     """Distinct eigenvalues of ``m`` with multiplicities and indices.
 
     The eigenvalues are computed once and grouped by single linkage within
-    ``|m|_F * EIG_CLUSTER_RTOL**(2/3)``; a group's value is the mean of its
-    members and its size the algebraic multiplicity.  A simple eigenvalue has
-    geometric multiplicity and index 1 and costs nothing more.  For a
-    multiple one both come from the numerical ranks of the powers of
-    ``(m - value*I) / |m|_F``, one SVD per power, stopping at the index.
-    Clusters are ordered by decreasing real part, then increasing
-    imaginary part.  A matrix whose Frobenius norm overflows raises
-    :class:`NumericalFailure`.
+    ``|m|_F * EIG_CLUSTER_RTOL**(2/3)``; a group's size is the algebraic
+    multiplicity, and its value the one member or the mean of several.  A
+    simple eigenvalue has geometric multiplicity and index 1 and costs
+    nothing more.  For a multiple one both come from the numerical ranks of
+    the powers of ``(m - value*I) / |m|_F``, one SVD per power, stopping at
+    the index.  A real ``m`` stays real throughout: its eigenvalues come
+    from real LAPACK in conjugate pairs, and a group closed under
+    conjugation (one member within half the radius of the real axis) has
+    a real mean, so the SVDs of its powers are real too.  Clusters are
+    ordered by decreasing real part, then increasing imaginary part.  A
+    matrix whose Frobenius norm overflows raises :class:`NumericalFailure`.
     """
     arr = _square(m)
     values = eigenvalues(arr)
     norm_f = float(np.linalg.norm(arr))
     if not np.isfinite(norm_f):
         raise NumericalFailure("matrix norm overflows the float range")
-    clusters = []
+    real = not np.iscomplexobj(arr)
     # A computed Jordan chain of length k spreads by about |m| * delta**(1/k),
     # delta the eigensolver's relative backward error.  EIG_CLUSTER_RTOL is
     # delta**(1/2), the spread of a chain of length 2, so this radius
     # delta**(1/3) also holds chains of length 3.
     radius = norm_f * EIG_CLUSTER_RTOL ** (2.0 / 3.0)
-    for members in _group_close(values, radius):
-        value = complex(values[members].mean())
-        count = int(members.size)
-        geometric = index = 1
-        if count > 1:
-            shifted = (arr - value * np.eye(arr.shape[0])) / (norm_f or 1.0)
-            geometric, index = _jordan_counts(shifted, count, tol)
-        clusters.append(EigenvalueCluster(value, count, geometric, index))
+    lone, groups = _group_close(values, radius)
+    clusters = [EigenvalueCluster(value, 1, 1, 1) for value in values[lone].astype(complex).tolist()]
+    for members in groups:
+        group = values[members]
+        value = group.mean()
+        if real and np.abs(group.imag).min() <= radius / 2:
+            value = value.real
+        shifted = (arr - value * np.eye(arr.shape[0])) / (norm_f or 1.0)
+        geometric, index = _jordan_counts(shifted, group.size, tol)
+        clusters.append(EigenvalueCluster(complex(value), group.size, geometric, index))
     clusters.sort(key=lambda c: (-c.value.real, c.value.imag))
     return tuple(clusters)
 
@@ -250,11 +276,15 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
 def _minimal_polynomial_of(clusters: Sequence[EigenvalueCluster]) -> np.ndarray:
     """Monic ascending coefficients of ``prod (x - value)**index`` over the clusters.
 
-    Coefficients with magnitude below ``1e-9 * max |c|`` are snapped to zero.
+    Coefficients other than the leading one are snapped to zero when their
+    magnitude is below ``1e-9`` times the largest finite magnitude.
     """
     roots = [c.value for c in clusters for _ in range(c.index)]
     coeffs = np.asarray(np.poly(roots), dtype=complex)[::-1].copy()
-    coeffs[np.abs(coeffs) < 1e-9 * np.abs(coeffs).max()] = 0.0
+    magnitude = np.abs(coeffs)
+    small = magnitude < 1e-9 * magnitude[np.isfinite(magnitude)].max()
+    small[-1] = False
+    coeffs[small] = 0.0
     return coeffs
 
 
@@ -264,7 +294,8 @@ def minimal_polynomial(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarr
     Built from the roots given by :func:`eigen_structure`: each distinct
     eigenvalue appears as often as its index, so the degree is the sum of
     the indices and defective matrices need no special casing.
-    Coefficients with magnitude below ``1e-9 * max |c|`` are snapped to zero.
+    Coefficients other than the leading one are snapped to zero when their
+    magnitude is below ``1e-9`` times the largest finite magnitude.
     """
     return _minimal_polynomial_of(eigen_structure(m, tol))
 
@@ -297,6 +328,55 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
         diag[level, level] = -level
         basis.append(diag / np.sqrt(level * (level + 1)))
     return basis
+
+
+@lru_cache(maxsize=None)
+def _hermitian_indices(n: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Row-stacked index arithmetic of :func:`hermitian_basis`, as ``(rows, cols, pairs, levels)``.
+
+    ``rows`` lists the ``pairs`` entries ``jk`` with ``j < k``, then the
+    diagonal entries ``jj``; ``cols`` lists the same ``jk``, their mirrors
+    ``kj``, then the diagonal.  ``levels`` holds, on the diagonal entries,
+    the normalized identity and the diagonal family.
+    """
+    j, k = np.triu_indices(n, 1)
+    diagonal = np.arange(n) * (n + 1)
+    levels = np.triu(np.ones((n, n)), 1) - np.diag(np.arange(n))
+    levels[:, 0] = 1.0
+    levels /= np.linalg.norm(levels, axis=0)
+    return (np.concatenate([j * n + k, diagonal]), np.concatenate([j * n + k, k * n + j, diagonal]),
+            j.size, levels)
+
+
+def _hermitian_form(m: np.ndarray, n: int) -> np.ndarray:
+    """A generator in hermitian coordinates: ``T^dag m T``, real when ``m`` preserves hermiticity.
+
+    ``T`` has the columns ``vec(B_k)`` of :func:`hermitian_basis`, so it is
+    unitary and the result has the spectrum, Jordan structure and
+    Frobenius norm of ``m``.  A generator that maps hermitian matrices to
+    hermitian matrices, ``m[kj, ml] = conj(m[jk, lm])`` for all indices,
+    is a real matrix in these coordinates (Gorini, Kossakowski & Sudarshan,
+    J. Math. Phys. 17, 821 (1976)).  That symmetry holds exactly when the
+    reshuffled matrix ``C[jl, km] = m[jk, lm]`` is hermitian, which
+    :func:`is_hermitian` tests on the whole of it.  Where it holds, each
+    column of ``m T`` is a hermitian matrix, so only its rows ``jk`` with
+    ``j <= k`` are formed, and the result is real.  Any other ``m`` (one
+    with a NaN or infinite entry too) is returned as given.
+    """
+    if not is_hermitian(m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)):
+        return m
+    rows, cols, pairs, levels = _hermitian_indices(n)
+    # sqrt(2) (m T) on the rows jk (j < k) and jj: the symmetric and the
+    # antisymmetric family from the entry pairs, the others from levels
+    block = m[rows][:, cols]
+    upper, lower = block[:, :pairs], block[:, pairs:2 * pairs]
+    diagonal = block[:, 2 * pairs:] @ (levels * np.sqrt(2.0))
+    scaled = np.concatenate([diagonal[:, :1], upper + lower, (lower - upper) * 1j, diagonal[:, 1:]], axis=1)
+    # entry kj of each column is the conjugate of entry jk, so the symmetric and
+    # the antisymmetric rows of T^dag (m T) are the real and minus the imaginary
+    # parts of sqrt(2) times row jk
+    diagonal = levels.T @ scaled[pairs:].real / np.sqrt(2.0)
+    return np.concatenate([diagonal[:1], scaled[:pairs].real, -scaled[:pairs].imag, diagonal[1:]])
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

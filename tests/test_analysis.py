@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import strobe_tomo.operator_algebra
 from strobe_tomo import (
     LindbladModel,
     NumericalFailure,
@@ -8,11 +9,13 @@ from strobe_tomo import (
     Superoperator,
     ValidationError,
     build_generator,
+    eigen_structure,
     find_observables,
     hermitian_basis,
     laser_cooling_model,
     random_hermitian,
     spectral_report,
+    vec,
     verify_observables,
 )
 
@@ -102,6 +105,74 @@ class TestSpectralReport:
             assert abs(np.polyval(coeffs, c.value)) <= 1e-7
 
 
+def hamiltonian_only_generator(n: int, seed: int) -> Superoperator:
+    """Random Hamiltonian, no dissipation: eigenvalue 0 with multiplicity n, the rest simple."""
+    ham = random_hermitian(n, np.random.default_rng(seed))
+    return build_generator(LindbladModel(dim=n, hamiltonian=ham))
+
+
+class TestRealForm:
+    """The report reads the generator in hermitian coordinates; the structure is that of the matrix itself."""
+
+    @staticmethod
+    def assert_same_structure(gen):
+        report = spectral_report(gen)
+        direct = eigen_structure(gen.matrix)
+        scale = np.linalg.norm(gen.matrix)
+        assert len(report.distinct_eigenvalues) == len(direct)
+        matched = set()
+        for c in direct:
+            i = int(np.argmin([abs(r.value - c.value) for r in report.distinct_eigenvalues]))
+            mine = report.distinct_eigenvalues[i]
+            assert abs(mine.value - c.value) <= 1e-10 * scale
+            assert mine[1:] == c[1:]
+            matched.add(i)
+        assert len(matched) == len(direct)
+        assert report.eta == max(c.geometric_multiplicity for c in direct)
+        assert report.mu == sum(c.index for c in direct)
+        return report
+
+    def test_laser_cooling(self, cooling_gen):
+        report = self.assert_same_structure(cooling_gen)
+        assert (report.eta, report.mu) == (4, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_simple_spectrum_models(self, n):
+        for model in simple_spectrum_models(n, count=3, seed=200 + n):
+            report = self.assert_same_structure(build_generator(model))
+            assert (report.eta, report.mu) == (1, n * n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_hamiltonian_only_models(self, n):
+        report = self.assert_same_structure(hamiltonian_only_generator(n, seed=300 + n))
+        zero = min(report.distinct_eigenvalues, key=lambda c: abs(c.value))
+        assert zero[1:] == (n, n, 1)
+        assert (report.eta, report.mu) == (n, n * n - n + 1)
+
+    def test_generator_breaking_hermiticity_analysed_as_given(self):
+        gen = Superoperator(dim=3, matrix=jordan_matrix(9, [(-1.0, 3), (-2.5, 1), (-2.5, 1)], seed=4))
+        assert spectral_report(gen).distinct_eigenvalues == eigen_structure(gen.matrix)
+
+    def test_cluster_closed_under_conjugation_has_real_svds(self, monkeypatch):
+        seen = []
+        rank = strobe_tomo.operator_algebra.rank
+
+        def spy(m, *args):
+            seen.append(m.dtype)
+            return rank(m, *args)
+
+        monkeypatch.setattr(strobe_tomo.operator_algebra, "rank", spy)
+        report = spectral_report(hamiltonian_only_generator(4, seed=304))
+        assert report.eta == 4
+        assert seen and set(seen) == {np.dtype(np.float64)}
+
+    def test_min_poly_computed_on_first_read(self, cooling_gen):
+        report = spectral_report(cooling_gen)
+        assert "min_poly" not in vars(report)
+        assert report.min_poly is report.min_poly
+        assert report.min_poly == pytest.approx([0.0, 4.5, 4.5, 1.0], rel=1e-12)
+
+
 class TestSpectralStructure:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_simple_spectrum_random_models(self, n):
@@ -180,6 +251,15 @@ class TestKrylovSubspace:
         with pytest.raises(NumericalFailure, match=r"^Krylov element 1 is not hermitian "
                                                    r"\(deviation .*\); .* does not preserve hermiticity$"):
             verify_observables(sup, [np.ones((3, 3)) / 3 + np.eye(3) * 0.5])
+
+    def test_complete_basis_is_not_propagated(self):
+        # L* sends B_last to i*I and every other basis element to 0; B_last completes
+        # the basis, so its image is never needed and never tested
+        n = 2
+        basis = [vec(b) for b in hermitian_basis(n)]
+        adjoint = 1j * np.outer(vec(np.eye(n)), basis[-1].conj())
+        gen = Superoperator(dim=n, matrix=adjoint.conj().T)
+        assert verify_observables(gen, hermitian_basis(n)) == (True, n * n)
 
 
 def _benchmark_search_input(seed: int, n: int, cls: int, round_: int):

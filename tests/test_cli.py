@@ -46,6 +46,11 @@ class TestAnalyze:
         assert "measurement budget eta*mu             : 12" in out
         assert "static tomography observable count    : 8" in out
 
+    def test_large_rates_keep_the_monic_coefficient(self, capsys):
+        assert main(["analyze", "--gamma1", "1e5", "--gamma2", "2e5"]) == 0
+        out = capsys.readouterr().out
+        assert "minimal polynomial (ascending, monic) : [0, 45000000000, 450000, 1]" in out
+
     def test_json_document(self, capsys):
         assert main(["analyze", "--gamma1", "1", "--gamma2", "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -18,9 +18,14 @@ from strobe_tomo import (
     vec,
 )
 
-from strobe_tomo.operator_algebra import EIG_CLUSTER_RTOL
+from strobe_tomo.operator_algebra import (
+    EIG_CLUSTER_RTOL,
+    EigenvalueCluster,
+    _hermitian_form,
+    _minimal_polynomial_of,
+)
 
-from helpers import cofactor_det, random_density
+from helpers import cofactor_det, jordan_matrix, random_density, random_model
 
 E1 = np.zeros((3, 3), dtype=complex)
 E1[0, 1] = 1.0
@@ -101,6 +106,19 @@ class TestRank:
         prod = tall @ wide
         assert rank(prod) == 2
 
+    def test_real_matrix_gets_a_real_svd(self, monkeypatch):
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert rank(np.diag([1.0, 2.0, 0.0])) == 2
+        assert rank(np.diag([1.0, 2.0j, 0.0])) == 2
+        assert seen == [np.float64, np.complex128]
+
 
 class TestEigenvalues:
     def test_diagonal(self):
@@ -137,6 +155,14 @@ class TestEigenvalues:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             eigenvalues(np.ones((2, 3)))
+
+    def test_real_matrix_stays_real(self):
+        # real LAPACK returns complex eigenvalues in exact conjugate pairs
+        m = np.random.default_rng(7).standard_normal((8, 8))
+        vals = eigenvalues(m)
+        assert np.iscomplexobj(vals)
+        assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
+        assert eigenvalues(np.diag([1.0, -2.0])).dtype == np.float64
 
 
 class TestExpm:
@@ -203,6 +229,19 @@ class TestMinimalPolynomial:
             power = power @ m
         assert np.abs(value).max() <= 1e-8 * np.linalg.norm(m) ** deg
 
+    def test_monic_coefficient_survives_large_rates(self):
+        # roots 0, -1.5e5, -3e5: the monic coefficient is 2e-11 of the largest one
+        coeffs = minimal_polynomial(build_generator(laser_cooling_model(1e5, 2e5)).matrix)
+        assert coeffs[-1] == 1.0
+        assert coeffs == pytest.approx([0.0, 4.5e10, 4.5e5, 1.0], rel=1e-9)
+
+    def test_overflowing_coefficient_scales_nothing(self):
+        # (x - 1e200)(x - 2e200): the constant term overflows, the others are finite
+        coeffs = _minimal_polynomial_of([EigenvalueCluster(1e200, 1, 1, 1), EigenvalueCluster(2e200, 1, 1, 1)])
+        assert coeffs[0] == np.inf
+        assert coeffs[1] == pytest.approx(-3e200, rel=1e-12)
+        assert coeffs[2] == 1.0
+
     def test_eigenvalues_are_roots(self):
         gen = build_generator(laser_cooling_model(1.0, 2.0))
         coeffs = minimal_polynomial(gen.matrix)
@@ -232,6 +271,29 @@ class TestHermitianBasis:
     def test_rejects_dimension_below_two(self):
         with pytest.raises(ValidationError):
             hermitian_basis(1)
+
+
+class TestHermitianForm:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_dense_oracle(self, n):
+        # T^dag L T with T the columns vec(B_k) of the hermitian basis
+        rng = np.random.default_rng(40 + n)
+        basis = np.stack([vec(b) for b in hermitian_basis(n)], axis=1)
+        for _ in range(3):
+            mat = build_generator(random_model(n, rng)).matrix
+            oracle = basis.conj().T @ mat @ basis
+            form = _hermitian_form(mat, n)
+            assert form.dtype == np.float64
+            assert np.abs(form - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_generator_breaking_hermiticity_is_returned_as_given(self):
+        mat = jordan_matrix(9, [(-1.0, 2)], seed=0)
+        assert _hermitian_form(mat, 3) is mat
+
+    def test_non_finite_generator_is_returned_as_given(self):
+        mat = build_generator(laser_cooling_model(1.0, 2.0)).matrix.copy()
+        mat[0, 0] = np.inf
+        assert _hermitian_form(mat, 3) is mat
 
 
 class TestIsHermitian:
