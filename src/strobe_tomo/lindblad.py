@@ -1,10 +1,11 @@
 """Markovian master-equation models and their vectorized generators.
 
 A model is a constant Hamiltonian plus dissipation channels ``(rate, L)``
-acting as ``L rho L^dag - (1/2){L^dag L, rho}``.  The vectorization
-convention is row-stacking throughout: under ``vec``, a channel becomes
-``kron(L, conj(L)) - (kron(L^dag L, I) + kron(I, (L^dag L).T)) / 2`` and the
-commutator ``-i[H, rho]`` becomes ``-i (kron(H, I) - kron(I, H.T))``.  The
+acting as ``L rho L^dag - (1/2){L^dag L, rho}``.  With the effective
+Hamiltonian term ``G = -iH - (1/2) sum rate L^dag L`` the generator is
+``G rho + rho G^dag + sum rate L rho L^dag``.  The vectorization
+convention is row-stacking throughout: under ``vec`` that is
+``kron(G, I) + kron(I, conj(G)) + sum rate kron(L, conj(L))``.  The
 resulting dim^2 x dim^2 matrix generates the state evolution
 ``rho(t) = unvec(expm(t * gen) vec(rho0))``.
 """
@@ -170,13 +171,13 @@ def build_generator(model: LindbladModel) -> Superoperator:
     """
     n = model.dim
     eye = np.eye(n, dtype=complex)
-    mat = -1j * (np.kron(model.hamiltonian, eye) - np.kron(eye, model.hamiltonian.T))
+    # G rho + rho G^dag + sum rate L rho L^dag, with G = -iH - (1/2) sum rate L^dag L
+    effective = -1j * model.hamiltonian
     for rate, op in model.jumps:
-        opdop = op.conj().T @ op
-        mat = mat + rate * (
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(opdop, eye) + np.kron(eye, opdop.T))
-        )
+        effective = effective - 0.5 * rate * (op.conj().T @ op)
+    mat = np.kron(effective, eye) + np.kron(eye, effective.conj())
+    for rate, op in model.jumps:
+        mat += rate * np.kron(op, op.conj())
     mat.setflags(write=False)
     sup = Superoperator(dim=n, matrix=mat)
     scale = max(1.0, float(np.abs(mat).max()) if mat.size else 0.0)

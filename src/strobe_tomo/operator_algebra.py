@@ -11,12 +11,12 @@ function is safe to call from multiple threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalFailure, ValidationError
 
@@ -160,9 +160,133 @@ def eigenvalues(m) -> np.ndarray:
         ) from exc
 
 
+def _pade_coefficients(m: int) -> list[float]:
+    """Coefficients of the [m/m] Pade approximant of ``e^x``, scaled to integers.
+
+    ``b_k = (2m - k)! / (k! (m - k)!)`` for ``k = 0 .. m``: the numerator is
+    ``sum b_k x^k``, the denominator ``sum b_k (-x)^k``.
+    """
+    f = math.factorial
+    return [float(f(2 * m - k) // (f(k) * f(m - k))) for k in range(m + 1)]
+
+
+#: the Pade degrees m of :func:`expm` with theta_m, the largest ``eta`` at which
+#: the approximant r_m has a backward error below the unit roundoff
+#: (Al-Mohy & Higham 2009, Table 3.1)
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
+               (9, 2.097847961257068), (13, 4.25))
+#: per degree m <= 9, the odd and the even coefficients as rows against the
+#: powers I, A^2, A^4, ...: the rows give U / A and V of ``r_m = (V - U)^-1 (V + U)``
+_PADE_LOW = {m: np.array([_pade_coefficients(m)[1::2], _pade_coefficients(m)[0::2]]) for m in (3, 5, 7, 9)}
+#: for m = 13, rows against I, A^2, A^4, A^6 that give U / A and V as
+#: ``A^6 row0 + row2`` and ``A^6 row1 + row3``
+_PADE_HIGH = np.array([[0.0] + _pade_coefficients(13)[9::2], [0.0] + _pade_coefficients(13)[8:13:2],
+                       _pade_coefficients(13)[1:9:2], _pade_coefficients(13)[0:8:2]])
+#: ``(53 - log2(1 / c_{2m+1})) / (2m)``, with ``c_{2m+1} = (m!)^2 / ((2m)! (2m+1)!)`` the
+#: leading coefficient of the approximant's backward-error series and 2^-53 the unit roundoff
+_ELL_OFFSET = {m: (53 - math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1)
+                                  / math.factorial(m) ** 2)) / (2 * m) for m, _ in _PADE_THETA}
+#: :func:`expm` first scales a matrix whose 1-norm reaches 2**this, so that the
+#: powers up to A^10 that pick the degree stay finite
+_EXPM_PRESCALE_LOG2 = 100
+
+
+def _ell(a: np.ndarray, ones: np.ndarray, norm: float, m: int, s: int = 0) -> int:
+    """``s + ell(2^-s a, m)``: the squarings after which r_m is accurate (Al-Mohy & Higham 2009, eq. 5.1).
+
+    ``ell = max(ceil(log2(alpha / u) / (2m)), 0)`` with ``alpha =
+    |c_{2m+1}| |||a|^(2m+1)||_1 / ||a||_1``; ``norm`` is ``||a||_1``.
+    The powers are those of ``|a| / norm``, whose 1-norm is 1, so nothing
+    overflows; that 1 also bounds the power's norm, which skips the
+    ``2m + 1`` matrix-vector products whenever the bound gives ``s``.
+    """
+    bound = math.log2(norm) + _ELL_OFFSET[m]
+    if bound <= s:
+        return s
+    col = ones
+    scaled = np.abs(a) / norm
+    for _ in range(2 * m + 1):
+        col = col.dot(scaled)
+    top = float(col.max())
+    return max(s, math.ceil(bound + math.log2(top) / (2 * m))) if top > 0 else s
+
+
+def _pade_uv(a: np.ndarray, ones: np.ndarray, norm: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(U, V, s)`` with ``r_m(2^-s a) = (V - U)^-1 (V + U)`` for the degree m and scaling s chosen.
+
+    Algorithm 6.1 of Al-Mohy & Higham (2009), with exact 1-norms:
+    ``eta`` comes from ``d_k = ||a^k||_1^(1/k)`` of the even powers
+    ``a^4 .. a^10``, each formed when a degree first needs it.  The lowest
+    degree whose ``theta_m`` bounds ``eta`` wins unless :func:`_ell` asks
+    for squarings; degree 13 takes the ``s`` that brings ``eta`` under
+    ``theta_13``, plus those squarings.
+    """
+    n = a.shape[0]
+    powers = np.empty((5, n, n), dtype=complex)  # I, a^2, a^4, a^6, a^8
+    powers[0] = np.eye(n)
+    np.dot(a, a, out=powers[1])
+    np.dot(powers[1], powers[1], out=powers[2])
+    np.dot(powers[2], powers[1], out=powers[3])
+    d4, d6 = ones.dot(np.abs(powers[2:4])).max(axis=1) ** (1 / 4, 1 / 6)
+    eta = max(d4, d6)
+    for m, theta in _PADE_THETA[:4]:
+        if m == 7:
+            np.dot(powers[2], powers[2], out=powers[4])
+            d8 = float(ones.dot(np.abs(powers[4])).max()) ** (1 / 8)
+            eta = max(d6, d8)
+        if eta <= theta and _ell(a, ones, norm, m) == 0:
+            k = m // 2 + 1
+            odd, even = _PADE_LOW[m].dot(powers[:k].reshape(k, -1)).reshape(2, n, n)
+            return a.dot(odd), even, 0
+    d10 = float(ones.dot(np.abs(powers[2].dot(powers[3]))).max()) ** (1 / 10)
+    eta = min(eta, max(d8, d10))
+    s = max(0, math.ceil(math.log2(eta / _PADE_THETA[4][1]))) if eta > 0 else 0
+    s = _ell(a, ones, norm, 13, s)
+    if s:
+        a = a * 2.0 ** -s
+        powers[1:4] *= np.array([2.0 ** (-2 * s), 2.0 ** (-4 * s), 2.0 ** (-6 * s)])[:, None, None]
+    parts = _PADE_HIGH.dot(powers[:4].reshape(4, -1)).reshape(4, n, n)
+    odd, even = np.matmul(powers[3], parts[:2]) + parts[2:]
+    return a.dot(odd), even, s
+
+
 def expm(m) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with a Pade approximant."""
-    return scipy.linalg.expm(_square(m, dtype=complex))
+    """Matrix exponential by scaling and squaring with a Pade approximant, as complex128.
+
+    The algorithm of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+    (2009): Pade degrees 3, 5, 7, 9 and 13, chosen from
+    ``d_k = ||A^k||_1^(1/k)`` rather than ``||A||_1`` so that a
+    non-normal matrix is not over-scaled, and extra squarings wherever the
+    approximant's backward-error bound asks for them.  The approximant is
+    evaluated as ``I + 2 (V - U)^-1 U``: the identity comes last, so the
+    small terms of ``e^A`` for a tiny ``A`` are not rounded against it.  A matrix with a NaN or infinite entry, or an
+    infinite 1-norm, gives an all-NaN result; no input raises or warns
+    past the shape checks, and a result that overflows is returned as
+    computed, so callers test the result for finiteness.
+    """
+    a = _square(m, dtype=complex)
+    n = a.shape[0]
+    ones = np.ones(n)
+    with np.errstate(all="ignore"):
+        norm = float(ones.dot(np.abs(a)).max())
+        if not norm < np.inf:
+            return np.full(a.shape, np.nan, dtype=complex)
+        if norm == 0:
+            return np.eye(n, dtype=complex)
+        # a power-of-two scaling, undone by as many extra squarings
+        prescale = max(0, math.frexp(norm)[1] - _EXPM_PRESCALE_LOG2)
+        if prescale:
+            a = a * 2.0 ** -prescale
+            norm *= 2.0 ** -prescale
+        u, v, s = _pade_uv(a, ones, norm)
+        try:
+            x = np.linalg.solve(v - u, u + u)
+        except np.linalg.LinAlgError:
+            return np.full(a.shape, np.nan, dtype=complex)
+        x.flat[::n + 1] += 1.0
+        for _ in range(s + prescale):
+            x = x.dot(x)
+    return x
 
 
 class EigenvalueCluster(NamedTuple):
@@ -245,7 +369,9 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
     from real LAPACK in conjugate pairs, and a group closed under
     conjugation (one member within half the radius of the real axis) has
     a real mean, so the SVDs of its powers are real too.  Clusters are
-    ordered by decreasing real part, then increasing imaginary part.  A
+    ordered by decreasing real part, then increasing imaginary part; real
+    parts that chain within the radius of each other count as equal, so
+    roundoff never decides the order.  A
     matrix whose Frobenius norm overflows raises :class:`NumericalFailure`.
     """
     arr = _square(m)
@@ -269,8 +395,11 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
         shifted = (arr - value * np.eye(arr.shape[0])) / (norm_f or 1.0)
         geometric, index = _jordan_counts(shifted, group.size, tol)
         clusters.append(EigenvalueCluster(complex(value), group.size, geometric, index))
-    clusters.sort(key=lambda c: (-c.value.real, c.value.imag))
-    return tuple(clusters)
+    clusters.sort(key=lambda c: -c.value.real)
+    # a new level wherever the real part drops by more than the radius
+    level = np.cumsum(np.diff([c.value.real for c in clusters], prepend=np.inf) < -radius).tolist()
+    order = sorted(range(len(clusters)), key=lambda i: (level[i], clusters[i].value.imag))
+    return tuple(clusters[i] for i in order)
 
 
 def _minimal_polynomial_of(clusters: Sequence[EigenvalueCluster]) -> np.ndarray:

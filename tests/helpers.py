@@ -123,3 +123,18 @@ def krylov_subspace(gen, observable, depth: int) -> list[np.ndarray]:
     for _ in range(1, depth):
         elements.append((adjoint @ elements[-1].reshape(-1)).reshape(gen.dim, gen.dim))
     return elements
+
+
+def equal_rate_cascade(n: int, rate: float, rng: np.random.Generator) -> LindbladModel:
+    """Decays |k+1> -> |k> for k = 0 .. n-2, all at ``rate``, in a random unitary basis.
+
+    Every jump has the same rate, so the generator has repeated eigenvalues
+    and is not normal.
+    """
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    jumps = []
+    for k in range(n - 1):
+        lower = np.zeros((n, n), dtype=complex)
+        lower[k, k + 1] = 1.0
+        jumps.append((rate, q @ lower @ q.conj().T))
+    return LindbladModel(dim=n, jumps=tuple(jumps))

@@ -149,6 +149,16 @@ class TestRealForm:
         assert zero[1:] == (n, n, 1)
         assert (report.eta, report.mu) == (n, n * n - n + 1)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hamiltonian_only_order_is_that_of_the_matrix(self, seed):
+        # every real part is 0 up to roundoff, which must not decide the order
+        rng = np.random.default_rng(seed)
+        gen = build_generator(LindbladModel(dim=3, hamiltonian=random_hermitian(3, rng)))
+        mine = [c.value for c in spectral_report(gen).distinct_eigenvalues]
+        direct = [c.value for c in eigen_structure(gen.matrix)]
+        assert len(mine) == len(direct) == 7
+        assert np.abs(np.subtract(mine, direct)).max() <= 1e-10 * np.linalg.norm(gen.matrix)
+
     def test_generator_breaking_hermiticity_analysed_as_given(self):
         gen = Superoperator(dim=3, matrix=jordan_matrix(9, [(-1.0, 3), (-2.5, 1), (-2.5, 1)], seed=4))
         assert spectral_report(gen).distinct_eigenvalues == eigen_structure(gen.matrix)

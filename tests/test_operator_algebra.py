@@ -1,8 +1,13 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from strobe_tomo import (
     DEFAULT_TOLERANCES,
+    LindbladModel,
     ToleranceConfig,
     ValidationError,
     build_generator,
@@ -25,7 +30,7 @@ from strobe_tomo.operator_algebra import (
     _minimal_polynomial_of,
 )
 
-from helpers import cofactor_det, jordan_matrix, random_density, random_model
+from helpers import cofactor_det, equal_rate_cascade, jordan_matrix, random_density, random_model
 
 E1 = np.zeros((3, 3), dtype=complex)
 E1[0, 1] = 1.0
@@ -187,6 +192,131 @@ class TestExpm:
         rho = random_density(3, rng)
         evolved = unvec(expm(t * gen.matrix) @ vec(rho), 3)
         assert abs(np.trace(evolved) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e308, complex(np.inf, 1.0)])
+    def test_non_finite_input_gives_non_finite_output(self, entry):
+        # 1e308 is finite, but its column sums, the 1-norm, overflow
+        a = np.eye(3, dtype=complex)
+        a[0, 1] = entry
+        a[1, 1] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expm(a)
+        assert out.dtype == np.complex128
+        assert not np.isfinite(out).any()
+
+    def test_overflowing_result_is_returned_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expm(np.full((4, 4), 500.0))
+        assert not np.isfinite(out).all()
+
+    @pytest.mark.parametrize("a", [np.diag([1e-300, 0.0]), np.array([[0.0, 1e30], [0.0, 0.0]])],
+                             ids=["tiny", "nilpotent"])
+    def test_exact_cases(self, a):
+        assert np.array_equal(expm(a), np.eye(2) + a)
+
+
+#: ``expm`` must be within this many unit roundoffs of the exact exponential
+#: (relative, Frobenius norm), times the exponential's relative condition number
+#: or 1, whichever is larger: the rounding of the result alone costs about one
+#: unit roundoff.  The largest ratio over the cases below is 1.1, on the Hamiltonian.
+EXPM_ROUNDOFFS = 4
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def mpmath_expm(a: np.ndarray) -> np.ndarray:
+    """The exponential at 50 significant digits, rounded to complex128."""
+    with mpmath.workdps(50):
+        x = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array([[complex(x[i, j]) for j in range(x.cols)] for i in range(x.rows)])
+
+
+def expm_condition(a: np.ndarray) -> float:
+    """Relative condition number of the exponential in the Frobenius norm.
+
+    Exact (scipy's Kronecker form) up to 16 x 16.  Above that it is the
+    power-method estimate ``|A|_F |L(A, E)|_F / |e^A|_F`` after four steps
+    ``E <- L(A^dag, L(A, E))``, L the Frechet derivative, whose adjoint is
+    the derivative at ``A^dag``; the estimate approaches the norm from below.
+    """
+    if a.shape[0] <= 16:
+        return float(scipy.linalg.expm_cond(a))
+    e = np.random.default_rng(0).standard_normal(a.shape)
+    for _ in range(4):
+        e = scipy.linalg.expm_frechet(a.conj().T, scipy.linalg.expm_frechet(a, e, compute_expm=False),
+                                      compute_expm=False)
+        e /= np.linalg.norm(e)
+    x, derivative = scipy.linalg.expm_frechet(a, e)
+    return float(np.linalg.norm(a) * np.linalg.norm(derivative) / np.linalg.norm(x))
+
+
+def dissipative_model(n: int, seed: int) -> LindbladModel:
+    """The first draw of :func:`random_model` with at least one jump."""
+    rng = np.random.default_rng(seed)
+    while not (model := random_model(n, rng)).jumps:
+        pass
+    return model
+
+
+def slowest_rate(mat: np.ndarray) -> float:
+    """The smallest nonzero decay rate ``-Re(lambda)`` of a generator; the smallest frequency if nothing decays."""
+    values = np.linalg.eigvals(mat)
+    floor = 1e-9 * np.abs(mat).max()
+    rates = -values.real
+    if np.any(rates > floor):
+        return float(rates[rates > floor].min())
+    return float(np.abs(values)[np.abs(values) > floor].min())
+
+
+class TestExpmAccuracy:
+    """``expm`` against an independent exponential, from t = 1e-8 up to 1e3 over the slowest rate."""
+
+    CASES = {
+        "laser cooling": lambda: laser_cooling_model(1.0, 2.0),
+        "dissipative n=2": lambda: dissipative_model(2, 2),
+        "dissipative n=3": lambda: dissipative_model(3, 3),
+        "dissipative n=4": lambda: dissipative_model(4, 4),
+        # nothing decays, so no mode of the exponential is negligible
+        "hamiltonian n=3": lambda: LindbladModel(dim=3, hamiltonian=random_hermitian(3, np.random.default_rng(5))),
+        "cascade rate 1e-3": lambda: equal_rate_cascade(3, 1e-3, np.random.default_rng(11)),
+        "cascade rate 1": lambda: equal_rate_cascade(3, 1.0, np.random.default_rng(12)),
+        "cascade rate 1e3": lambda: equal_rate_cascade(3, 1e3, np.random.default_rng(13)),
+    }
+
+    @staticmethod
+    def times(mat: np.ndarray) -> list[float]:
+        slowest = slowest_rate(mat)
+        return [1e-8, 1.0 / slowest, 30.0 / slowest, 1e3 / slowest]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_mpmath(self, case):
+        mat = build_generator(self.CASES[case]()).matrix
+        for t in self.times(mat):
+            exact = mpmath_expm(t * mat)
+            error = np.linalg.norm(expm(t * mat) - exact) / np.linalg.norm(exact)
+            bound = EXPM_ROUNDOFFS * UNIT_ROUNDOFF * max(expm_condition(t * mat), 1.0)
+            assert error <= bound, (t, error, bound)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_scipy_at_25_and_36(self, n):
+        # mpmath would take minutes here; each exponential is within its bound, so both together
+        mat = build_generator(dissipative_model(n, n)).matrix
+        for t in self.times(mat):
+            oracle = scipy.linalg.expm(t * mat)
+            error = np.linalg.norm(expm(t * mat) - oracle) / np.linalg.norm(oracle)
+            assert error <= 2 * EXPM_ROUNDOFFS * UNIT_ROUNDOFF * max(expm_condition(t * mat), 1.0)
+
+    def test_decay_faster_than_the_float_range(self):
+        # rate 1e200: the powers that choose the degree overflow, yet the decay completes
+        # and the exponential is finite
+        decay = np.zeros((3, 3), dtype=complex)
+        decay[0, 1] = 1.0
+        a = 0.5 * build_generator(LindbladModel(dim=3, jumps=((1e200, decay),))).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expm(a)
+        assert np.abs(out - mpmath_expm(a)).max() <= EXPM_ROUNDOFFS * UNIT_ROUNDOFF
 
 
 class TestMinimalPolynomial:
