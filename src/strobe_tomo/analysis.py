@@ -19,20 +19,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NumericalFailure, SearchExhausted, ValidationError
-from .lindblad import Superoperator, _operator
+from .errors import SearchExhausted, ValidationError
+from .lindblad import Superoperator, _integer, _operator, _real_generator
 from .operator_algebra import (
     DEFAULT_TOLERANCES,
     EigenvalueCluster,
     ToleranceConfig,
+    _coordinates,
     _hermitian_form,
     _minimal_polynomial_of,
     assert_hermitian,
     eigen_structure,
-    is_hermitian,
     random_hermitian,
-    unvec,
-    vec,
 )
 
 __all__ = [
@@ -118,7 +116,7 @@ def _checked_observables(observables, dim: int) -> list[np.ndarray]:
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Residual of ``w`` against the orthonormal rows of ``basis``, Gram-Schmidt applied twice."""
     for _ in range(2):
-        w = w - basis.T @ (basis.conj() @ w)
+        w = w - basis.T @ (basis @ w)
     return w
 
 
@@ -126,36 +124,27 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> VerificationResult:
     """Test whether the observables' Krylov subspaces span all hermitian matrices.
 
-    Builds an orthonormal basis of the sum of the Krylov spaces under the
-    dual generator (Arnoldi): each observable starts a chain, and every
-    new element is ``L*`` applied to the latest basis vector,
-    orthogonalized twice against the basis (classical Gram-Schmidt) and
-    replaced by its hermitian part.  That last step drops the roundoff of
-    the projections, which normalization amplifies near breakdown, so the
-    hermiticity test below sees only what ``L*`` itself does.  A chain
-    ends at breakdown, and the loop once the basis is complete: ``L*`` is
-    never applied to the element that completes it.  An observable's own
-    direction counts when its residual exceeds ``rank_rtol`` times its
-    norm, a later element when its residual exceeds ``rank_rtol * |L|_2``,
-    so roundoff never adds a direction.  No Krylov depth is needed.  The
-    set reconstructs arbitrary states iff the basis reaches dim^2 vectors;
-    ``achieved_rank`` is its size.  ``L*`` is the conjugate transpose of
-    ``gen.matrix``; an element it makes non-hermitian raises
-    :class:`NumericalFailure`.
+    In real arithmetic: the dual generator is ``R^T``, ``R`` the real
+    generator, and an observable is its coordinate vector.  Builds an
+    orthonormal basis of the sum of the Krylov spaces under ``R^T``
+    (Arnoldi): each observable starts a chain, and every new element is
+    ``R^T`` applied to the latest basis vector, orthogonalized twice
+    (classical Gram-Schmidt).  A chain ends at breakdown, and the loop once
+    the basis is complete.  An observable's own direction counts when its
+    residual exceeds ``rank_rtol`` times its norm, a later element when it
+    exceeds ``rank_rtol * |R|_2``, so roundoff never adds a direction.  The
+    set spans iff the basis reaches dim^2 vectors; ``achieved_rank`` is its size.
     """
     checked = _checked_observables(observables, gen.dim)
+    adjoint = _real_generator(gen).T
     n2 = gen.dim * gen.dim
-    adjoint = gen.matrix.conj().T
-    floor = tol.rank_rtol * float(np.linalg.norm(gen.matrix, 2))
-    basis = np.zeros((n2, n2), dtype=complex)
+    floor = tol.rank_rtol * float(np.linalg.norm(adjoint, 2))
+    basis = np.zeros((n2, n2))
     size = 0
-    for observable in checked:
-        candidate = vec(observable)
+    for candidate in _coordinates(np.stack(checked)):
         threshold = tol.rank_rtol * float(np.linalg.norm(candidate))
-        step = 0
         while size < n2:
-            resid = _orthogonalize(candidate, basis[:size]).reshape(gen.dim, gen.dim)
-            resid = ((resid + resid.conj().T) / 2.0).reshape(-1)
+            resid = _orthogonalize(candidate, basis[:size])
             norm = float(np.linalg.norm(resid))
             if not norm > threshold:
                 break
@@ -163,13 +152,7 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
             size += 1
             if size == n2:
                 break
-            step += 1
             candidate = adjoint @ basis[size - 1]
-            element = unvec(candidate, gen.dim)
-            if not is_hermitian(element, atol=1e-10):
-                dev = float(np.abs(element - element.conj().T).max())
-                raise NumericalFailure(f"Krylov element {step} is not hermitian (deviation {dev:.3e}); "
-                                       "the dual generator does not preserve hermiticity")
             threshold = floor
     return VerificationResult(ok=size == n2, achieved_rank=size)
 
@@ -181,10 +164,12 @@ def find_observables(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANC
     Computes one :func:`spectral_report` for ``eta``, then draws ``eta``
     random hermitian matrices per attempt (complex Gaussian entries,
     symmetrized) and returns the first set that passes
-    :func:`verify_observables`.  Deterministic for a fixed seed.  Raises
-    :class:`SearchExhausted` with the best achieved rank when every
-    attempt fails.
+    :func:`verify_observables`.  Deterministic for a fixed seed (an integer
+    >= 0).  Raises :class:`SearchExhausted` with the best achieved rank
+    when all ``max_attempts`` (an integer >= 1) attempts fail.
     """
+    _integer(seed, "seed")
+    _integer(max_attempts, "max_attempts", positive=True)
     report = spectral_report(gen, tol)
     rng = np.random.default_rng(seed)
     best_rank = 0

@@ -22,11 +22,13 @@ import numpy as np
 from .errors import NumericalFailure, ValidationError
 from .operator_algebra import (
     HERMITICITY_ATOL,
+    _coordinates,
+    _from_coordinates,
+    _hermitian_form,
     _square,
     as_complex_matrix,
     assert_hermitian,
     expm,
-    unvec,
     vec,
 )
 
@@ -45,8 +47,6 @@ __all__ = [
 
 #: trace of an evolved state may drift from 1 by at most this much
 EVOLVE_TRACE_ATOL = 1e-10
-#: hermiticity slack allowed on evolved states (looser than on inputs: expm roundoff)
-EVOLVE_HERMITICITY_ATOL = 1e-10
 #: eigenvalues of an evolved state may dip below zero by at most this much
 EVOLVE_EIG_FLOOR = -1e-8
 #: eigenvalue floor for states supplied as inputs
@@ -56,6 +56,27 @@ EQUISPACED_RTOL = 1e-12
 #: largest model dimension: the dense generator of a 64-level model is a
 #: 4096 x 4096 complex matrix (256 MiB), and every analysis step is O(dim^6)
 MAX_DIM = 64
+
+
+def _integer(value, name: str, positive: bool = False):
+    """``value`` if it is an integer >= 0 (> 0 if ``positive``), not a bool; else :class:`ValidationError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < positive:
+        kind = "positive" if positive else "non-negative"
+        raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
+    return value
+
+
+def _nonnegative_real(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number >= 0, not a bool; else :class:`ValidationError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not 0 <= value < np.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 def _operator(m, name: str, dim: int) -> np.ndarray:
@@ -87,9 +108,7 @@ class LindbladModel:
     jumps: tuple[tuple[float, np.ndarray], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
-        if self.dim > MAX_DIM:
+        if _integer(self.dim, "dim", positive=True) > MAX_DIM:
             raise ValidationError(f"dim must be at most {MAX_DIM}, got {self.dim}")
         ham = np.zeros((self.dim, self.dim)) if self.hamiltonian is None else self.hamiltonian
         if callable(ham):
@@ -105,17 +124,8 @@ class LindbladModel:
                 rate, op = item
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"jumps[{idx}] must be a (rate, operator) pair") from exc
-            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-                raise ValidationError(
-                    f"jumps[{idx}].rate must be a real number, got {type(rate).__name__}"
-                )
-            try:
-                rate = float(rate)
-            except OverflowError:
-                rate = math.inf
-            if not 0 <= rate < np.inf:
-                raise ValidationError(f"jumps[{idx}].rate must be finite and >= 0, got {rate}")
-            checked.append((rate, _operator(op, f"jumps[{idx}].matrix", self.dim)))
+            checked.append((_nonnegative_real(rate, f"jumps[{idx}].rate"),
+                            _operator(op, f"jumps[{idx}].matrix", self.dim)))
         object.__setattr__(self, "jumps", tuple(checked))
 
 
@@ -125,9 +135,10 @@ class Superoperator:
 
     Row-stacking (``vec`` flattens row by row) is the package's only
     vectorization convention.  Construction only checks the shape, so
-    synthetic generators can be injected for analysis; matrices produced by
-    :func:`build_generator` additionally annihilate the trace functional
-    (``vec(I)^dag @ matrix ~ 0``).  The matrix is stored read-only: a
+    synthetic generators can be injected; matrices produced by
+    :func:`build_generator` also annihilate the trace functional
+    (``vec(I)^dag @ matrix ~ 0``) and preserve hermiticity; any other gets
+    spectral analysis only, as later stages need the real form.  The matrix is stored read-only: a
     caller's array is copied, unless it is already a read-only complex
     array that owns its memory, as :func:`build_generator` passes.
     Compared and hashed by identity; compare contents with
@@ -189,6 +200,15 @@ def build_generator(model: LindbladModel) -> Superoperator:
     return sup
 
 
+def _real_generator(gen: Superoperator) -> np.ndarray:
+    """The generator in hermitian coordinates, a real matrix; :class:`NumericalFailure` if it is not."""
+    real = _hermitian_form(gen.matrix, gen.dim)
+    if np.iscomplexobj(real):
+        raise NumericalFailure("the generator does not preserve hermiticity (or is not finite); "
+                               "only its spectral analysis is defined")
+    return real
+
+
 def _propagated(mat: np.ndarray, instants: np.ndarray, operand: np.ndarray) -> np.ndarray:
     """``expm(t * mat) @ operand`` at each instant, stacked along a new second axis.
 
@@ -207,7 +227,7 @@ def _propagated(mat: np.ndarray, instants: np.ndarray, operand: np.ndarray) -> n
     size = instants.size
     cols = operand.reshape(operand.shape[0], -1)
     width = cols.shape[1]
-    out = np.empty((cols.shape[0], size * width), dtype=complex)
+    out = np.empty((cols.shape[0], size * width), dtype=np.result_type(mat, cols))
     steps = np.arange(1, size + 1)
     if size and np.all(np.abs(instants - steps * instants[:1]) <= EQUISPACED_RTOL * instants):
         power = expm(instants[0] * mat)
@@ -236,19 +256,16 @@ def _check_density_matrix(arr: np.ndarray, name: str | Callable[[int], str], *,
     stack is tested in one batched pass, and the error names its first
     failing matrix and that matrix's first failing test, in
     the order hermiticity, trace, eigenvalue floor.  An evolved state fails
-    with :class:`NumericalFailure`, at tolerances loose enough for the
-    forward map's roundoff; an input state fails with :class:`ValidationError`.
+    with :class:`NumericalFailure`, at an eigenvalue floor loose enough for
+    the forward map's roundoff; an input state fails with :class:`ValidationError`.
     """
-    error, hermiticity_atol, eig_floor = (
-        (NumericalFailure, EVOLVE_HERMITICITY_ATOL, EVOLVE_EIG_FLOOR) if evolved
-        else (ValidationError, HERMITICITY_ATOL, STATE_EIG_FLOOR)
-    )
+    error, eig_floor = (NumericalFailure, EVOLVE_EIG_FLOOR) if evolved else (ValidationError, STATE_EIG_FLOOR)
     stack, names = (arr[None], lambda _: name) if arr.ndim == 2 else (arr, name)
     # the entrywise test of is_hermitian; inf - inf is NaN, which fails it
     scale = 1.0 + np.abs(stack).max(axis=(1, 2))
     with np.errstate(invalid="ignore"):
         dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    hermitian = (scale < np.inf) & (dev <= hermiticity_atol * scale)
+    hermitian = (scale < np.inf) & (dev <= HERMITICITY_ATOL * scale)
     tr = np.trace(stack, axis1=1, axis2=2)
     unit_trace = np.abs(tr - 1.0) <= EVOLVE_TRACE_ATOL
     tested = hermitian & unit_trace
@@ -277,16 +294,16 @@ def validate_density_matrix(rho, *, dim: int | None = None, name: str = "rho") -
 def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
     """Evolve a density matrix for time ``t`` under the generator.
 
-    Returns ``unvec(expm(t * gen) vec(rho0))`` after checking that the
-    result is still a density matrix: hermitian, unit trace to 1e-10 and
-    eigenvalues above -1e-8.  A violation is reported as a numerical
-    failure naming the instant rather than silently repaired.
+    Returns the state with real coordinates ``expm(t * R) x0``, ``R`` the
+    real generator, after checking that it is still a density matrix: unit
+    trace to 1e-10 and eigenvalues above -1e-8.  A violation is reported as
+    a numerical failure naming the instant rather than silently repaired.
     """
     rho0 = validate_density_matrix(rho0, dim=gen.dim, name="rho0")
-    if t < 0:
-        raise ValidationError(f"propagation time must be >= 0, got {t}")
-    out = unvec(_propagated(gen.matrix, np.array([t], dtype=float), vec(rho0))[:, 0], gen.dim)
-    return _check_density_matrix(out, f"evolved state at t={t:.6g}", evolved=True)
+    if not 0 <= t < np.inf:
+        raise ValidationError(f"propagation time must be finite and >= 0, got {t}")
+    x = _propagated(_real_generator(gen), np.array([t], dtype=float), _coordinates(rho0))[:, 0]
+    return _check_density_matrix(_from_coordinates(x, gen.dim), f"evolved state at t={t:.6g}", evolved=True)
 
 
 # --- JSON encoding -------------------------------------------------------

@@ -3,7 +3,7 @@
 All values are plain ``numpy.ndarray`` with ``complex128`` entries, kept in
 row-major (C) order so that :func:`vec` is literal row-stacking; the
 spectral routines (:func:`eigenvalues`, :func:`rank`, :func:`eigen_structure`)
-keep a real ``float64`` input real and run real LAPACK on it.  The
+and :func:`expm` keep a real ``float64`` input real and run real LAPACK on it.  The
 routines here are the shared substrate for generator construction, spectral
 analysis and reconstruction; none of them keeps internal state, so every
 function is safe to call from multiple threads.
@@ -222,7 +222,7 @@ def _pade_uv(a: np.ndarray, ones: np.ndarray, norm: float) -> tuple[np.ndarray, 
     ``theta_13``, plus those squarings.
     """
     n = a.shape[0]
-    powers = np.empty((5, n, n), dtype=complex)  # I, a^2, a^4, a^6, a^8
+    powers = np.empty((5, n, n), dtype=a.dtype)  # I, a^2, a^4, a^6, a^8
     powers[0] = np.eye(n)
     np.dot(a, a, out=powers[1])
     np.dot(powers[1], powers[1], out=powers[2])
@@ -251,7 +251,7 @@ def _pade_uv(a: np.ndarray, ones: np.ndarray, norm: float) -> tuple[np.ndarray, 
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Pade approximant, as complex128.
+    """Matrix exponential by scaling and squaring with a Pade approximant.
 
     The algorithm of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
     (2009): Pade degrees 3, 5, 7, 9 and 13, chosen from
@@ -262,17 +262,18 @@ def expm(m) -> np.ndarray:
     small terms of ``e^A`` for a tiny ``A`` are not rounded against it.  A matrix with a NaN or infinite entry, or an
     infinite 1-norm, gives an all-NaN result; no input raises or warns
     past the shape checks, and a result that overflows is returned as
-    computed, so callers test the result for finiteness.
+    computed, so callers test the result for finiteness.  A real input
+    gives a float64 result in real arithmetic; any other, complex128.
     """
-    a = _square(m, dtype=complex)
+    a = _square(m)
     n = a.shape[0]
     ones = np.ones(n)
     with np.errstate(all="ignore"):
         norm = float(ones.dot(np.abs(a)).max())
         if not norm < np.inf:
-            return np.full(a.shape, np.nan, dtype=complex)
+            return np.full(a.shape, np.nan, dtype=a.dtype)
         if norm == 0:
-            return np.eye(n, dtype=complex)
+            return np.eye(n, dtype=a.dtype)
         # a power-of-two scaling, undone by as many extra squarings
         prescale = max(0, math.frexp(norm)[1] - _EXPM_PRESCALE_LOG2)
         if prescale:
@@ -282,7 +283,7 @@ def expm(m) -> np.ndarray:
         try:
             x = np.linalg.solve(v - u, u + u)
         except np.linalg.LinAlgError:
-            return np.full(a.shape, np.nan, dtype=complex)
+            return np.full(a.shape, np.nan, dtype=a.dtype)
         x.flat[::n + 1] += 1.0
         for _ in range(s + prescale):
             x = x.dot(x)
@@ -435,28 +436,11 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
     Returns ``n**2`` matrices: the normalized identity followed by the
     generalized Gell-Mann families (symmetric, antisymmetric, diagonal).
     Every hermitian ``H`` expands as ``sum_k tr(B_k H) * B_k`` with real
-    coefficients.
+    coefficients, which the package computes without forming the basis.
     """
     if n < 2:
         raise ValidationError(f"hermitian basis needs dimension >= 2, got {n}")
-    basis = [np.eye(n, dtype=complex) / np.sqrt(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            sym = np.zeros((n, n), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
-            basis.append(sym)
-    for j in range(n):
-        for k in range(j + 1, n):
-            asym = np.zeros((n, n), dtype=complex)
-            asym[j, k] = -1j / np.sqrt(2.0)
-            asym[k, j] = 1j / np.sqrt(2.0)
-            basis.append(asym)
-    for level in range(1, n):
-        diag = np.zeros((n, n), dtype=complex)
-        diag[:level, :level] = np.eye(level)
-        diag[level, level] = -level
-        basis.append(diag / np.sqrt(level * (level + 1)))
-    return basis
+    return list(_from_coordinates(np.eye(n * n), n))
 
 
 @lru_cache(maxsize=None)
@@ -477,20 +461,48 @@ def _hermitian_indices(n: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]
             j.size, levels)
 
 
+def _coordinates(a: np.ndarray) -> np.ndarray:
+    """Real coordinates ``x_k = tr(B_k A)`` of hermitian matrices, in :func:`hermitian_basis` order.
+
+    ``x = T^dag vec(A)``, ``T`` the unitary with the columns ``vec(B_k)``; ``x`` replaces the last two axes.
+    """
+    n = a.shape[-1]
+    scaled = a.reshape(-1, n * n)[:, _hermitian_indices(n)[0]].T * np.sqrt(2.0)
+    return _scaled_coordinates(scaled, n).T.reshape(a.shape[:-2] + (n * n,))
+
+
+def _scaled_coordinates(scaled: np.ndarray, n: int) -> np.ndarray:
+    """Coordinates, on the first axis, from ``sqrt(2)`` times the entries on :func:`_hermitian_indices`' rows.
+
+    Entry ``kj`` is the conjugate of ``jk``: the symmetric and the antisymmetric
+    coordinates are the real and minus the imaginary part of ``sqrt(2) A_jk``.
+    """
+    _, _, pairs, levels = _hermitian_indices(n)
+    diagonal = levels.T @ scaled[pairs:].real / np.sqrt(2.0)
+    return np.concatenate([diagonal[:1], scaled[:pairs].real, -scaled[:pairs].imag, diagonal[1:]])
+
+
+def _from_coordinates(x: np.ndarray, n: int) -> np.ndarray:
+    """``sum_k x_k B_k`` for real coordinates on the last axis: the inverse of :func:`_coordinates`."""
+    _, cols, pairs, levels = _hermitian_indices(n)
+    upper = (x[..., 1:pairs + 1] - 1j * x[..., pairs + 1:2 * pairs + 1]) / np.sqrt(2.0)
+    diagonal = np.concatenate([x[..., :1], x[..., 2 * pairs + 1:]], axis=-1) @ levels.T
+    out = np.empty(x.shape[:-1] + (n * n,), dtype=complex)
+    out[..., cols] = np.concatenate([upper, upper.conj(), diagonal], axis=-1)
+    return out.reshape(x.shape[:-1] + (n, n))
+
+
 def _hermitian_form(m: np.ndarray, n: int) -> np.ndarray:
     """A generator in hermitian coordinates: ``T^dag m T``, real when ``m`` preserves hermiticity.
 
-    ``T`` has the columns ``vec(B_k)`` of :func:`hermitian_basis`, so it is
-    unitary and the result has the spectrum, Jordan structure and
+    ``T`` is unitary, so the result has the spectrum, Jordan structure and
     Frobenius norm of ``m``.  A generator that maps hermitian matrices to
     hermitian matrices, ``m[kj, ml] = conj(m[jk, lm])`` for all indices,
     is a real matrix in these coordinates (Gorini, Kossakowski & Sudarshan,
-    J. Math. Phys. 17, 821 (1976)).  That symmetry holds exactly when the
-    reshuffled matrix ``C[jl, km] = m[jk, lm]`` is hermitian, which
-    :func:`is_hermitian` tests on the whole of it.  Where it holds, each
-    column of ``m T`` is a hermitian matrix, so only its rows ``jk`` with
-    ``j <= k`` are formed, and the result is real.  Any other ``m`` (one
-    with a NaN or infinite entry too) is returned as given.
+    J. Math. Phys. 17, 821 (1976)).  That holds exactly when the reshuffled
+    matrix ``C[jl, km] = m[jk, lm]`` passes :func:`is_hermitian`; then each
+    column of ``m T`` is hermitian, so only its rows ``jk`` with ``j <= k``
+    are formed.  Any other ``m`` (NaN or infinite entries too) is returned as given.
     """
     if not is_hermitian(m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)):
         return m
@@ -501,11 +513,7 @@ def _hermitian_form(m: np.ndarray, n: int) -> np.ndarray:
     upper, lower = block[:, :pairs], block[:, pairs:2 * pairs]
     diagonal = block[:, 2 * pairs:] @ (levels * np.sqrt(2.0))
     scaled = np.concatenate([diagonal[:, :1], upper + lower, (lower - upper) * 1j, diagonal[:, 1:]], axis=1)
-    # entry kj of each column is the conjugate of entry jk, so the symmetric and
-    # the antisymmetric rows of T^dag (m T) are the real and minus the imaginary
-    # parts of sqrt(2) times row jk
-    diagonal = levels.T @ scaled[pairs:].real / np.sqrt(2.0)
-    return np.concatenate([diagonal[:1], scaled[:pairs].real, -scaled[:pairs].imag, diagonal[1:]])
+    return _scaled_coordinates(scaled, n)
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,9 +3,9 @@
 The closed loop: pick a verified observable set, sample expectation values
 ``tr(Q_i rho(t_j))`` on a shared time grid (optionally with additive
 Gaussian noise as a stand-in for whatever averaging a real experiment
-does), then recover the initial state by expanding it over the orthonormal
-hermitian basis and solving the resulting linear least-squares problem with
-a hard trace constraint.  Reconstruction reports the design rank and
+does), then recover the initial state by solving for its real coordinates
+in the orthonormal hermitian basis, a linear least-squares problem with a
+hard trace constraint.  Reconstruction reports the design rank and
 condition number so an inadequate observable set or grid shows up as a
 diagnosable rank deficiency instead of a silently wrong state.
 """
@@ -22,7 +22,10 @@ from .errors import NumericalFailure, RankDeficiencyError, ValidationError
 from .lindblad import (
     LindbladModel,
     _check_density_matrix,
+    _integer,
+    _nonnegative_real,
     _propagated,
+    _real_generator,
     build_generator,
     validate_density_matrix,
 )
@@ -30,9 +33,9 @@ from .analysis import SpectralReport, _checked_observables
 from .operator_algebra import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _coordinates,
+    _from_coordinates,
     assert_hermitian,
-    hermitian_basis,
-    vec,
 )
 
 __all__ = [
@@ -49,9 +52,6 @@ __all__ = [
 ]
 
 CSV_HEADER = ("observable_index", "time", "value", "sigma")
-
-#: imaginary part allowed on a noiseless expectation value before it is discarded
-EXPECTATION_IMAG_ATOL = 1e-10
 
 
 def validate_time_grid(instants) -> np.ndarray:
@@ -85,9 +85,7 @@ class MeasurementRecord:
     grid: np.ndarray
 
     def __post_init__(self):
-        count = self.observable_count
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-            raise ValidationError(f"observable_count must be a non-negative integer, got {count!r}")
+        _integer(self.observable_count, "observable_count")
         object.__setattr__(self, "grid", validate_time_grid(self.grid))
         try:
             rows = np.array(self.entries, dtype=float)
@@ -164,37 +162,29 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
                           grid, noise_sigma: float = 0.0, seed: int = 0) -> MeasurementRecord:
     """Sample ``tr(Q_i rho(t_j))`` for every observable and grid instant.
 
-    Entries are ordered observable-major.  Every evolved state is checked
-    to be a density matrix, as in :func:`evolve`.  ``noise_sigma`` must be
-    finite and nonnegative; with ``noise_sigma > 0`` the values get
-    independent additive Gaussian noise, drawn in entry order from a
-    generator seeded with ``seed``, so records are bit-identical across
-    runs with the same arguments.
+    Each value is ``c_i . expm(t_j R) x``, with ``R`` the real generator
+    and ``c_i``, ``x`` the real coordinates of ``Q_i`` and the state, in
+    observable-major order.  Every evolved state is checked to be a density
+    matrix, as in :func:`evolve`.  With ``noise_sigma > 0`` (a finite real)
+    the values get independent additive Gaussian noise, drawn in entry
+    order from a generator seeded with ``seed`` (an integer >= 0), so
+    records are bit-identical across runs with the same arguments.
     """
     grid = validate_time_grid(grid)
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    state0 = vec(validate_density_matrix(rho0, dim=model.dim, name="rho0"))
+    noise_sigma = _nonnegative_real(noise_sigma, "noise_sigma")
+    _integer(seed, "seed")
+    state0 = _coordinates(validate_density_matrix(rho0, dim=model.dim, name="rho0"))
     checked = _checked_observables(observables, model.dim)
 
-    states = _propagated(build_generator(model).matrix, grid, state0)
-    _check_density_matrix(states.T.reshape(-1, model.dim, model.dim),
+    states = _propagated(_real_generator(build_generator(model)), grid, state0)
+    _check_density_matrix(_from_coordinates(states.T, model.dim),
                           lambda j: f"evolved state at t={grid[j]:.6g}", evolved=True)
-
-    raw = np.stack([vec(q) for q in checked]).conj() @ states
-    inconsistent = np.abs(raw.imag) > EXPECTATION_IMAG_ATOL * (1.0 + np.abs(raw))
-    if inconsistent.any():
-        i, j = np.argwhere(inconsistent)[0]
-        raise NumericalFailure(
-            f"expectation of observable {i} at t={grid[j]:.6g} has imaginary part "
-            f"{raw[i, j].imag:.3e}; observable/state pair is inconsistent"
-        )
-    values = raw.real
+    values = _coordinates(np.stack(checked)) @ states
     if noise_sigma > 0:
         values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, values.shape)
     count = len(checked)
     entries = np.column_stack((np.arange(count).repeat(grid.size), np.tile(grid, count),
-                               values.reshape(-1), np.full(values.size, float(noise_sigma))))
+                               values.reshape(-1), np.full(values.size, noise_sigma)))
     return MeasurementRecord(entries=entries, observable_count=count, grid=grid)
 
 
@@ -203,11 +193,12 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
                 project: bool = True, truth=None) -> ReconstructionResult:
     """Recover the initial state from a measurement record by linear inversion.
 
-    The unknown state is expanded over the orthonormal hermitian basis with
-    real coefficients; each record entry contributes the design row
-    ``tr(Q_i expm(t_j L)[B_k])``.  The trace constraint is exact: the
-    identity coefficient is fixed at ``1/sqrt(dim)`` and least squares
-    solves only for the dim^2 - 1 traceless coordinates.  ``design_rank``
+    The unknowns are the state's real coordinates; each record entry
+    contributes the design row ``expm(t_j R^T) c_i``, the coordinates of
+    ``Q_i`` stepped by the transposed real generator.  The trace
+    constraint is exact: the identity coordinate is fixed at
+    ``1/sqrt(dim)`` and least squares solves only for the dim^2 - 1 >= 3
+    traceless coordinates.  ``design_rank``
     counts the fixed coordinate, and ``design_condition`` is the condition
     number of the traceless columns, i.e. of the data alone.  If the rank
     falls short of dim^2 the observables/grid pair cannot determine the
@@ -219,24 +210,23 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     state to the result.
     """
     n = model.dim
+    if n < 2:
+        raise ValidationError(f"reconstruction needs dimension >= 2, got {n}")
     checked = _checked_observables(observables, n)
     if record.observable_count != len(checked):
         raise ValidationError(
             f"record holds {record.observable_count} observables, got {len(checked)}"
         )
 
-    basis = np.stack(hermitian_basis(n))
     index, time, rhs, _sigma = record.entries.T
     instants, at = np.unique(time, return_inverse=True)
-    duals = np.stack([vec(q) for q in checked]).conj()
-    # expm(t L)^T = expm(t L^T), so the dual rows step as columns
-    rows = _propagated(build_generator(model).matrix.T, instants, duals.T)
-    # blocks[k, j, i] = tr(Q_i expm(t_j L)[B_k]), all instants in one product
-    blocks = (basis.reshape(n * n, n * n) @ rows.reshape(n * n, -1)).reshape(rows.shape)
-    design = blocks.real[:, at, index.astype(int)].T
+    # expm(t R)^T = expm(t R^T), so the observables' coordinates step as columns:
+    # rows[k, j, i] is coordinate k of Q_i stepped to instant j
+    rows = _propagated(_real_generator(build_generator(model)).T, instants, _coordinates(np.stack(checked)).T)
+    design = rows[:, at, index.astype(int)].T
     if not np.all(np.isfinite(design)):
         raise NumericalFailure("design matrix overflows: expm(t * L) is not finite on the record's instants")
-    # basis[0] is I/sqrt(n), so unit trace fixes its coefficient
+    # coordinate 0 is that of I/sqrt(n), so unit trace fixes it
     identity_coeff = 1.0 / np.sqrt(n)
     traceless = design[:, 1:]
     target = rhs - identity_coeff * design[:, 0]
@@ -254,7 +244,7 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
             required_rank=required,
         )
     condition = float(sigma[0] / sigma[-1])
-    rho_hat = identity_coeff * basis[0] + np.tensordot(coeffs, basis[1:], axes=1)
+    rho_hat = _from_coordinates(np.concatenate([[identity_coeff], coeffs]), n)
     residual = float(np.linalg.norm(traceless @ coeffs - target))
     if not (np.all(np.isfinite(coeffs)) and np.isfinite(residual)):
         raise NumericalFailure("least-squares estimate is not finite; the record values overflow")

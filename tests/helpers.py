@@ -64,6 +64,27 @@ def jordan_matrix(size: int, blocks, seed: int) -> np.ndarray:
     return v @ jordan @ np.linalg.inv(v)
 
 
+def gell_mann_basis(n: int) -> list[np.ndarray]:
+    """The hermitian basis written out entry by entry: I/sqrt(n), then the symmetric,
+    antisymmetric and diagonal generalized Gell-Mann matrices, each normalized."""
+    basis = [np.eye(n, dtype=complex) / np.sqrt(n)]
+    for j, k in zip(*np.triu_indices(n, 1)):
+        sym = np.zeros((n, n), dtype=complex)
+        sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
+        basis.append(sym)
+    for j, k in zip(*np.triu_indices(n, 1)):
+        asym = np.zeros((n, n), dtype=complex)
+        asym[j, k] = -1j / np.sqrt(2.0)
+        asym[k, j] = 1j / np.sqrt(2.0)
+        basis.append(asym)
+    for level in range(1, n):
+        diag = np.zeros((n, n), dtype=complex)
+        diag[:level, :level] = np.eye(level)
+        diag[level, level] = -level
+        basis.append(diag / np.sqrt(level * (level + 1)))
+    return basis
+
+
 def cofactor_det(m: np.ndarray) -> complex:
     """Determinant by cofactor expansion; independent of LAPACK."""
     n = m.shape[0]

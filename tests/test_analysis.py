@@ -7,15 +7,18 @@ from strobe_tomo import (
     NumericalFailure,
     SearchExhausted,
     Superoperator,
+    ToleranceConfig,
     ValidationError,
     build_generator,
     eigen_structure,
+    evolve,
     find_observables,
     hermitian_basis,
     laser_cooling_model,
     random_hermitian,
+    reconstruct,
+    simulate_measurements,
     spectral_report,
-    vec,
     verify_observables,
 )
 
@@ -256,20 +259,38 @@ class TestKrylovSubspace:
                 assert np.abs(element - element.conj().T).max() <= 1e-10
 
     def test_reports_hermiticity_breakdown_for_foreign_generator(self):
-        # an injected non-dissipative generator whose dual destroys hermiticity
+        # an injected non-dissipative generator whose dual destroys hermiticity,
+        # rejected before any Krylov element is formed
         sup = simple_spectrum_generator()
-        with pytest.raises(NumericalFailure, match=r"^Krylov element 1 is not hermitian "
-                                                   r"\(deviation .*\); .* does not preserve hermiticity$"):
+        with pytest.raises(NumericalFailure, match=r"^the generator does not preserve hermiticity"):
             verify_observables(sup, [np.ones((3, 3)) / 3 + np.eye(3) * 0.5])
 
-    def test_complete_basis_is_not_propagated(self):
-        # L* sends B_last to i*I and every other basis element to 0; B_last completes
-        # the basis, so its image is never needed and never tested
-        n = 2
-        basis = [vec(b) for b in hermitian_basis(n)]
-        adjoint = 1j * np.outer(vec(np.eye(n)), basis[-1].conj())
-        gen = Superoperator(dim=n, matrix=adjoint.conj().T)
-        assert verify_observables(gen, hermitian_basis(n)) == (True, n * n)
+
+class TestUpFrontRejection:
+    """Every stage after the spectrum runs on the real generator and rejects one that is not real."""
+
+    MESSAGE = r"^the generator does not preserve hermiticity \(or is not finite\); only its spectral analysis"
+
+    def test_hand_made_generator(self):
+        # the dual sends rho_01 to rho_00 alone: a hermitian input gets a complex diagonal
+        sup = Superoperator(dim=2, matrix=np.outer(np.eye(4)[1], np.eye(4)[0]))
+        with pytest.raises(NumericalFailure, match=self.MESSAGE):
+            verify_observables(sup, [np.diag([1.0, -1.0])])
+        with pytest.raises(NumericalFailure, match=self.MESSAGE):
+            evolve(sup, np.diag([1.0, 0.0]), 0.5)
+        report = spectral_report(sup)
+        assert (report.eta, report.mu) == (3, 2)
+
+    def test_model_whose_generator_overflows(self):
+        # L^dag L has entries of 1e400: the generator is not finite
+        model = LindbladModel(dim=2, jumps=((1.0, np.array([[0.0, 1e200], [0.0, 0.0]])),))
+        observables = [np.diag([1.0, -1.0])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match=self.MESSAGE):
+                simulate_measurements(model, np.eye(2) / 2, observables, [1.0])
+            record = simulate_measurements(LindbladModel(dim=2), np.eye(2) / 2, observables, [1.0])
+            with pytest.raises(NumericalFailure, match=self.MESSAGE):
+                reconstruct(model, observables, record)
 
 
 def _benchmark_search_input(seed: int, n: int, cls: int, round_: int):
@@ -364,10 +385,11 @@ class TestFindObservables:
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_exhaustion_reports_diagnostics(self, cooling_gen):
-        with pytest.raises(SearchExhausted) as excinfo:
-            find_observables(cooling_gen, seed=0, max_attempts=0)
-        assert excinfo.value.attempts == 0
-        assert excinfo.value.best_rank == 0
+        # a rank threshold of half |L|_2 keeps every candidate set far from spanning
+        with pytest.raises(SearchExhausted, match="in 3 attempts") as excinfo:
+            find_observables(cooling_gen, ToleranceConfig(rank_rtol=0.5), seed=0, max_attempts=3)
+        assert excinfo.value.attempts == 3
+        assert 0 < excinfo.value.best_rank < 9
 
 
 class TestSpanningAgainstBasisOracle:

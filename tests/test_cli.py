@@ -371,6 +371,18 @@ class TestReconstruct:
                         for row in doc["result"]["rho_hat"]])
         assert np.linalg.eigvalsh((arr + arr.conj().T) / 2).min() < 0
 
+    def test_one_level_model_exit_two(self, tmp_path, capsys):
+        paths = {name: tmp_path / f"{name}.json" for name in ("model", "obs", "state")}
+        paths["model"].write_text(json.dumps({"dim": 1, "hamiltonian": [[0.5]]}))
+        paths["obs"].write_text(json.dumps([[[1.0]]]))
+        paths["state"].write_text(json.dumps([[1.0]]))
+        record_path = tmp_path / "rec.csv"
+        assert main(["simulate", str(paths["model"]), str(paths["state"]), str(paths["obs"]),
+                     "--out", str(record_path)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", str(paths["model"]), str(paths["obs"]), str(record_path)]) == 2
+        assert "dimension >= 2, got 1" in capsys.readouterr().err
+
 
 class TestToleranceEnv:
     def test_override_propagates_to_document(self, monkeypatch, capsys):

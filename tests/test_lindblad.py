@@ -290,17 +290,24 @@ class TestEvolve:
 
     @pytest.mark.parametrize("matrix, rho0, match", [
         # -I scales the state by exp(-t): its trace leaks away
-        (-np.eye(4), np.eye(2) / 2, "has trace"),
-        # feeds rho_00 into rho_01 alone
-        (np.outer(np.eye(4)[1], np.eye(4)[0]), np.diag([1.0, 0.0]), "is not hermitian"),
+        (-np.eye(4), np.eye(2) / 2, "^evolved state at t=0.5 has trace"),
+        # feeds rho_00 into rho_01 alone, so it is rejected before propagating
+        (np.outer(np.eye(4)[1], np.eye(4)[0]), np.diag([1.0, 0.0]),
+         "^the generator does not preserve hermiticity"),
         # grows rho_00 as exp(t) and drains rho_11 by as much, below zero
         (np.outer(np.eye(4)[0], np.eye(4)[0]) - np.outer(np.eye(4)[3], np.eye(4)[0]),
-         np.diag([1.0, 0.0]), "has eigenvalue"),
+         np.diag([1.0, 0.0]), "^evolved state at t=0.5 has eigenvalue"),
     ], ids=["trace", "hermiticity", "eigenvalue"])
     def test_unphysical_evolution_is_a_numerical_failure(self, matrix, rho0, match):
         gen = Superoperator(dim=2, matrix=matrix)
-        with pytest.raises(NumericalFailure, match=f"evolved state at t=0.5 {match}"):
+        with pytest.raises(NumericalFailure, match=match):
             evolve(gen, rho0, 0.5)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        gen = build_generator(laser_cooling_model(1.0, 2.0))
+        with pytest.raises(ValidationError, match="propagation time must be finite and >= 0"):
+            evolve(gen, np.eye(3) / 3, t)
 
 
 class TestDensityValidation:

@@ -26,11 +26,13 @@ from strobe_tomo import (
 from strobe_tomo.operator_algebra import (
     EIG_CLUSTER_RTOL,
     EigenvalueCluster,
+    _coordinates,
+    _from_coordinates,
     _hermitian_form,
     _minimal_polynomial_of,
 )
 
-from helpers import cofactor_det, equal_rate_cascade, jordan_matrix, random_density, random_model
+from helpers import cofactor_det, equal_rate_cascade, gell_mann_basis, jordan_matrix, random_density, random_model
 
 E1 = np.zeros((3, 3), dtype=complex)
 E1[0, 1] = 1.0
@@ -215,6 +217,17 @@ class TestExpm:
                              ids=["tiny", "nilpotent"])
     def test_exact_cases(self, a):
         assert np.array_equal(expm(a), np.eye(2) + a)
+
+    def test_real_input_stays_real(self):
+        rng = np.random.default_rng(8)
+        for scale in (1e-3, 1.0, 30.0):
+            a = scale * rng.standard_normal((9, 9))
+            out = expm(a)
+            assert out.dtype == np.float64
+            reference = expm(a.astype(complex))
+            assert np.linalg.norm(out - reference) <= 1e-13 * np.linalg.norm(reference)
+        assert expm(np.zeros((2, 2))).dtype == np.float64
+        assert np.isnan(expm(np.diag([np.inf, 0.0]))).all()
 
 
 #: ``expm`` must be within this many unit roundoffs of the exact exponential
@@ -402,6 +415,15 @@ class TestHermitianBasis:
         with pytest.raises(ValidationError):
             hermitian_basis(1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_explicit_gell_mann_matrices(self, n):
+        # the package builds the basis from its coordinate map; this pins the
+        # order, signs and normalization against the matrices written out
+        basis = hermitian_basis(n)
+        assert len(basis) == n * n
+        for got, expected in zip(basis, gell_mann_basis(n)):
+            assert np.abs(got - expected).max() <= 1e-15
+
 
 class TestHermitianForm:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -424,6 +446,33 @@ class TestHermitianForm:
         mat = build_generator(laser_cooling_model(1.0, 2.0)).matrix.copy()
         mat[0, 0] = np.inf
         assert _hermitian_form(mat, 3) is mat
+
+
+class TestCoordinates:
+    """The coordinate map x_k = tr(B_k A) and its inverse, without a dense basis."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_basis_traces(self, n):
+        rng = np.random.default_rng(60 + n)
+        basis = hermitian_basis(n)
+        for _ in range(3):
+            a = random_hermitian(n, rng)
+            x = _coordinates(a)
+            assert x.dtype == np.float64
+            oracle = np.array([np.trace(b @ a) for b in basis])
+            assert np.abs(x - oracle.real).max() <= 1e-14 * np.abs(a).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_round_trip(self, n):
+        rng = np.random.default_rng(70 + n)
+        stack = np.stack([random_hermitian(n, rng) for _ in range(4)])
+        x = _coordinates(stack)
+        assert x.shape == (4, n * n)
+        back = _from_coordinates(x, n)
+        assert np.abs(back - stack).max() <= 1e-14 * np.abs(stack).max()
+        # the rebuilt matrices are hermitian to the last bit
+        assert np.array_equal(back, back.conj().swapaxes(1, 2))
+        assert _coordinates(stack[0]).shape == (n * n,)
 
 
 class TestIsHermitian:

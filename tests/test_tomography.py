@@ -1,5 +1,7 @@
 import math
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ import scipy.linalg
 import strobe_tomo.lindblad as lindblad
 
 from strobe_tomo import (
+    LindbladModel,
     MeasurementRecord,
     RankDeficiencyError,
     Superoperator,
@@ -16,6 +19,7 @@ from strobe_tomo import (
     find_observables,
     hermitian_basis,
     laser_cooling_model,
+    random_hermitian,
     read_record_csv,
     reconstruct,
     simulate_measurements,
@@ -162,6 +166,67 @@ def _horizon(mat: np.ndarray) -> float:
     rates = np.abs(np.linalg.eigvals(mat).real)
     rates = rates[rates > 1e-9]
     return 3.0 / rates.min() if rates.size else 10.0
+
+
+class TestLibraryArguments:
+    """Seeds, attempt counts and noise levels follow the CLI's rules, as ValidationError."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda gen, model: find_observables(gen, seed=-1), "seed"),
+        (lambda gen, model: find_observables(gen, seed=1.5), "seed"),
+        (lambda gen, model: find_observables(gen, seed=True), "seed"),
+        (lambda gen, model: find_observables(gen, max_attempts=2.5), "max_attempts"),
+        (lambda gen, model: find_observables(gen, max_attempts=0), "max_attempts"),
+        (lambda gen, model: find_observables(gen, max_attempts=-3), "max_attempts"),
+        (lambda gen, model: simulate_measurements(model, np.eye(3) / 3, [np.eye(3)], [1.0],
+                                                  noise_sigma=0.1, seed=-1), "seed"),
+        (lambda gen, model: simulate_measurements(model, np.eye(3) / 3, [np.eye(3)], [1.0],
+                                                  seed=True), "seed"),
+        (lambda gen, model: simulate_measurements(model, np.eye(3) / 3, [np.eye(3)], [1.0],
+                                                  noise_sigma="0.1"), "noise_sigma"),
+        (lambda gen, model: simulate_measurements(model, np.eye(3) / 3, [np.eye(3)], [1.0],
+                                                  noise_sigma=True), "noise_sigma"),
+    ], ids=["seed-negative", "seed-fractional", "seed-bool", "attempts-fractional", "attempts-zero",
+            "attempts-negative", "simulate-seed-negative", "simulate-seed-bool", "sigma-string",
+            "sigma-bool"])
+    def test_rejected_with_the_argument_named(self, cooling_gen, cooling_model, call, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            call(cooling_gen, cooling_model)
+
+
+class TestRealDesign:
+    """The design rows in real coordinates against the dense complex oracle of hermitian_basis."""
+
+    @staticmethod
+    def _models():
+        rng = np.random.default_rng(31)
+        return [laser_cooling_model(1.0, 2.0)] + [random_model(n, rng) for n in range(2, 7)]
+
+    @pytest.mark.parametrize("index", range(6), ids=["laser-cooling"] + [f"random-{n}" for n in range(2, 7)])
+    def test_matches_dense_oracle(self, index, monkeypatch):
+        model = self._models()[index]
+        n = model.dim
+        rng = np.random.default_rng(index)
+        observables = [random_hermitian(n, rng) for _ in range(2)]
+        grid = default_time_grid(spectral_report(build_generator(model)))
+        record = simulate_measurements(model, random_density(n, rng), observables, grid)
+        solved = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, *args, **kw: solved.append(a) or lstsq(a, *args, **kw))
+        with contextlib.suppress(RankDeficiencyError):
+            reconstruct(model, observables, record)
+        # oracle: tr(Q_i expm(t L)[B_k]) for the traceless basis elements
+        gen = build_generator(model).matrix
+        basis = np.stack([vec(b) for b in hermitian_basis(n)[1:]], axis=1)
+        oracle = np.array([(vec(observables[int(i)]).conj() @ scipy.linalg.expm(t * gen) @ basis).real
+                           for i, t, _value, _sigma in record.entries])
+        assert np.linalg.norm(solved[0] - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+    def test_one_level_model_is_rejected(self):
+        model = LindbladModel(dim=1, hamiltonian=np.array([[0.5]]))
+        record = MeasurementRecord(entries=[(0, 1.0, 1.0, 0.0)], observable_count=1, grid=[1.0])
+        with pytest.raises(ValidationError, match="dimension >= 2, got 1"):
+            reconstruct(model, [np.eye(1)], record)
 
 
 class TestPropagation:
