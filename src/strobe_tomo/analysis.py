@@ -26,7 +26,6 @@ from .operator_algebra import (
     EigenvalueCluster,
     ToleranceConfig,
     _coordinates,
-    _hermitian_form,
     _minimal_polynomial_of,
     assert_hermitian,
     eigen_structure,
@@ -79,10 +78,10 @@ class VerificationResult(NamedTuple):
 def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralReport:
     """Cluster the spectrum once and derive the resource bounds from it.
 
-    Everything comes from one :func:`eigen_structure` call on the
-    generator in hermitian coordinates, ``T^dag L T`` with ``T`` the
-    columns ``vec(B_k)`` of :func:`hermitian_basis`: a unitary change of
-    basis, so the spectrum and the Jordan structure are those of ``L``.
+    Everything comes from one :func:`eigen_structure` call on the form the
+    generator stored when it was made, ``gen.hermitian_form = T^dag L T``
+    with ``T`` the columns ``vec(B_k)`` of :func:`hermitian_basis`: a unitary
+    change of basis, so the spectrum and the Jordan structure are those of ``L``.
     For a generator that preserves hermiticity, as every Lindblad
     generator does, that matrix is real, and the eigenvalues and SVDs run
     in real arithmetic; any other generator is analysed as given.  ``eta``
@@ -91,7 +90,7 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     eigenvalues cost an SVD, and defective generators are handled like any
     other.
     """
-    distinct = eigen_structure(_hermitian_form(gen.matrix, gen.dim), tol)
+    distinct = eigen_structure(gen.hermitian_form, tol)
     eta = max(c.geometric_multiplicity for c in distinct)
     mu = sum(c.index for c in distinct)
     return SpectralReport(
@@ -104,13 +103,13 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     )
 
 
-def _checked_observables(observables, dim: int) -> list[np.ndarray]:
-    """A non-empty list of hermitian ``dim x dim`` matrices; errors name ``observables[i]``."""
+def _observable_coordinates(observables, dim: int) -> np.ndarray:
+    """Coordinate rows of a non-empty list of hermitian ``dim x dim`` matrices; errors name ``observables[i]``."""
     checked = [_operator(assert_hermitian(q, name=f"observables[{i}]"), f"observables[{i}]", dim)
                for i, q in enumerate(observables)]
     if not checked:
         raise ValidationError("observable set must contain at least one observable")
-    return checked
+    return _coordinates(np.stack(checked))
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -135,13 +134,13 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     exceeds ``rank_rtol * |R|_2``, so roundoff never adds a direction.  The
     set spans iff the basis reaches dim^2 vectors; ``achieved_rank`` is its size.
     """
-    checked = _checked_observables(observables, gen.dim)
+    coordinates = _observable_coordinates(observables, gen.dim)
     adjoint = _real_generator(gen).T
     n2 = gen.dim * gen.dim
     floor = tol.rank_rtol * float(np.linalg.norm(adjoint, 2))
     basis = np.zeros((n2, n2))
     size = 0
-    for candidate in _coordinates(np.stack(checked)):
+    for candidate in coordinates:
         threshold = tol.rank_rtol * float(np.linalg.norm(candidate))
         while size < n2:
             resid = _orthogonalize(candidate, basis[:size])

@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import NumericalFailure, ValidationError
 from .operator_algebra import (
-    HERMITICITY_ATOL,
     _coordinates,
     _from_coordinates,
     _hermitian_form,
+    _hermiticity,
     _square,
     as_complex_matrix,
     assert_hermitian,
@@ -134,23 +134,26 @@ class Superoperator:
     """A dim^2 x dim^2 generator matrix acting on row-stacked operators.
 
     Row-stacking (``vec`` flattens row by row) is the package's only
-    vectorization convention.  Construction only checks the shape, so
+    vectorization convention.  Construction only checks ``dim`` and the shape, so
     synthetic generators can be injected; matrices produced by
     :func:`build_generator` also annihilate the trace functional
-    (``vec(I)^dag @ matrix ~ 0``) and preserve hermiticity; any other gets
-    spectral analysis only, as later stages need the real form.  The matrix is stored read-only: a
-    caller's array is copied, unless it is already a read-only complex
-    array that owns its memory, as :func:`build_generator` passes.
-    Compared and hashed by identity; compare contents with
-    ``np.array_equal``.
+    (``vec(I)^dag @ matrix ~ 0``) and preserve hermiticity.  The matrix is
+    stored read-only: a caller's array is copied, unless it is already a
+    read-only complex array that owns its memory, as :func:`build_generator`
+    passes.  Formed once here for every stage, the read-only ``hermitian_form``
+    is the generator in hermitian coordinates, the real ``R = T^dag matrix T``,
+    when the matrix preserves hermiticity; any other matrix (NaN or infinite
+    entries too) is its own form and gets spectral analysis only, as later
+    stages need ``R``.  Compared and hashed by identity; compare contents with ``np.array_equal``.
     """
 
     dim: int
     matrix: np.ndarray
+    hermitian_form: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix, "superoperator matrix")
-        n2 = self.dim * self.dim
+        n2 = _integer(self.dim, "dim", positive=True) ** 2
         if mat.shape != (n2, n2):
             raise ValidationError(
                 f"superoperator matrix has shape {mat.shape}, expected ({n2}, {n2})"
@@ -159,6 +162,8 @@ class Superoperator:
             mat = mat.copy()
             mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "hermitian_form", _hermitian_form(mat, self.dim))
+        self.hermitian_form.setflags(write=False)
 
 
 def laser_cooling_model(gamma1: float, gamma2: float) -> LindbladModel:
@@ -178,35 +183,37 @@ def build_generator(model: LindbladModel) -> Superoperator:
     """Vectorize a model into its dim^2 x dim^2 generator matrix.
 
     The output annihilates the trace functional by construction; this is
-    re-checked numerically as a guard against degenerate inputs.
+    re-checked numerically as a guard against degenerate inputs.  A
+    generator with an entry past the float range raises :class:`NumericalFailure`.
     """
     n = model.dim
     eye = np.eye(n, dtype=complex)
-    # G rho + rho G^dag + sum rate L rho L^dag, with G = -iH - (1/2) sum rate L^dag L
-    effective = -1j * model.hamiltonian
-    for rate, op in model.jumps:
-        effective = effective - 0.5 * rate * (op.conj().T @ op)
-    mat = np.kron(effective, eye) + np.kron(eye, effective.conj())
-    for rate, op in model.jumps:
-        mat += rate * np.kron(op, op.conj())
-    mat.setflags(write=False)
-    sup = Superoperator(dim=n, matrix=mat)
-    scale = max(1.0, float(np.abs(mat).max()) if mat.size else 0.0)
+    with np.errstate(all="ignore"):
+        # G rho + rho G^dag + sum rate L rho L^dag, with G = -iH - (1/2) sum rate L^dag L
+        effective = -1j * model.hamiltonian
+        for rate, op in model.jumps:
+            effective = effective - 0.5 * rate * (op.conj().T @ op)
+        mat = np.kron(effective, eye) + np.kron(eye, effective.conj())
+        for rate, op in model.jumps:
+            mat += rate * np.kron(op, op.conj())
+        top = float(np.abs(mat).max())
+    if not top < np.inf:
+        raise NumericalFailure("the generator overflows the float range")
     residual = float(np.abs(vec(eye).conj() @ mat).max())
-    if residual > 1e-10 * scale:
+    if residual > 1e-10 * max(1.0, top):
         raise NumericalFailure(
             f"generator fails to annihilate the trace functional (residual {residual:.3e})"
         )
-    return sup
+    mat.setflags(write=False)
+    return Superoperator(dim=n, matrix=mat)
 
 
 def _real_generator(gen: Superoperator) -> np.ndarray:
-    """The generator in hermitian coordinates, a real matrix; :class:`NumericalFailure` if it is not."""
-    real = _hermitian_form(gen.matrix, gen.dim)
-    if np.iscomplexobj(real):
+    """The stored ``gen.hermitian_form`` if it is a real matrix; :class:`NumericalFailure` if it is not."""
+    if np.iscomplexobj(gen.hermitian_form):
         raise NumericalFailure("the generator does not preserve hermiticity (or is not finite); "
                                "only its spectral analysis is defined")
-    return real
+    return gen.hermitian_form
 
 
 def _propagated(mat: np.ndarray, instants: np.ndarray, operand: np.ndarray) -> np.ndarray:
@@ -261,11 +268,7 @@ def _check_density_matrix(arr: np.ndarray, name: str | Callable[[int], str], *,
     """
     error, eig_floor = (NumericalFailure, EVOLVE_EIG_FLOOR) if evolved else (ValidationError, STATE_EIG_FLOOR)
     stack, names = (arr[None], lambda _: name) if arr.ndim == 2 else (arr, name)
-    # the entrywise test of is_hermitian; inf - inf is NaN, which fails it
-    scale = 1.0 + np.abs(stack).max(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
-        dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    hermitian = (scale < np.inf) & (dev <= HERMITICITY_ATOL * scale)
+    dev, hermitian = _hermiticity(stack)
     tr = np.trace(stack, axis1=1, axis2=2)
     unit_trace = np.abs(tr - 1.0) <= EVOLVE_TRACE_ATOL
     tested = hermitian & unit_trace

@@ -98,24 +98,27 @@ def _square(a, name: str = "matrix", dtype=None) -> np.ndarray:
     return arr
 
 
+def _hermiticity(stack: np.ndarray, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
+    """``max |A - A^dag|`` and the test of :func:`is_hermitian` for each square matrix on the last two axes."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = 1.0 + np.abs(stack).max(axis=(-2, -1), initial=0.0)
+        dev = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+    return dev, (scale < np.inf) & (dev <= atol * scale)
+
+
 def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
     """Entrywise hermiticity test: max |A - A^dag| <= atol * (1 + max |A|).
 
     A matrix with a NaN or infinite entry is not hermitian.
     """
     arr = as_complex_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        return False
-    scale = 1.0 + (np.abs(arr).max() if arr.size else 0.0)
-    if not scale < np.inf:
-        return False
-    return float(np.abs(arr - arr.conj().T).max()) <= atol * scale
+    return arr.shape[0] == arr.shape[1] and bool(_hermiticity(arr, atol)[1])
 
 
 def assert_hermitian(a, name: str = "matrix") -> np.ndarray:
     arr = _square(a, name, dtype=complex)
-    if not is_hermitian(arr):
-        dev = float(np.abs(arr - arr.conj().T).max())
+    dev, hermitian = _hermiticity(arr)
+    if not hermitian:
         raise ValidationError(f"{name} is not hermitian (max |A - A^dag| = {dev:.3e})")
     return arr
 

@@ -29,7 +29,7 @@ from .lindblad import (
     build_generator,
     validate_density_matrix,
 )
-from .analysis import SpectralReport, _checked_observables
+from .analysis import SpectralReport, _observable_coordinates
 from .operator_algebra import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
@@ -174,15 +174,15 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     noise_sigma = _nonnegative_real(noise_sigma, "noise_sigma")
     _integer(seed, "seed")
     state0 = _coordinates(validate_density_matrix(rho0, dim=model.dim, name="rho0"))
-    checked = _checked_observables(observables, model.dim)
+    coordinates = _observable_coordinates(observables, model.dim)
 
     states = _propagated(_real_generator(build_generator(model)), grid, state0)
     _check_density_matrix(_from_coordinates(states.T, model.dim),
                           lambda j: f"evolved state at t={grid[j]:.6g}", evolved=True)
-    values = _coordinates(np.stack(checked)) @ states
+    values = coordinates @ states
     if noise_sigma > 0:
         values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, values.shape)
-    count = len(checked)
+    count = len(coordinates)
     entries = np.column_stack((np.arange(count).repeat(grid.size), np.tile(grid, count),
                                values.reshape(-1), np.full(values.size, noise_sigma)))
     return MeasurementRecord(entries=entries, observable_count=count, grid=grid)
@@ -212,17 +212,17 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     n = model.dim
     if n < 2:
         raise ValidationError(f"reconstruction needs dimension >= 2, got {n}")
-    checked = _checked_observables(observables, n)
-    if record.observable_count != len(checked):
+    coordinates = _observable_coordinates(observables, n)
+    if record.observable_count != len(coordinates):
         raise ValidationError(
-            f"record holds {record.observable_count} observables, got {len(checked)}"
+            f"record holds {record.observable_count} observables, got {len(coordinates)}"
         )
 
     index, time, rhs, _sigma = record.entries.T
     instants, at = np.unique(time, return_inverse=True)
     # expm(t R)^T = expm(t R^T), so the observables' coordinates step as columns:
     # rows[k, j, i] is coordinate k of Q_i stepped to instant j
-    rows = _propagated(_real_generator(build_generator(model)).T, instants, _coordinates(np.stack(checked)).T)
+    rows = _propagated(_real_generator(build_generator(model)).T, instants, coordinates.T)
     design = rows[:, at, index.astype(int)].T
     if not np.all(np.isfinite(design)):
         raise NumericalFailure("design matrix overflows: expm(t * L) is not finite on the record's instants")

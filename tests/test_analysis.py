@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -282,15 +284,48 @@ class TestUpFrontRejection:
         assert (report.eta, report.mu) == (3, 2)
 
     def test_model_whose_generator_overflows(self):
-        # L^dag L has entries of 1e400: the generator is not finite
+        # L^dag L has entries of 1e400: building the generator fails, with no warning
         model = LindbladModel(dim=2, jumps=((1.0, np.array([[0.0, 1e200], [0.0, 0.0]])),))
         observables = [np.diag([1.0, -1.0])]
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalFailure, match=self.MESSAGE):
-                simulate_measurements(model, np.eye(2) / 2, observables, [1.0])
-            record = simulate_measurements(LindbladModel(dim=2), np.eye(2) / 2, observables, [1.0])
-            with pytest.raises(NumericalFailure, match=self.MESSAGE):
-                reconstruct(model, observables, record)
+        with pytest.raises(NumericalFailure, match=r"^the generator overflows the float range$"):
+            simulate_measurements(model, np.eye(2) / 2, observables, [1.0])
+        record = simulate_measurements(LindbladModel(dim=2), np.eye(2) / 2, observables, [1.0])
+        with pytest.raises(NumericalFailure, match=r"^the generator overflows the float range$"):
+            reconstruct(model, observables, record)
+
+
+@pytest.fixture
+def form_calls(monkeypatch):
+    """The arguments of every ``_hermitian_form`` call, under whichever module name it is called."""
+    calls = []
+    form = strobe_tomo.operator_algebra._hermitian_form
+
+    def counting(*args):
+        calls.append(args)
+        return form(*args)
+
+    for name in ("operator_algebra", "lindblad", "analysis", "tomography"):
+        module = importlib.import_module(f"strobe_tomo.{name}")
+        if hasattr(module, "_hermitian_form"):
+            monkeypatch.setattr(module, "_hermitian_form", counting)
+    return calls
+
+
+class TestFormedOnce:
+    """A generator forms its hermitian form once, when it is made, and every stage reads the stored one."""
+
+    def test_report_and_verification(self, form_calls):
+        gen = build_generator(laser_cooling_model(1.0, 2.0))
+        report = spectral_report(gen)
+        rng = np.random.default_rng(3)
+        assert verify_observables(gen, [random_hermitian(3, rng) for _ in range(report.eta)]).ok
+        assert len(form_calls) == 1
+
+    def test_exhausted_search(self, form_calls):
+        gen = build_generator(laser_cooling_model(1.0, 2.0))
+        with pytest.raises(SearchExhausted, match="in 3 attempts"):
+            find_observables(gen, ToleranceConfig(rank_rtol=0.5), seed=0, max_attempts=3)
+        assert len(form_calls) == 1
 
 
 def _benchmark_search_input(seed: int, n: int, cls: int, round_: int):

@@ -151,6 +151,12 @@ class TestAnalyze:
             assert main(["analyze", str(path), "--json"]) == 3
         assert "overflows" in capsys.readouterr().err
 
+    def test_overflowing_generator_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"dim": 2, "jumps": [{"rate": 1, "matrix": [[0, 1e200], [0, 0]]}]}))
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: the generator overflows the float range"]
+
     def test_overflow_reports_one_error_line(self, tmp_path, capsys):
         doc = model_to_json(laser_cooling_model(1.0, 2.0))
         doc["jumps"][0]["rate"] = 1e200

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -185,11 +186,25 @@ class TestBuildGenerator:
             gen = build_generator(random_model(n, rng))
             assert trace_residual(gen) <= 1e-10
 
+    def test_overflowing_generator_rejected_without_warning(self):
+        # L^dag L has an entry of 1e400, and the krons turn it into inf and NaN entries
+        model = LindbladModel(dim=2, jumps=((1.0, np.array([[0.0, 1e200], [0.0, 0.0]])),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=r"^the generator overflows the float range$"):
+                build_generator(model)
+
 
 class TestSuperoperator:
     def test_shape_checked(self):
         with pytest.raises(ValidationError, match="shape"):
             Superoperator(dim=3, matrix=np.eye(4))
+
+    @pytest.mark.parametrize("dim, size", [(0, 0), (-1, 1), (3.0, 9), (True, 1)])
+    def test_dim_checked(self, dim, size):
+        # the hermitian form is formed at construction, which needs a positive integer dim
+        with pytest.raises(ValidationError, match="^dim must be a positive integer"):
+            Superoperator(dim=dim, matrix=np.zeros((size, size)))
 
     def test_synthetic_injection_allowed(self):
         # trace-functional residual is only enforced for built generators

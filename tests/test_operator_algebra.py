@@ -8,6 +8,7 @@ import scipy.linalg
 from strobe_tomo import (
     DEFAULT_TOLERANCES,
     LindbladModel,
+    Superoperator,
     ToleranceConfig,
     ValidationError,
     build_generator,
@@ -29,6 +30,7 @@ from strobe_tomo.operator_algebra import (
     _coordinates,
     _from_coordinates,
     _hermitian_form,
+    _hermiticity,
     _minimal_polynomial_of,
 )
 
@@ -447,6 +449,22 @@ class TestHermitianForm:
         mat[0, 0] = np.inf
         assert _hermitian_form(mat, 3) is mat
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_generator_stores_its_form_read_only(self, n):
+        rng = np.random.default_rng(80 + n)
+        models = [random_model(n, rng) for _ in range(3)]
+        for model in models + ([laser_cooling_model(1.0, 2.0)] if n == 3 else []):
+            gen = build_generator(model)
+            assert gen.hermitian_form.dtype == np.float64
+            assert np.array_equal(gen.hermitian_form, _hermitian_form(gen.matrix, n))
+            with pytest.raises(ValueError, match="read-only"):
+                gen.hermitian_form[0, 0] = 1.0
+
+    def test_generator_breaking_hermiticity_stores_its_matrix(self):
+        gen = Superoperator(dim=3, matrix=jordan_matrix(9, [(-1.0, 2)], seed=0))
+        assert gen.hermitian_form is gen.matrix
+        assert not gen.hermitian_form.flags.writeable
+
 
 class TestCoordinates:
     """The coordinate map x_k = tr(B_k A) and its inverse, without a dense basis."""
@@ -486,6 +504,25 @@ class TestIsHermitian:
         m = np.eye(2, dtype=complex)
         m[entry] = value
         assert not is_hermitian(m)
+
+    def test_empty_matrix_gives_a_bool(self):
+        assert is_hermitian(np.zeros((0, 0))) is True
+
+    def test_batched_test_matches_matrix_by_matrix(self):
+        rng = np.random.default_rng(11)
+        stack = np.stack([random_hermitian(3, rng) for _ in range(9)])
+        stack[1, 0, 2] += 1e-6
+        stack[2, 1, 1] = np.nan
+        stack[3, 0, 1] = np.inf
+        stack[4, 2, 2] = np.inf
+        stack[5, 0, 1] = stack[5, 1, 0] = -np.inf
+        stack[6, 1, 2] = complex(np.nan, np.inf)
+        stack[7] *= 1e300
+        dev, hermitian = _hermiticity(stack)
+        assert hermitian.tolist() == [is_hermitian(m) for m in stack]
+        assert hermitian.tolist() == [True, False, False, False, False, False, False, True, True]
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(dev, [np.abs(m - m.conj().T).max() for m in stack])
 
 
 class TestToleranceConfig:
