@@ -26,9 +26,10 @@ from .operator_algebra import (
     EigenvalueCluster,
     ToleranceConfig,
     _coordinates,
+    _hermiticity,
     _minimal_polynomial_of,
+    _square,
     assert_hermitian,
-    eigen_structure,
     random_hermitian,
 )
 
@@ -76,7 +77,7 @@ class VerificationResult(NamedTuple):
 
 
 def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralReport:
-    """Cluster the spectrum once and derive the resource bounds from it.
+    """Cluster the spectrum once per tolerance and derive the resource bounds from it.
 
     Everything comes from one :func:`eigen_structure` call on the form the
     generator stored when it was made, ``gen.hermitian_form = T^dag L T``
@@ -88,10 +89,12 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     is the largest geometric multiplicity, ``mu`` the sum of the
     eigenvalue indices (the minimal-polynomial degree).  Only multiple
     eigenvalues cost an SVD, and defective generators are handled like any
-    other.
+    other.  The generator keeps the clusters per ``tol``, so a later call,
+    or :func:`find_observables`, reuses them; each call returns a new
+    report built from them.
     """
-    distinct = eigen_structure(gen.hermitian_form, tol)
-    eta = max(c.geometric_multiplicity for c in distinct)
+    distinct = gen._eigen_structure(tol)
+    eta = _eta(distinct)
     mu = sum(c.index for c in distinct)
     return SpectralReport(
         dim=gen.dim,
@@ -103,13 +106,30 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     )
 
 
+def _eta(distinct: Sequence[EigenvalueCluster]) -> int:
+    """The largest geometric multiplicity over the clusters."""
+    return max(c.geometric_multiplicity for c in distinct)
+
+
 def _observable_coordinates(observables, dim: int) -> np.ndarray:
-    """Coordinate rows of a non-empty list of hermitian ``dim x dim`` matrices; errors name ``observables[i]``."""
-    checked = [_operator(assert_hermitian(q, name=f"observables[{i}]"), f"observables[{i}]", dim)
-               for i, q in enumerate(observables)]
-    if not checked:
+    """Coordinate rows of a non-empty list of hermitian ``dim x dim`` matrices; errors name ``observables[i]``.
+
+    The list is checked in one batched pass: every observable coerced in
+    order, the stack tested with one :func:`_hermiticity` call, then its
+    shape.  A list that fails is checked again one observable at a time,
+    so the error names the first failing observable and that observable's
+    first failing test: coercion, hermiticity (which also rejects NaN and
+    infinite entries), finiteness, shape.
+    """
+    try:
+        stack = np.stack([_square(q, f"observables[{i}]", dtype=complex) for i, q in enumerate(observables)])
+    except (ValidationError, ValueError):  # a matrix that does not coerce, or mixed shapes or none at all
+        stack = None
+    if stack is None or stack.shape[1:] != (dim, dim) or not _hermiticity(stack)[1].all():
+        for i, q in enumerate(observables):
+            _operator(assert_hermitian(q, name=f"observables[{i}]"), f"observables[{i}]", dim)
         raise ValidationError("observable set must contain at least one observable")
-    return _coordinates(np.stack(checked))
+    return _coordinates(stack)
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -160,20 +180,21 @@ def find_observables(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANC
                      seed: int = 0, max_attempts: int = 100) -> list[np.ndarray]:
     """Search for a passing observable set of minimal size by seeded sampling.
 
-    Computes one :func:`spectral_report` for ``eta``, then draws ``eta``
-    random hermitian matrices per attempt (complex Gaussian entries,
-    symmetrized) and returns the first set that passes
+    Reads ``eta`` from the clusters the generator keeps for ``tol`` (the
+    ones :func:`spectral_report` reads, computed on first request), then
+    draws ``eta`` random hermitian matrices per attempt (complex Gaussian
+    entries, symmetrized) and returns the first set that passes
     :func:`verify_observables`.  Deterministic for a fixed seed (an integer
     >= 0).  Raises :class:`SearchExhausted` with the best achieved rank
     when all ``max_attempts`` (an integer >= 1) attempts fail.
     """
     _integer(seed, "seed")
     _integer(max_attempts, "max_attempts", positive=True)
-    report = spectral_report(gen, tol)
+    eta = _eta(gen._eigen_structure(tol))
     rng = np.random.default_rng(seed)
     best_rank = 0
     for _ in range(max_attempts):
-        candidate = [random_hermitian(gen.dim, rng) for _ in range(report.eta)]
+        candidate = [random_hermitian(gen.dim, rng) for _ in range(eta)]
         ok, achieved = verify_observables(gen, candidate, tol)
         if ok:
             return candidate
@@ -181,7 +202,7 @@ def find_observables(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANC
     raise SearchExhausted(
         f"no passing observable set in {max_attempts} attempts "
         f"(best spanning rank {best_rank} of {gen.dim * gen.dim} needed, "
-        f"eta={report.eta}, seed={seed})",
+        f"eta={eta}, seed={seed})",
         attempts=max_attempts,
         best_rank=best_rank,
     )

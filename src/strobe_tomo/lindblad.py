@@ -15,12 +15,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import NumericalFailure, ValidationError
 from .operator_algebra import (
+    EigenvalueCluster,
+    ToleranceConfig,
     _coordinates,
     _from_coordinates,
     _hermitian_form,
@@ -28,6 +31,7 @@ from .operator_algebra import (
     _square,
     as_complex_matrix,
     assert_hermitian,
+    eigen_structure,
     expm,
     vec,
 )
@@ -99,8 +103,11 @@ class LindbladModel:
     ``dim x dim`` with finite entries, and the Hamiltonian must be
     hermitian.  Time-dependent Hamiltonians are rejected: the vectorized
     generator built from this model is only meaningful when it is constant.
-    The operators are stored as read-only copies.  Models compare and hash
-    by identity; compare contents with ``np.array_equal``.
+    A model is immutable: it is frozen and its operators are stored as
+    read-only copies, so it builds its generator once, on first use, and
+    keeps it for :func:`build_generator` and every later stage; a build
+    that fails is not kept and raises again.  Models compare and hash by
+    identity; compare contents with ``np.array_equal``.
     """
 
     dim: int
@@ -118,8 +125,13 @@ class LindbladModel:
         ham = assert_hermitian(_operator(ham, "hamiltonian", self.dim), name="hamiltonian")
         object.__setattr__(self, "hamiltonian", ham)
 
+        try:
+            jumps = tuple(self.jumps)
+        except TypeError:
+            raise ValidationError("jumps must be a sequence of (rate, operator) pairs, "
+                                  f"got {type(self.jumps).__name__}") from None
         checked = []
-        for idx, item in enumerate(self.jumps):
+        for idx, item in enumerate(jumps):
             try:
                 rate, op = item
             except (TypeError, ValueError) as exc:
@@ -127,6 +139,11 @@ class LindbladModel:
             checked.append((_nonnegative_real(rate, f"jumps[{idx}].rate"),
                             _operator(op, f"jumps[{idx}].matrix", self.dim)))
         object.__setattr__(self, "jumps", tuple(checked))
+
+    @cached_property
+    def _generator(self) -> Superoperator:
+        """The vectorized generator, built on first read and kept; see :func:`build_generator`."""
+        return _vectorized(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +161,17 @@ class Superoperator:
     is the generator in hermitian coordinates, the real ``R = T^dag matrix T``,
     when the matrix preserves hermiticity; any other matrix (NaN or infinite
     entries too) is its own form and gets spectral analysis only, as later
-    stages need ``R``.  Compared and hashed by identity; compare contents with ``np.array_equal``.
+    stages need ``R``.  A generator analyses its spectrum once per
+    :class:`ToleranceConfig`: it keeps ``eigen_structure(hermitian_form, tol)``
+    for each tolerance asked about, and :func:`spectral_report` and
+    :func:`find_observables` read the kept clusters.  Compared and hashed by
+    identity; compare contents with ``np.array_equal``.
     """
 
     dim: int
     matrix: np.ndarray
     hermitian_form: np.ndarray = field(init=False, repr=False)
+    _structures: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix, "superoperator matrix")
@@ -164,6 +186,13 @@ class Superoperator:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "hermitian_form", _hermitian_form(mat, self.dim))
         self.hermitian_form.setflags(write=False)
+
+    def _eigen_structure(self, tol: ToleranceConfig) -> tuple[EigenvalueCluster, ...]:
+        """``eigen_structure(self.hermitian_form, tol)``, computed on the first request per ``tol`` and kept."""
+        # threads that race here only repeat the same deterministic computation
+        if tol not in self._structures:
+            self._structures[tol] = eigen_structure(self.hermitian_form, tol)
+        return self._structures[tol]
 
 
 def laser_cooling_model(gamma1: float, gamma2: float) -> LindbladModel:
@@ -185,7 +214,16 @@ def build_generator(model: LindbladModel) -> Superoperator:
     The output annihilates the trace functional by construction; this is
     re-checked numerically as a guard against degenerate inputs.  A
     generator with an entry past the float range raises :class:`NumericalFailure`.
+    The model builds its generator on the first call and returns the same
+    object on every later one (:func:`simulate_measurements` and
+    :func:`reconstruct` read that one too); a build that raises is not
+    kept, so it raises on every call.
     """
+    return model._generator
+
+
+def _vectorized(model: LindbladModel) -> Superoperator:
+    """The generator of :func:`build_generator`, built anew."""
     n = model.dim
     eye = np.eye(n, dtype=complex)
     with np.errstate(all="ignore"):
@@ -297,14 +335,14 @@ def validate_density_matrix(rho, *, dim: int | None = None, name: str = "rho") -
 def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
     """Evolve a density matrix for time ``t`` under the generator.
 
-    Returns the state with real coordinates ``expm(t * R) x0``, ``R`` the
-    real generator, after checking that it is still a density matrix: unit
+    ``t`` must be a finite real number >= 0, not a bool.  Returns the
+    state with real coordinates ``expm(t * R) x0``, ``R`` the real
+    generator, after checking that it is still a density matrix: unit
     trace to 1e-10 and eigenvalues above -1e-8.  A violation is reported as
     a numerical failure naming the instant rather than silently repaired.
     """
     rho0 = validate_density_matrix(rho0, dim=gen.dim, name="rho0")
-    if not 0 <= t < np.inf:
-        raise ValidationError(f"propagation time must be finite and >= 0, got {t}")
+    t = _nonnegative_real(t, "propagation time")
     x = _propagated(_real_generator(gen), np.array([t], dtype=float), _coordinates(rho0))[:, 0]
     return _check_density_matrix(_from_coordinates(x, gen.dim), f"evolved state at t={t:.6g}", evolved=True)
 

@@ -26,7 +26,6 @@ from .lindblad import (
     _nonnegative_real,
     _propagated,
     _real_generator,
-    build_generator,
     validate_density_matrix,
 )
 from .analysis import SpectralReport, _observable_coordinates
@@ -55,8 +54,18 @@ CSV_HEADER = ("observable_index", "time", "value", "sigma")
 
 
 def validate_time_grid(instants) -> np.ndarray:
-    """Coerce to a 1-D float array of distinct, positive, increasing times."""
-    grid = np.asarray(instants, dtype=float).reshape(-1)
+    """Coerce to a 1-D float array of distinct, positive, increasing times.
+
+    Input that is not an array of real numbers (``None``, complex values,
+    a ragged list, an integer past the float range) raises
+    :class:`ValidationError`, as does every failed test.
+    """
+    try:
+        if instants is None or np.iscomplexobj(instants):
+            raise TypeError("got None" if instants is None else "got complex values")
+        grid = np.asarray(instants, dtype=float).reshape(-1)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"time grid must be an array of real instants: {exc}") from exc
     if grid.size == 0:
         raise ValidationError("time grid must contain at least one instant")
     if not np.all(np.isfinite(grid)):
@@ -162,7 +171,8 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
                           grid, noise_sigma: float = 0.0, seed: int = 0) -> MeasurementRecord:
     """Sample ``tr(Q_i rho(t_j))`` for every observable and grid instant.
 
-    Each value is ``c_i . expm(t_j R) x``, with ``R`` the real generator
+    Each value is ``c_i . expm(t_j R) x``, with ``R`` the real form of the
+    model's generator (built once per model, see :func:`build_generator`)
     and ``c_i``, ``x`` the real coordinates of ``Q_i`` and the state, in
     observable-major order.  Every evolved state is checked to be a density
     matrix, as in :func:`evolve`.  With ``noise_sigma > 0`` (a finite real)
@@ -176,7 +186,7 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     state0 = _coordinates(validate_density_matrix(rho0, dim=model.dim, name="rho0"))
     coordinates = _observable_coordinates(observables, model.dim)
 
-    states = _propagated(_real_generator(build_generator(model)), grid, state0)
+    states = _propagated(_real_generator(model._generator), grid, state0)
     _check_density_matrix(_from_coordinates(states.T, model.dim),
                           lambda j: f"evolved state at t={grid[j]:.6g}", evolved=True)
     values = coordinates @ states
@@ -195,7 +205,8 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
 
     The unknowns are the state's real coordinates; each record entry
     contributes the design row ``expm(t_j R^T) c_i``, the coordinates of
-    ``Q_i`` stepped by the transposed real generator.  The trace
+    ``Q_i`` stepped by the transpose of the real form of the model's
+    generator (built once per model, see :func:`build_generator`).  The trace
     constraint is exact: the identity coordinate is fixed at
     ``1/sqrt(dim)`` and least squares solves only for the dim^2 - 1 >= 3
     traceless coordinates.  ``design_rank``
@@ -222,7 +233,7 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     instants, at = np.unique(time, return_inverse=True)
     # expm(t R)^T = expm(t R^T), so the observables' coordinates step as columns:
     # rows[k, j, i] is coordinate k of Q_i stepped to instant j
-    rows = _propagated(_real_generator(build_generator(model)).T, instants, coordinates.T)
+    rows = _propagated(_real_generator(model._generator).T, instants, coordinates.T)
     design = rows[:, at, index.astype(int)].T
     if not np.all(np.isfinite(design)):
         raise NumericalFailure("design matrix overflows: expm(t * L) is not finite on the record's instants")

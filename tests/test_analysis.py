@@ -24,6 +24,8 @@ from strobe_tomo import (
     verify_observables,
 )
 
+from strobe_tomo.analysis import _observable_coordinates
+
 from helpers import jordan_matrix, krylov_subspace, random_density, simple_spectrum_models, span_rank
 
 
@@ -295,20 +297,35 @@ class TestUpFrontRejection:
 
 
 @pytest.fixture
-def form_calls(monkeypatch):
+def spy(monkeypatch):
+    """``spy(module, name)`` counts the calls of a package function under every name bound to it.
+
+    The function ``module.name`` is replaced wherever the package or one of
+    its modules binds it; the returned list collects each call's arguments.
+    """
+    modules = [strobe_tomo] + [importlib.import_module(f"strobe_tomo.{name}")
+                               for name in ("operator_algebra", "lindblad", "analysis", "tomography", "cli")]
+
+    def install(module: str, name: str) -> list:
+        calls = []
+        original = getattr(importlib.import_module(f"strobe_tomo.{module}"), name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for bound in modules:
+            if getattr(bound, name, None) is original:
+                monkeypatch.setattr(bound, name, counting)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def form_calls(spy):
     """The arguments of every ``_hermitian_form`` call, under whichever module name it is called."""
-    calls = []
-    form = strobe_tomo.operator_algebra._hermitian_form
-
-    def counting(*args):
-        calls.append(args)
-        return form(*args)
-
-    for name in ("operator_algebra", "lindblad", "analysis", "tomography"):
-        module = importlib.import_module(f"strobe_tomo.{name}")
-        if hasattr(module, "_hermitian_form"):
-            monkeypatch.setattr(module, "_hermitian_form", counting)
-    return calls
+    return spy("operator_algebra", "_hermitian_form")
 
 
 class TestFormedOnce:
@@ -326,6 +343,85 @@ class TestFormedOnce:
         with pytest.raises(SearchExhausted, match="in 3 attempts"):
             find_observables(gen, ToleranceConfig(rank_rtol=0.5), seed=0, max_attempts=3)
         assert len(form_calls) == 1
+
+
+class TestOnePlanPerModel:
+    """A model builds its generator once, and a generator analyses its spectrum once per tolerance."""
+
+    def test_library_loop_builds_and_analyses_once(self, spy, form_calls):
+        builds = spy("lindblad", "build_generator")
+        structures = spy("operator_algebra", "eigen_structure")
+        model = laser_cooling_model(1.0, 2.0)
+        rho0 = random_density(3, np.random.default_rng(5))
+        # the README library loop, through the package's names as a user calls them
+        gen = strobe_tomo.build_generator(model)
+        report = strobe_tomo.spectral_report(gen)
+        observables = strobe_tomo.find_observables(gen, seed=3)
+        grid = strobe_tomo.default_time_grid(report)
+        record = strobe_tomo.simulate_measurements(model, rho0, observables, grid, noise_sigma=1e-9, seed=1)
+        result = strobe_tomo.reconstruct(model, observables, record, truth=rho0)
+        assert result.frobenius_error < 1e-6
+        assert (len(builds), len(form_calls), len(structures)) == (1, 1, 1)
+
+    def test_model_returns_its_one_generator(self):
+        model = laser_cooling_model(1.0, 2.0)
+        assert build_generator(model) is build_generator(model)
+        assert build_generator(model) is not build_generator(laser_cooling_model(1.0, 2.0))
+
+    def test_each_tolerance_gets_its_own_structure(self, spy):
+        structures = spy("operator_algebra", "eigen_structure")
+        gen = build_generator(laser_cooling_model(1.0, 2.0))
+        first = spectral_report(gen)
+        again = spectral_report(gen, ToleranceConfig())
+        assert again is not first and again.distinct_eigenvalues is first.distinct_eigenvalues
+        loose = ToleranceConfig(rank_rtol=0.5)
+        with pytest.raises(SearchExhausted):
+            find_observables(gen, loose, max_attempts=1)
+        clusters = spectral_report(gen, loose).distinct_eigenvalues
+        assert len(structures) == 2
+        assert clusters == eigen_structure(gen.hermitian_form, loose)
+
+    def test_overflowing_model_fails_on_every_call(self):
+        model = LindbladModel(dim=2, jumps=((1.0, np.array([[0.0, 1e200], [0.0, 0.0]])),))
+        for _ in range(3):
+            with pytest.raises(NumericalFailure, match=r"^the generator overflows the float range$"):
+                build_generator(model)
+        with pytest.raises(NumericalFailure, match=r"^the generator overflows the float range$"):
+            simulate_measurements(model, np.eye(2) / 2, [np.diag([1.0, -1.0])], [1.0])
+
+
+class TestObservableListCheck:
+    """A list of observables is checked in one pass; the first failing observable is named with its first failing test."""
+
+    FAILING = {
+        "wrong-shape": (np.eye(2), "has shape (2, 2), expected (3, 3)"),
+        "non-square": (np.ones((3, 2)), "must be square, got shape (3, 2)"),
+        "one-dimensional": (np.ones(3), "must be 2-D, got shape (3,)"),
+        "non-hermitian": (np.triu(np.ones((3, 3))), "is not hermitian (max |A - A^dag| = 1.000e+00)"),
+        "nan": (np.diag([np.nan, 0.0, 0.0]), "is not hermitian (max |A - A^dag| = nan)"),
+    }
+    # each failing kind once first, behind 0, 1 or 2 valid observables, the others after it
+    ORDERS = [(lead, kinds[k:] + kinds[:k]) for kinds in [list(FAILING)] for k in range(len(kinds)) for lead in (0, 1, 2)]
+
+    @pytest.mark.parametrize("lead, kinds", ORDERS)
+    def test_first_failing_observable_named(self, cooling_gen, lead, kinds):
+        valid = [np.diag([1.0, 0.0, -1.0]), np.eye(3)][:lead]
+        observables = valid + [self.FAILING[kind][0] for kind in kinds]
+        message = f"observables[{lead}] {self.FAILING[kinds[0]][1]}"
+        with pytest.raises(ValidationError) as verified:
+            verify_observables(cooling_gen, observables)
+        with pytest.raises(ValidationError) as simulated:
+            simulate_measurements(laser_cooling_model(1.0, 2.0), np.eye(3) / 3, observables, [1.0])
+        assert str(verified.value) == str(simulated.value) == message
+
+    def test_valid_list_gives_coordinate_rows(self):
+        rng = np.random.default_rng(8)
+        observables = [random_hermitian(3, rng) for _ in range(4)]
+        basis = hermitian_basis(3)
+        rows = _observable_coordinates(observables, 3)
+        assert rows.shape == (4, 9)
+        expected = [[np.trace(b @ q).real for b in basis] for q in observables]
+        assert np.abs(rows - expected).max() <= 1e-14
 
 
 def _benchmark_search_input(seed: int, n: int, cls: int, round_: int):

@@ -146,6 +146,20 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=r"jumps\[0\]\.rate must be finite"):
             LindbladModel(dim=2, jumps=((10**400, np.eye(2)),))
 
+    @pytest.mark.parametrize("jumps, kind", [(None, "NoneType"), (5, "int")])
+    def test_non_iterable_jumps_rejected(self, jumps, kind):
+        with pytest.raises(ValidationError, match=rf"^jumps must be a sequence of \(rate, operator\) pairs, got {kind}$"):
+            LindbladModel(dim=2, jumps=jumps)
+
+    def test_jumps_given_as_a_list_or_generator(self):
+        for jumps in ([(1.0, np.eye(2))], ((1.0, np.eye(2)) for _ in range(1))):
+            assert LindbladModel(dim=2, jumps=jumps).jumps[0][0] == 1.0
+
+    def test_model_is_frozen(self):
+        model = LindbladModel(dim=2)
+        with pytest.raises(AttributeError):
+            model.jumps = ()
+
 
 class TestBuildGenerator:
     @pytest.mark.parametrize("g1,g2", [(1.0, 2.0), (0.5, 0.5), (3.0, 0.0), (0.25, 1.75)])
@@ -323,6 +337,26 @@ class TestEvolve:
         gen = build_generator(laser_cooling_model(1.0, 2.0))
         with pytest.raises(ValidationError, match="propagation time must be finite and >= 0"):
             evolve(gen, np.eye(3) / 3, t)
+
+    @pytest.mark.parametrize("t", [-0.1, -1, np.nan, np.inf, -np.inf, 10**400],
+                             ids=["negative", "negative-int", "nan", "inf", "minus-inf", "huge-int"])
+    def test_time_out_of_range_keeps_its_message(self, t):
+        gen = build_generator(laser_cooling_model(1.0, 2.0))
+        with pytest.raises(ValidationError, match=r"^propagation time must be finite and >= 0, got "):
+            evolve(gen, np.eye(3) / 3, t)
+
+    @pytest.mark.parametrize("t, kind", [("0.5", "str"), (None, "NoneType"), (0.5 + 0j, "complex"),
+                                         (True, "bool"), (np.True_, "bool")])
+    def test_non_real_time_rejected(self, t, kind):
+        gen = build_generator(laser_cooling_model(1.0, 2.0))
+        with pytest.raises(ValidationError, match=rf"^propagation time must be a real number, got {kind}$"):
+            evolve(gen, np.eye(3) / 3, t)
+
+    @pytest.mark.parametrize("t", [1, np.int64(1), np.float32(1.0)])
+    def test_real_time_types_accepted(self, t):
+        gen = build_generator(laser_cooling_model(1.0, 2.0))
+        rho = random_density(3, np.random.default_rng(2))
+        assert np.abs(evolve(gen, rho, t) - evolve(gen, rho, 1.0)).max() == 0.0
 
 
 class TestDensityValidation:

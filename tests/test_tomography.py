@@ -86,6 +86,25 @@ class TestTimeGrid:
         with pytest.raises(ValidationError):
             validate_time_grid(bad)
 
+    @pytest.mark.parametrize("bad, detail", [
+        ([1j], "got complex values"),
+        (np.array([1.0 + 0j, 2.0]), "got complex values"),
+        ([[1, 2], [3]], "inhomogeneous"),
+        ([10**400], "int too large to convert to float"),
+        (None, "got None"),
+    ], ids=["complex", "complex-array", "ragged", "huge-integer", "none"])
+    def test_non_real_input_rejected(self, bad, detail):
+        with pytest.raises(ValidationError, match=f"^time grid must be an array of real instants: .*{detail}"):
+            validate_time_grid(bad)
+        with pytest.raises(ValidationError, match="^time grid must be an array of real instants"):
+            simulate_measurements(laser_cooling_model(1.0, 2.0), np.eye(3) / 3, [np.eye(3)], bad)
+        with pytest.raises(ValidationError, match="^time grid must be an array of real instants"):
+            MeasurementRecord(entries=[], observable_count=1, grid=bad)
+
+    @pytest.mark.parametrize("grid", [[1, 2], (0.5,), 2.0, [np.float32(1.0), 2**70]])
+    def test_real_input_accepted(self, grid):
+        assert np.array_equal(validate_time_grid(grid), np.asarray(grid, dtype=float).reshape(-1))
+
 
 class TestSimulate:
     def test_identity_observable_reads_one(self, cooling_model, cooling_grid):
