@@ -29,6 +29,7 @@ from .operator_algebra import (
     _hermiticity,
     _minimal_polynomial_of,
     _square,
+    _tolerances,
     assert_hermitian,
     random_hermitian,
 )
@@ -93,7 +94,7 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     or :func:`find_observables`, reuses them; each call returns a new
     report built from them.
     """
-    distinct = gen._eigen_structure(tol)
+    distinct = gen._eigen_structure(_tolerances(tol))
     eta = _eta(distinct)
     mu = sum(c.index for c in distinct)
     return SpectralReport(
@@ -119,8 +120,14 @@ def _observable_coordinates(observables, dim: int) -> np.ndarray:
     shape.  A list that fails is checked again one observable at a time,
     so the error names the first failing observable and that observable's
     first failing test: coercion, hermiticity (which also rejects NaN and
-    infinite entries), finiteness, shape.
+    infinite entries), finiteness, shape.  Anything that is not iterable
+    raises :class:`ValidationError` too.
     """
+    try:
+        observables = list(observables)
+    except TypeError:
+        raise ValidationError("observables must be a sequence of matrices, "
+                              f"got {type(observables).__name__}") from None
     try:
         stack = np.stack([_square(q, f"observables[{i}]", dtype=complex) for i, q in enumerate(observables)])
     except (ValidationError, ValueError):  # a matrix that does not coerce, or mixed shapes or none at all
@@ -154,6 +161,7 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     exceeds ``rank_rtol * |R|_2``, so roundoff never adds a direction.  The
     set spans iff the basis reaches dim^2 vectors; ``achieved_rank`` is its size.
     """
+    _tolerances(tol)
     coordinates = _observable_coordinates(observables, gen.dim)
     adjoint = _real_generator(gen).T
     n2 = gen.dim * gen.dim
@@ -190,7 +198,7 @@ def find_observables(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANC
     """
     _integer(seed, "seed")
     _integer(max_attempts, "max_attempts", positive=True)
-    eta = _eta(gen._eigen_structure(tol))
+    eta = _eta(gen._eigen_structure(_tolerances(tol)))
     rng = np.random.default_rng(seed)
     best_rank = 0
     for _ in range(max_attempts):

@@ -71,6 +71,13 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
+def _tolerances(tol) -> ToleranceConfig:
+    """``tol`` if it is a :class:`ToleranceConfig`; else :class:`ValidationError`."""
+    if not isinstance(tol, ToleranceConfig):
+        raise ValidationError(f"tol must be a ToleranceConfig, got {type(tol).__name__}")
+    return tol
+
+
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D complex128 array, rejecting anything else."""
     return _matrix(a, name, complex)

@@ -34,6 +34,7 @@ from .operator_algebra import (
     ToleranceConfig,
     _coordinates,
     _from_coordinates,
+    _tolerances,
     assert_hermitian,
 )
 
@@ -57,13 +58,19 @@ def validate_time_grid(instants) -> np.ndarray:
     """Coerce to a 1-D float array of distinct, positive, increasing times.
 
     Input that is not an array of real numbers (``None``, complex values,
-    a ragged list, an integer past the float range) raises
+    text, a ragged list, an integer past the float range) raises
     :class:`ValidationError`, as does every failed test.
     """
     try:
-        if instants is None or np.iscomplexobj(instants):
-            raise TypeError("got None" if instants is None else "got complex values")
-        grid = np.asarray(instants, dtype=float).reshape(-1)
+        if instants is None:
+            raise TypeError("got None")
+        raw = np.asarray(instants)
+        if np.iscomplexobj(raw):
+            raise TypeError("got complex values")
+        if raw.dtype.kind in "SU" or (raw.dtype == object
+                                      and any(isinstance(x, (str, bytes)) for x in raw.flat)):
+            raise TypeError("got text")
+        grid = raw.astype(float, copy=False).reshape(-1)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"time grid must be an array of real instants: {exc}") from exc
     if grid.size == 0:
@@ -220,6 +227,7 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     trace renormalized.  ``truth`` adds the Frobenius distance to a known
     state to the result.
     """
+    _tolerances(tol)
     n = model.dim
     if n < 2:
         raise ValidationError(f"reconstruction needs dimension >= 2, got {n}")
@@ -301,11 +309,29 @@ def state_distance(a, b) -> tuple[float, float]:
     return frobenius, trace_dist
 
 
+def _formatted(column: np.ndarray, spec: str) -> list[str]:
+    """``spec % x`` for each entry of a float column, formatted once per distinct bit pattern."""
+    distinct, at = np.unique(column.view(np.int64), return_inverse=True)
+    texts = [spec % x for x in distinct.view(float).tolist()]
+    return [texts[i] for i in at.tolist()]
+
+
 def write_record_csv(record: MeasurementRecord, path) -> None:
-    """Write a record as CSV with 17-significant-digit floats (exact roundtrip)."""
+    """Write a record as CSV with 17-significant-digit floats (exact roundtrip).
+
+    The index, time and sigma columns repeat (each instant once per
+    observable, one sigma per record), so each distinct entry of them is
+    formatted once; the values are formatted in one pass.  Distinct means
+    distinct bits, so ``0.0`` and ``-0.0`` keep their own text, and the
+    bytes are those of formatting every entry on its own.
+    """
     rows = record.entries.shape[0]
+    fields = [None] * (4 * rows)
+    for col, spec in ((0, "%d"), (1, "%.17g"), (3, "%.17g")):
+        fields[col::4] = _formatted(record.entries[:, col], spec)
+    fields[2::4] = record.entries[:, 2].tolist()
     text = ",".join(CSV_HEADER) + "\r\n"
-    text += ("%d,%.17g,%.17g,%.17g\r\n" * rows) % tuple(record.entries.ravel().tolist())
+    text += ("%s,%s,%.17g,%s\r\n" * rows) % tuple(fields)
     with open(path, "w", newline="") as handle:
         handle.write(text)
 
@@ -327,15 +353,22 @@ def _entries_by_line(rows: list[list[str]], path) -> np.ndarray:
     return entries[:filled]
 
 
+def _parsed(texts: tuple[str, ...]) -> np.ndarray:
+    """``float()`` of each string, converted once per distinct string."""
+    value = {text: float(text) for text in set(texts)}
+    return np.fromiter(map(value.__getitem__, texts), float, len(texts))
+
+
 def read_record_csv(path) -> MeasurementRecord:
     """Read a record written by :func:`write_record_csv`.
 
     The grid is recovered as the sorted distinct times and the observable
     count as one past the largest index seen.  The index column is read
-    with ``int()`` and the others with ``float()``, all rows at once; only
-    when that fails are the rows converted one by one, so that the error
-    names the offending line.  A file that cannot be opened, or is not
-    UTF-8 CSV text, raises :class:`ValidationError`.
+    with ``int()`` and the others with ``float()``, all rows at once, and
+    the time and sigma columns, which repeat, once per distinct string;
+    only when that fails are the rows converted one by one, so that the
+    error names the offending line.  A file that cannot be opened, or is
+    not UTF-8 CSV text, raises :class:`ValidationError`.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -350,9 +383,10 @@ def read_record_csv(path) -> MeasurementRecord:
     try:
         if set(map(len, body)) != {4}:
             raise ValueError("not every row has 4 fields")
-        index, *numbers = zip(*body)
+        index, time, value, sigma = zip(*body)
         # numpy converts strings with int() and float(), as the line-by-line path does
-        entries = np.column_stack((np.array(index, dtype=np.int64), np.array(numbers, dtype=float).T))
+        entries = np.column_stack((np.array(index, dtype=np.int64), _parsed(time),
+                                   np.array(value, dtype=float), _parsed(sigma)))
     except (ValueError, OverflowError):
         entries = _entries_by_line(rows, path)
     if not entries.size:

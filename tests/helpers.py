@@ -107,6 +107,23 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def kron_generator(model: LindbladModel) -> np.ndarray:
+    """The generator matrix written with ``np.kron``, in the package's order of operations.
+
+    ``kron(G, I) + kron(I, conj(G)) + sum rate kron(L, conj(L))`` with
+    ``G = -iH - (1/2) sum rate L^dag L``, row-stacking convention.
+    """
+    n = model.dim
+    eye = np.eye(n, dtype=complex)
+    effective = -1j * model.hamiltonian
+    for rate, op in model.jumps:
+        effective = effective - 0.5 * rate * (op.conj().T @ op)
+    mat = np.kron(effective, eye) + np.kron(eye, effective.conj())
+    for rate, op in model.jumps:
+        mat += rate * np.kron(op, op.conj())
+    return mat
+
+
 def laser_cooling_populations(gamma1: float, gamma2: float, t: float) -> np.ndarray:
     """Analytic solution of the rate equations for the start state |2><2|.
 

@@ -414,6 +414,25 @@ class TestObservableListCheck:
             simulate_measurements(laser_cooling_model(1.0, 2.0), np.eye(3) / 3, observables, [1.0])
         assert str(verified.value) == str(simulated.value) == message
 
+    @pytest.mark.parametrize("observables, kind", [(None, "NoneType"), (5, "int")], ids=["none", "int"])
+    def test_non_iterable_rejected(self, cooling_gen, observables, kind):
+        model = laser_cooling_model(1.0, 2.0)
+        record = simulate_measurements(model, np.eye(3) / 3, [np.eye(3)], [1.0])
+        calls = [
+            lambda: verify_observables(cooling_gen, observables),
+            lambda: simulate_measurements(model, np.eye(3) / 3, observables, [1.0]),
+            lambda: reconstruct(model, observables, record),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=f"^observables must be a sequence of matrices, got {kind}$"):
+                call()
+
+    def test_generator_checked_like_a_list(self, cooling_gen):
+        # a one-shot iterable is read once, so a failing one is still named
+        observables = (q for q in [np.eye(3), np.eye(2)])
+        with pytest.raises(ValidationError, match=r"^observables\[1\] has shape \(2, 2\), expected \(3, 3\)$"):
+            verify_observables(cooling_gen, observables)
+
     def test_valid_list_gives_coordinate_rows(self):
         rng = np.random.default_rng(8)
         observables = [random_hermitian(3, rng) for _ in range(4)]

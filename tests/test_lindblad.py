@@ -22,9 +22,9 @@ from strobe_tomo import (
     vec,
 )
 
-from strobe_tomo.lindblad import MAX_DIM, _check_density_matrix
+from strobe_tomo.lindblad import EVOLVE_EIG_FLOOR, MAX_DIM, STATE_EIG_FLOOR, _check_density_matrix
 
-from helpers import laser_cooling_populations, lindblad_rhs, random_density, random_model
+from helpers import kron_generator, laser_cooling_populations, lindblad_rhs, random_density, random_model
 
 
 def trace_residual(sup: Superoperator) -> float:
@@ -188,6 +188,13 @@ class TestBuildGenerator:
             direct = lindblad_rhs(model, rho)
             lifted = (gen.matrix @ vec(rho)).reshape(n, n)
             assert np.abs(direct - lifted).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_kron_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(8):
+            model = random_model(n, rng)
+            assert build_generator(model).matrix.tobytes() == kron_generator(model).tobytes()
 
     def test_all_zero_model(self):
         gen = build_generator(LindbladModel(dim=3))
@@ -431,6 +438,75 @@ class TestStackedDensityCheck:
         stack[1, 0, 0] = np.nan
         with pytest.raises(NumericalFailure, match="s1 is not hermitian"):
             _check_density_matrix(stack, "s{}".format, evolved=True)
+
+    def test_passing_stack_computes_no_eigenvalues(self, stack, monkeypatch):
+        # the Cholesky certificate settles a stack of valid states alone
+        def eigvalsh(_):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert _check_density_matrix(stack, "s{}".format, evolved=True) is stack
+        state = stack[0]
+        assert _check_density_matrix(state, "s0") is state
+
+
+def _with_lowest(lowest: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A unit-trace hermitian matrix in a random basis whose lowest eigenvalue is ``lowest``."""
+    rest = rng.uniform(0.1, 1.0, n - 1)
+    values = np.concatenate([[lowest], (1.0 - lowest) * rest / rest.sum()])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * values) @ q.conj().T
+
+
+def _eigvalsh_rule(stack: np.ndarray, floor: float) -> str | None:
+    """The message of the first state whose lowest eigenvalue is below ``floor``, from ``eigvalsh`` alone."""
+    lowest = np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2.0).min(axis=1)
+    for i, value in enumerate(lowest):
+        if value < floor:
+            return f"s{i} has eigenvalue {value:.3e} below the floor {floor:.1e}"
+    return None
+
+
+class TestEigenvalueFloorSweep:
+    """The Cholesky certificate never changes the verdict or the message of the eigenvalue rule."""
+
+    @pytest.mark.parametrize("evolved, floor, error", [
+        (True, EVOLVE_EIG_FLOOR, NumericalFailure),
+        (False, STATE_EIG_FLOOR, ValidationError),
+    ], ids=["evolved", "input"])
+    def test_same_verdict_and_message_as_eigvalsh(self, evolved, floor, error):
+        rng = np.random.default_rng(41 if evolved else 42)
+        lowest = [floor * (1 + 1e-3), floor * (1 - 1e-3), 0.0]
+        for n in (2, 3, 4, 6):
+            basis_state = np.zeros((n, n), dtype=complex)
+            basis_state[0, 0] = 1.0
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            pure = np.outer(v, v.conj()) / np.vdot(v, v).real
+            kinds = [_with_lowest(value, n, rng) for value in lowest] + [basis_state, pure]
+            for order in range(len(kinds)):
+                stack = np.stack(kinds[order:] + kinds[:order])
+                expected = _eigvalsh_rule(stack, floor)
+                for i, state in enumerate(stack):
+                    alone = _eigvalsh_rule(state[None], floor)
+                    if alone is None:
+                        assert _check_density_matrix(state, f"s{i}", evolved=evolved) is state
+                    else:
+                        with pytest.raises(error) as raised:
+                            _check_density_matrix(state, f"s{i}", evolved=evolved)
+                        assert str(raised.value) == alone.replace("s0", f"s{i}", 1)
+                if expected is None:
+                    assert _check_density_matrix(stack, "s{}".format, evolved=evolved) is stack
+                else:
+                    with pytest.raises(error) as raised:
+                        _check_density_matrix(stack, "s{}".format, evolved=evolved)
+                    assert str(raised.value) == expected
+
+    def test_sweep_holds_states_on_both_sides_of_the_floor(self):
+        rng = np.random.default_rng(43)
+        for floor in (EVOLVE_EIG_FLOOR, STATE_EIG_FLOOR):
+            below = np.stack([_with_lowest(floor * (1 + 1e-3), 3, rng)])
+            above = np.stack([_with_lowest(floor * (1 - 1e-3), 3, rng)])
+            assert _eigvalsh_rule(below, floor) is not None
+            assert _eigvalsh_rule(above, floor) is None
 
 
 class TestModelJson:

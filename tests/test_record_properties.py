@@ -16,7 +16,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strobe_tomo import MeasurementRecord, read_record_csv, write_record_csv
+from strobe_tomo import (MeasurementRecord, laser_cooling_model, random_hermitian, read_record_csv,
+                         simulate_measurements, write_record_csv)
 from strobe_tomo.tomography import CSV_HEADER
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=150,
@@ -59,3 +60,34 @@ def test_csv_bytes_match_reference_and_roundtrip_exactly(record):
         _reference_csv(record, reference)
         assert written.read_bytes() == reference.read_bytes()
         assert read_record_csv(written).entries.tobytes() == record.entries.tobytes()
+
+
+def _assert_reference_bytes(record: MeasurementRecord, folder) -> None:
+    written, reference = Path(folder) / "record.csv", Path(folder) / "reference.csv"
+    write_record_csv(record, written)
+    _reference_csv(record, reference)
+    assert written.read_bytes() == reference.read_bytes()
+    assert read_record_csv(written).entries.tobytes() == record.entries.tobytes()
+
+
+def test_full_size_simulated_record_matches_reference(tmp_path):
+    # every instant repeats once per observable, and one sigma fills its column
+    rng = np.random.default_rng(5)
+    observables = [random_hermitian(3, rng) for _ in range(4)]
+    record = simulate_measurements(laser_cooling_model(1.0, 0.5), np.diag([0.2, 0.5, 0.3]), observables,
+                                   0.01 * np.arange(1, 257), noise_sigma=1e-6, seed=3)
+    assert record.entries.shape == (1024, 4)
+    _assert_reference_bytes(record, tmp_path)
+
+
+def test_mixed_sigmas_and_signed_zeros_match_reference(tmp_path):
+    # 0.0 and -0.0 in one column keep their own text, in the sigma and value columns alike
+    grid = [1e-300, 0.25, 1.0, 3.0]
+    sigmas = [0.0, -0.0, 1e-6, 5e-324, 0.1, 1e300, -0.0, 0.0, 1e-6]
+    values = [0.0, -0.0, 1.5, -2.5e-310]
+    entries = [(i % 3, grid[i % 4], values[i % 4], sigmas[i % 9]) for i in range(40)]
+    record = MeasurementRecord(entries=entries, observable_count=3, grid=np.array(grid))
+    zeros = record.entries[:, 2:] == 0
+    assert (zeros & np.signbit(record.entries[:, 2:])).any(axis=0).all()
+    assert (zeros & ~np.signbit(record.entries[:, 2:])).any(axis=0).all()
+    _assert_reference_bytes(record, tmp_path)

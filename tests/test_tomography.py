@@ -92,7 +92,13 @@ class TestTimeGrid:
         ([[1, 2], [3]], "inhomogeneous"),
         ([10**400], "int too large to convert to float"),
         (None, "got None"),
-    ], ids=["complex", "complex-array", "ragged", "huge-integer", "none"])
+        (["0.5", "1"], "got text"),
+        ("0.5", "got text"),
+        ([b"0.5", b"1"], "got text"),
+        ([0.5, "1"], "got text"),
+        (np.array([0.5, "1"], dtype=object), "got text"),
+    ], ids=["complex", "complex-array", "ragged", "huge-integer", "none", "str-list", "str", "bytes",
+            "mixed-list", "object-array"])
     def test_non_real_input_rejected(self, bad, detail):
         with pytest.raises(ValidationError, match=f"^time grid must be an array of real instants: .*{detail}"):
             validate_time_grid(bad)
@@ -211,6 +217,19 @@ class TestLibraryArguments:
     def test_rejected_with_the_argument_named(self, cooling_gen, cooling_model, call, name):
         with pytest.raises(ValidationError, match=f"^{name} must be"):
             call(cooling_gen, cooling_model)
+
+    @pytest.mark.parametrize("tol, kind", [(None, "NoneType"), (1e-9, "float")], ids=["none", "float"])
+    def test_tolerances_must_be_a_config(self, cooling_gen, cooling_model, tol, kind):
+        record = simulate_measurements(cooling_model, np.eye(3) / 3, [np.eye(3)], [1.0])
+        calls = [
+            lambda: spectral_report(cooling_gen, tol),
+            lambda: find_observables(cooling_gen, tol),
+            lambda: verify_observables(cooling_gen, [np.eye(3)], tol),
+            lambda: reconstruct(cooling_model, [np.eye(3)], record, tol=tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=f"^tol must be a ToleranceConfig, got {kind}$"):
+                call()
 
 
 class TestRealDesign:
@@ -354,15 +373,26 @@ class TestRecordCsv:
             with pytest.raises(ValidationError, match="line 2"):
                 read_record_csv(path)
 
-    @pytest.mark.parametrize("bad", ["0,1,x,0", "0,1,2", "0,1,2,3,4", "1.0,1,2,0", "0,1,2,0,"])
+    @pytest.mark.parametrize("bad", ["0,1,x,0", "0,1,2", "0,1,2,3,4", "1.0,1,2,0", "0,1,2,0,",
+                                     "0,x,2,0", "0,1e,2,0", "0,1,2,x"])
     def test_error_names_the_line_after_valid_rows(self, tmp_path, bad):
-        # a bad cell, a ragged row, or a float literal in the index column on
-        # line 5, after three valid rows and a blank line
+        # a bad cell (the instant and sigma columns are converted once per
+        # distinct string), a ragged row, or a float literal in the index
+        # column on line 5, after three valid rows and a blank line
         path = tmp_path / "bad.csv"
         path.write_text("observable_index,time,value,sigma\n0,1,0.5,0\n\n1,1,0.25,0\n"
                         f"{bad}\n0,2,0.5,0\n")
         with pytest.raises(ValidationError, match="line 5: "):
             read_record_csv(path)
+
+    def test_spellings_of_one_instant_read_as_one_value(self, tmp_path):
+        path = tmp_path / "record.csv"
+        path.write_text("observable_index,time,value,sigma\n"
+                        "0,0.5,1,0.5\n1,5e-1,2,5e-1\n0,1,3,0.5\n1,1.0,4,5e-1\n")
+        record = read_record_csv(path)
+        assert record.entries.tolist() == [[0, 0.5, 1, 0.5], [1, 0.5, 2, 0.5], [0, 1, 3, 0.5],
+                                           [1, 1, 4, 0.5]]
+        assert record.grid.tolist() == [0.5, 1.0]
 
     def test_cells_read_as_int_and_float_read_them(self, tmp_path):
         path = tmp_path / "record.csv"

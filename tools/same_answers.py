@@ -11,16 +11,18 @@ Each input is made, run and checked by the checkout's own
 one the file holds ``eta``, ``mu``, the failure causes, ``rho_hat``, the
 design rank and condition that ``reconstruct`` reported.  For a
 long-record input it also holds the SHA-256 of the CSV that
-``write_record_csv`` makes of one fixed record, whose values the oracle
+``write_record_csv`` makes of two fixed records, whose values the oracle
 computes with one exponential per instant, and whether ``read_record_csv``
-reads that file back to the same entries.  (The record the workload
+reads each file back to the same entries.  The first record is
+noiseless, with sigma 0; the second adds seeded Gaussian noise of sigma
+1e-6 and holds 1e-6 in its sigma column.  (The record the workload
 simulates itself may differ between checkouts in the last bits of its
 values.)  Compare two such files::
 
     python3 tools/same_answers.py compare parent.json change.json
 
 The comparison lists every input whose ``eta``, ``mu``, causes, design
-rank, CSV bytes or CSV roundtrip differ, or whose ``rho_hat`` differs from the first
+rank, CSV bytes or CSV roundtrips differ, or whose ``rho_hat`` differs from the first
 file's by more than 1e-12 (Frobenius) where the first file's design
 condition is below 1e4, and by more than 1e-14 times that condition
 elsewhere.  It exits with 1 when it lists anything.
@@ -53,6 +55,9 @@ ABSOLUTE_TOL = 1e-12
 RELATIVE_TOL = 1e-14
 #: differences printed per field
 SHOWN = 20
+#: noise level and noise seed of the second oracle record
+NOISY_SIGMA = 1e-6
+NOISE_SEED = 0
 
 
 def parse_args(argv=None):
@@ -99,27 +104,37 @@ class DesignProbe:
         return result
 
 
-def oracle_record(st, oracle, inp: dict):
-    """The noiseless record of a long-record input, its values computed by the oracle."""
+def oracle_record(st, oracle, inp: dict, sigma: float = 0.0):
+    """The record of a long-record input, its values computed by the oracle.
+
+    With ``sigma > 0`` the values get Gaussian noise of that sigma, seeded
+    with :data:`NOISE_SEED` and drawn in entry order, and the sigma column
+    holds ``sigma``; otherwise the record is noiseless, with sigma 0.
+    """
     mat = oracle.superoperator(inp["ham"], inp["jumps"])
     duals = np.array([np.asarray(q, dtype=complex).reshape(-1).conj() for q in inp["observables"]])
     state = np.asarray(inp["rho0"], dtype=complex).reshape(-1)
     values = np.array([(duals @ (scipy.linalg.expm(t * mat) @ state)).real for t in inp["grid"]]).T
+    if sigma > 0:
+        values = values + np.random.default_rng(NOISE_SEED).normal(0.0, sigma, values.shape)
     count, size = values.shape
     entries = np.column_stack((np.arange(count).repeat(size), np.tile(inp["grid"], count),
-                               values.reshape(-1), np.zeros(values.size)))
+                               values.reshape(-1), np.full(values.size, sigma)))
     return st.MeasurementRecord(entries=entries, observable_count=count, grid=inp["grid"])
 
 
 def csv_answers(st, oracle, inp: dict, path: str) -> dict:
-    """The SHA-256 of the oracle record's CSV, and whether reading it back gives the record."""
-    rec = oracle_record(st, oracle, inp)
-    st.write_record_csv(rec, path)
-    with open(path, "rb") as handle:
-        digest = hashlib.sha256(handle.read()).hexdigest()
-    back = st.read_record_csv(path)
-    os.remove(path)
-    return {"csv_sha256": digest, "csv_roundtrip": back.entries.tobytes() == rec.entries.tobytes()}
+    """The SHA-256 of each oracle record's CSV, and whether reading it back gives the record."""
+    answers = {}
+    for prefix, sigma in (("csv", 0.0), ("noisy_csv", NOISY_SIGMA)):
+        rec = oracle_record(st, oracle, inp, sigma)
+        st.write_record_csv(rec, path)
+        with open(path, "rb") as handle:
+            answers[f"{prefix}_sha256"] = hashlib.sha256(handle.read()).hexdigest()
+        back = st.read_record_csv(path)
+        os.remove(path)
+        answers[f"{prefix}_roundtrip"] = back.entries.tobytes() == rec.entries.tobytes()
+    return answers
 
 
 def record(args) -> None:
@@ -198,7 +213,8 @@ def compare(args) -> int:
     for k in common:
         a, b = first[k], second[k]
         label = "{} seed {} {} round {}".format(*k)
-        for field in ("eta", "mu", "causes", "design_rank", "csv_sha256", "csv_roundtrip"):
+        for field in ("eta", "mu", "causes", "design_rank", "csv_sha256", "csv_roundtrip",
+                      "noisy_csv_sha256", "noisy_csv_roundtrip"):
             if a.get(field) != b.get(field):
                 differences.setdefault(field, []).append(f"{label}: {a.get(field)!r} -> {b.get(field)!r}")
         gap = rho_gap(a, b)
