@@ -90,9 +90,15 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     is the largest geometric multiplicity, ``mu`` the sum of the
     eigenvalue indices (the minimal-polynomial degree).  Only multiple
     eigenvalues cost an SVD, and defective generators are handled like any
-    other.  The generator keeps the clusters per ``tol``, so a later call,
-    or :func:`find_observables`, reuses them; each call returns a new
-    report built from them.
+    other.  The generator of a closed model (every jump at rate 0 or with
+    an all-zero operator; see :func:`build_generator`) is ``-i[H, .]``,
+    diagonalizable with the Bohr frequencies ``-i (E_j - E_k)`` as its
+    eigenvalues: its clusters are those n^2 values grouped by the same
+    rule, at the cost of one n x n ``eigvalsh`` plus the grouping, and
+    since no rank is decided its answer does not depend on
+    ``tol.rank_rtol``.  The generator keeps the clusters per ``tol``, so a
+    later call, or :func:`find_observables`, reuses them; each call
+    returns a new report built from them.
     """
     distinct = gen._eigen_structure(_tolerances(tol))
     eta = _eta(distinct)

@@ -24,7 +24,9 @@ from .errors import NumericalFailure, ValidationError
 from .operator_algebra import (
     EigenvalueCluster,
     ToleranceConfig,
+    _clusters,
     _coordinates,
+    _frobenius,
     _from_coordinates,
     _hermitian_form,
     _hermiticity,
@@ -164,14 +166,22 @@ class Superoperator:
     stages need ``R``.  A generator analyses its spectrum once per
     :class:`ToleranceConfig`: it keeps ``eigen_structure(hermitian_form, tol)``
     for each tolerance asked about, and :func:`spectral_report` and
-    :func:`find_observables` read the kept clusters.  Compared and hashed by
-    identity; compare contents with ``np.array_equal``.
+    :func:`find_observables` read the kept clusters.  The generator of a
+    closed model, one whose every jump has rate 0 or an all-zero operator,
+    also keeps the eigenvalues ``E`` of the model's Hamiltonian and reads
+    its clusters off the Bohr frequencies ``-i (E_j - E_k)`` instead: one
+    n x n ``eigvalsh`` when it is built plus a grouping of n^2 values, and
+    no rank decision, so those clusters do not depend on ``rank_rtol``.
+    A generator made by hand takes the general route.  Compared and
+    hashed by identity; compare contents with ``np.array_equal``.
     """
 
     dim: int
     matrix: np.ndarray
     hermitian_form: np.ndarray = field(init=False, repr=False)
     _structures: dict = field(init=False, repr=False, default_factory=dict)
+    # eigvalsh of the Hamiltonian of a closed model, set by _vectorized
+    _energies: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix, "superoperator matrix")
@@ -188,10 +198,21 @@ class Superoperator:
         self.hermitian_form.setflags(write=False)
 
     def _eigen_structure(self, tol: ToleranceConfig) -> tuple[EigenvalueCluster, ...]:
-        """``eigen_structure(self.hermitian_form, tol)``, computed on the first request per ``tol`` and kept."""
+        """``eigen_structure(self.hermitian_form, tol)``, computed on the first request per ``tol`` and kept.
+
+        A closed model's generator ``-i[H, .]`` is anti-hermitian, hence
+        diagonalizable: its Bohr frequencies are grouped as computed
+        eigenvalues are, and each group is one cluster with geometric
+        multiplicity its size and index 1.
+        """
         # threads that race here only repeat the same deterministic computation
         if tol not in self._structures:
-            self._structures[tol] = eigen_structure(self.hermitian_form, tol)
+            if self._energies is None:
+                self._structures[tol] = eigen_structure(self.hermitian_form, tol)
+            else:
+                bohr = -1j * (self._energies[:, None] - self._energies).reshape(-1)
+                self._structures[tol] = _clusters(bohr, _frobenius(self.hermitian_form), True,
+                                                  lambda value, size: (size, 1))
         return self._structures[tol]
 
 
@@ -214,6 +235,12 @@ def build_generator(model: LindbladModel) -> Superoperator:
     The output annihilates the trace functional by construction; this is
     re-checked numerically as a guard against degenerate inputs.  A
     generator with an entry past the float range raises :class:`NumericalFailure`.
+    A model is closed when every jump has rate 0 or an all-zero operator;
+    its generator is then ``-i[H, .]``, and it keeps ``eigvalsh(H)`` for
+    its spectral analysis: one n x n ``eigvalsh`` here and a grouping of
+    the n^2 Bohr frequencies later, instead of an n^2 x n^2 eigensolver
+    and an SVD per multiple eigenvalue.  That analysis decides no rank, so
+    its answer does not depend on ``rank_rtol``.
     The model builds its generator on the first call and returns the same
     object on every later one (:func:`simulate_measurements` and
     :func:`reconstruct` read that one too); a build that raises is not
@@ -249,7 +276,10 @@ def _vectorized(model: LindbladModel) -> Superoperator:
             f"generator fails to annihilate the trace functional (residual {residual:.3e})"
         )
     mat.setflags(write=False)
-    return Superoperator(dim=n, matrix=mat)
+    gen = Superoperator(dim=n, matrix=mat)
+    if all(rate == 0 or not op.any() for rate, op in model.jumps):
+        object.__setattr__(gen, "_energies", np.linalg.eigvalsh(model.hamiltonian))
+    return gen
 
 
 def _real_generator(gen: Superoperator) -> np.ndarray:

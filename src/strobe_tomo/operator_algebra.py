@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -387,10 +387,30 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
     """
     arr = _square(m)
     values = eigenvalues(arr)
+    norm_f = _frobenius(arr)
+
+    def counts(value, size: int) -> tuple[int, int]:
+        return _jordan_counts((arr - value * np.eye(arr.shape[0])) / (norm_f or 1.0), size, tol)
+
+    return _clusters(values, norm_f, not np.iscomplexobj(arr), counts)
+
+
+def _frobenius(arr: np.ndarray) -> float:
+    """``|arr|_F``; :class:`NumericalFailure` if it overflows."""
     norm_f = float(np.linalg.norm(arr))
     if not np.isfinite(norm_f):
         raise NumericalFailure("matrix norm overflows the float range")
-    real = not np.iscomplexobj(arr)
+    return norm_f
+
+
+def _clusters(values: np.ndarray, norm_f: float, real: bool,
+              counts: Callable[[complex, int], tuple[int, int]]) -> tuple[EigenvalueCluster, ...]:
+    """Clusters of the eigenvalues ``values`` of a matrix of Frobenius norm ``norm_f``, as :func:`eigen_structure` forms them.
+
+    ``real`` says the matrix is real, so a group closed under conjugation
+    gets a real mean; ``counts(value, size)`` gives the (geometric
+    multiplicity, index) of each group of ``size >= 2`` values.
+    """
     # A computed Jordan chain of length k spreads by about |m| * delta**(1/k),
     # delta the eigensolver's relative backward error.  EIG_CLUSTER_RTOL is
     # delta**(1/2), the spread of a chain of length 2, so this radius
@@ -403,8 +423,7 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
         value = group.mean()
         if real and np.abs(group.imag).min() <= radius / 2:
             value = value.real
-        shifted = (arr - value * np.eye(arr.shape[0])) / (norm_f or 1.0)
-        geometric, index = _jordan_counts(shifted, group.size, tol)
+        geometric, index = counts(value, group.size)
         clusters.append(EigenvalueCluster(complex(value), group.size, geometric, index))
     clusters.sort(key=lambda c: -c.value.real)
     # a new level wherever the real part drops by more than the radius

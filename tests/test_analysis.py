@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -179,8 +180,9 @@ class TestRealForm:
             return rank(m, *args)
 
         monkeypatch.setattr(strobe_tomo.operator_algebra, "rank", spy)
-        report = spectral_report(hamiltonian_only_generator(4, seed=304))
-        assert report.eta == 4
+        # the general route: a closed model's own report decides no rank
+        clusters = eigen_structure(hamiltonian_only_generator(4, seed=304).hermitian_form)
+        assert max(c.geometric_multiplicity for c in clusters) == 4
         assert seen and set(seen) == {np.dtype(np.float64)}
 
     def test_min_poly_computed_on_first_read(self, cooling_gen):
@@ -217,6 +219,84 @@ class TestSpectralStructure:
         assert rep.eta == 2
         assert rep.mu == 8
         assert len(rep.min_poly) == 9
+
+
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def xx_chain() -> np.ndarray:
+    """The open 3-spin XX chain ``sum_i X_i X_i+1 + Y_i Y_i+1``: energies -2.83 (x2), 0 (x4), 2.83 (x2)."""
+    x, y, one = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.eye(2)
+    return sum(np.kron(np.kron(a, b), c) for a, b, c in
+               [(x, x, one), (y, y, one), (one, x, x), (one, y, y)])
+
+
+class TestClosedModels:
+    """A closed model's report is read off the Bohr frequencies: the general route's answer, without its eigensolver."""
+
+    @staticmethod
+    def report_matching_general_route(model):
+        gen = build_generator(model)
+        report = spectral_report(gen)
+        general = eigen_structure(gen.hermitian_form)
+        assert [c[1:] for c in report.distinct_eigenvalues] == [c[1:] for c in general]
+        assert np.abs(np.subtract([c.value for c in report.distinct_eigenvalues],
+                                  [c.value for c in general])).max() <= 1e-10 * np.linalg.norm(gen.matrix)
+        assert (report.eta, report.mu) == (max(c.geometric_multiplicity for c in general),
+                                           sum(c.index for c in general))
+        return report
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_integer_energies_in_a_random_basis(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        n = 2 + seed % 5
+        energies = rng.integers(-2, 3, size=n)
+        differences = Counter(int(a - b) for a in energies for b in energies)
+        u = random_unitary(n, rng)
+        ham = u @ np.diag(energies.astype(float)) @ u.conj().T
+        report = self.report_matching_general_route(LindbladModel(dim=n, hamiltonian=ham))
+        assert (report.eta, report.mu) == (max(differences.values()), len(differences))
+
+    @pytest.mark.parametrize("ham, expected", [
+        (np.zeros((4, 4)), (16, 1)),
+        (np.diag(np.arange(16.0)), (16, 31)),
+        (xx_chain(), (24, 5)),
+    ], ids=["zero", "diag-0..15", "xx-chain"])
+    def test_named_hamiltonians(self, ham, expected):
+        report = self.report_matching_general_route(LindbladModel(dim=ham.shape[0], hamiltonian=ham))
+        assert (report.eta, report.mu) == expected
+
+    @pytest.mark.parametrize("jump", [(0.0, np.array([[0.0, 1.0], [0.0, 0.0]])), (2.0, np.zeros((2, 2)))],
+                             ids=["rate-0", "zero-operator"])
+    def test_silent_jumps_keep_a_model_closed(self, jump):
+        model = LindbladModel(dim=2, hamiltonian=np.diag([0.0, 1.0]), jumps=(jump,))
+        assert build_generator(model)._energies is not None
+        report = self.report_matching_general_route(model)
+        assert (report.eta, report.mu) == (2, 3)
+
+    def test_closed_model_runs_no_eigensolver_and_no_rank(self, spy):
+        values, ranks = spy("operator_algebra", "eigenvalues"), spy("operator_algebra", "rank")
+        report = spectral_report(build_generator(LindbladModel(dim=6, hamiltonian=np.diag(np.arange(6.0) % 3))))
+        assert (report.eta, report.mu) == (12, 5)
+        assert (len(values), len(ranks)) == (0, 0)
+
+    @pytest.mark.parametrize("rate", [1e-300, 5e-324])
+    def test_any_active_jump_takes_the_general_route(self, spy, rate):
+        values, ranks = spy("operator_algebra", "eigenvalues"), spy("operator_algebra", "rank")
+        model = LindbladModel(dim=3, hamiltonian=np.diag([0.0, 1.0, 1.0]),
+                              jumps=((rate, np.outer(np.eye(3)[0], np.eye(3)[1])),))
+        assert build_generator(model)._energies is None
+        spectral_report(build_generator(model))
+        assert len(values) == 1 and len(ranks) > 0
+
+    def test_hand_made_generator_takes_the_general_route(self, spy):
+        values = spy("operator_algebra", "eigenvalues")
+        closed = build_generator(LindbladModel(dim=3, hamiltonian=np.diag([0.0, 1.0, 1.0])))
+        report = spectral_report(Superoperator(dim=3, matrix=closed.matrix))
+        assert (report.eta, report.mu) == (5, 3)
+        assert len(values) == 1
 
 
 def budget(report):

@@ -85,6 +85,15 @@ class TestAnalyze:
         assert doc["analysis"]["eta"] == 9
         assert doc["analysis"]["mu"] == 1
 
+    def test_closed_model_file(self, tmp_path, capsys):
+        # 256 Bohr frequencies, 31 distinct; the zero difference occurs 16 times
+        path = tmp_path / "ladder.json"
+        model = strobe_tomo.LindbladModel(dim=16, hamiltonian=np.diag(np.arange(16.0)))
+        path.write_text(json.dumps(model_to_json(model)))
+        assert main(["analyze", str(path), "--json"]) == 0
+        analysis = json.loads(capsys.readouterr().out)["analysis"]
+        assert (analysis["eta"], analysis["mu"]) == (16, 31)
+
     def test_malformed_file_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dim": 3, "jumps": [{"matrix": [[0]]}]}))
