@@ -23,13 +23,9 @@ from .operator_algebra import (
     eigen_structure,
     eigenvalues,
     expm,
-    hermitian_basis,
-    is_hermitian,
     minimal_polynomial,
     random_hermitian,
     rank,
-    unvec,
-    vec,
 )
 from .lindblad import (
     LindbladModel,
@@ -71,16 +67,12 @@ __all__ = [
     "RankDeficiencyError",
     "ToleranceConfig",
     "DEFAULT_TOLERANCES",
-    "vec",
-    "unvec",
     "rank",
     "eigenvalues",
     "eigen_structure",
     "expm",
     "minimal_polynomial",
-    "hermitian_basis",
     "random_hermitian",
-    "is_hermitian",
     "LindbladModel",
     "Superoperator",
     "laser_cooling_model",

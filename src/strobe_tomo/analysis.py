@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import SearchExhausted, ValidationError
-from .lindblad import Superoperator, _integer, _operator, _real_generator
+from .lindblad import Superoperator, _integer, _operator
 from .operator_algebra import (
     DEFAULT_TOLERANCES,
     EigenvalueCluster,
@@ -53,8 +53,8 @@ class SpectralReport:
     observable), ``measurement_budget`` their product, and
     ``static_observable_count`` the dim^2 - 1 observables a dynamics-blind
     reconstruction would need instead.  The clusters come from the
-    generator in hermitian coordinates, a real matrix for every generator
-    that preserves hermiticity (see :func:`spectral_report`).
+    generator in hermitian coordinates, a real matrix (see
+    :func:`spectral_report`).
     ``min_poly`` holds the monic ascending coefficients expanded from the
     roots, for display; it is computed on first access.  Reports compare
     and hash by identity; compare contents with ``np.array_equal``.
@@ -81,12 +81,11 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     """Cluster the spectrum once per tolerance and derive the resource bounds from it.
 
     Everything comes from one :func:`eigen_structure` call on the form the
-    generator stored when it was made, ``gen.hermitian_form = T^dag L T``
-    with ``T`` the columns ``vec(B_k)`` of :func:`hermitian_basis`: a unitary
-    change of basis, so the spectrum and the Jordan structure are those of ``L``.
-    For a generator that preserves hermiticity, as every Lindblad
-    generator does, that matrix is real, and the eigenvalues and SVDs run
-    in real arithmetic; any other generator is analysed as given.  ``eta``
+    generator stored when it was made, the real ``gen.hermitian_form =
+    T^dag L T`` with ``T`` the columns ``vec(B_k)`` of the hermitian basis
+    (the normalized identity, then the generalized Gell-Mann matrices): a
+    unitary change of basis, so the spectrum and the Jordan structure are
+    those of ``L``, and the eigenvalues and SVDs run in real arithmetic.  ``eta``
     is the largest geometric multiplicity, ``mu`` the sum of the
     eigenvalue indices (the minimal-polynomial degree).  Only multiple
     eigenvalues cost an SVD, and defective generators are handled like any
@@ -169,7 +168,7 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     """
     _tolerances(tol)
     coordinates = _observable_coordinates(observables, gen.dim)
-    adjoint = _real_generator(gen).T
+    adjoint = gen.hermitian_form.T
     n2 = gen.dim * gen.dim
     floor = tol.rank_rtol * float(np.linalg.norm(adjoint, 2))
     basis = np.zeros((n2, n2))

@@ -4,7 +4,8 @@ A model is a constant Hamiltonian plus dissipation channels ``(rate, L)``
 acting as ``L rho L^dag - (1/2){L^dag L, rho}``.  With the effective
 Hamiltonian term ``G = -iH - (1/2) sum rate L^dag L`` the generator is
 ``G rho + rho G^dag + sum rate L rho L^dag``.  The vectorization
-convention is row-stacking throughout: under ``vec`` that is
+convention is row-stacking throughout: with ``vec`` the row-stacking of a
+matrix, ``vec(rho) = rho.reshape(-1)``, that is
 ``kron(G, I) + kron(I, conj(G)) + sum rate kron(L, conj(L))``.  The
 resulting dim^2 x dim^2 matrix generates the state evolution
 ``rho(t) = unvec(expm(t * gen) vec(rho0))``.
@@ -35,7 +36,6 @@ from .operator_algebra import (
     assert_hermitian,
     eigen_structure,
     expm,
-    vec,
 )
 
 __all__ = [
@@ -153,17 +153,18 @@ class Superoperator:
     """A dim^2 x dim^2 generator matrix acting on row-stacked operators.
 
     Row-stacking (``vec`` flattens row by row) is the package's only
-    vectorization convention.  Construction only checks ``dim`` and the shape, so
-    synthetic generators can be injected; matrices produced by
-    :func:`build_generator` also annihilate the trace functional
-    (``vec(I)^dag @ matrix ~ 0``) and preserve hermiticity.  The matrix is
+    vectorization convention.  Construction checks ``dim``, the shape and
+    that the matrix maps hermitian matrices to hermitian matrices, as every
+    Lindblad generator does; a matrix that does not, or that has a NaN or
+    infinite entry, raises :class:`ValidationError`.  Any real matrix in
+    hermitian coordinates passes, so synthetic spectra can be injected;
+    matrices produced by :func:`build_generator` also annihilate the trace
+    functional (``vec(I)^dag @ matrix ~ 0``).  The matrix is
     stored read-only: a caller's array is copied, unless it is already a
     read-only complex array that owns its memory, as :func:`build_generator`
     passes.  Formed once here for every stage, the read-only ``hermitian_form``
-    is the generator in hermitian coordinates, the real ``R = T^dag matrix T``,
-    when the matrix preserves hermiticity; any other matrix (NaN or infinite
-    entries too) is its own form and gets spectral analysis only, as later
-    stages need ``R``.  A generator analyses its spectrum once per
+    is the generator in hermitian coordinates, the real ``R = T^dag matrix T``
+    that every stage runs on.  A generator analyses its spectrum once per
     :class:`ToleranceConfig`: it keeps ``eigen_structure(hermitian_form, tol)``
     for each tolerance asked about, and :func:`spectral_report` and
     :func:`find_observables` read the kept clusters.  The generator of a
@@ -270,7 +271,7 @@ def _vectorized(model: LindbladModel) -> Superoperator:
         top = float(np.abs(mat).max())
     if not top < np.inf:
         raise NumericalFailure("the generator overflows the float range")
-    residual = float(np.abs(vec(eye).conj() @ mat).max())
+    residual = float(np.abs(eye.reshape(-1) @ mat).max())
     if residual > 1e-10 * max(1.0, top):
         raise NumericalFailure(
             f"generator fails to annihilate the trace functional (residual {residual:.3e})"
@@ -280,14 +281,6 @@ def _vectorized(model: LindbladModel) -> Superoperator:
     if all(rate == 0 or not op.any() for rate, op in model.jumps):
         object.__setattr__(gen, "_energies", np.linalg.eigvalsh(model.hamiltonian))
     return gen
-
-
-def _real_generator(gen: Superoperator) -> np.ndarray:
-    """The stored ``gen.hermitian_form`` if it is a real matrix; :class:`NumericalFailure` if it is not."""
-    if np.iscomplexobj(gen.hermitian_form):
-        raise NumericalFailure("the generator does not preserve hermiticity (or is not finite); "
-                               "only its spectral analysis is defined")
-    return gen.hermitian_form
 
 
 def _propagated(mat: np.ndarray, instants: np.ndarray, operand: np.ndarray) -> np.ndarray:
@@ -393,7 +386,7 @@ def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
     """
     rho0 = validate_density_matrix(rho0, dim=gen.dim, name="rho0")
     t = _nonnegative_real(t, "propagation time")
-    x = _propagated(_real_generator(gen), np.array([t], dtype=float), _coordinates(rho0))[:, 0]
+    x = _propagated(gen.hermitian_form, np.array([t], dtype=float), _coordinates(rho0))[:, 0]
     return _check_density_matrix(_from_coordinates(x, gen.dim), f"evolved state at t={t:.6g}", evolved=True)
 
 

@@ -1,7 +1,7 @@
 """Dense matrix kernel.
 
 All values are plain ``numpy.ndarray`` with ``complex128`` entries, kept in
-row-major (C) order so that :func:`vec` is literal row-stacking; the
+row-major (C) order so that ``reshape(-1)`` is literal row-stacking; the
 spectral routines (:func:`eigenvalues`, :func:`rank`, :func:`eigen_structure`)
 and :func:`expm` keep a real ``float64`` input real and run real LAPACK on it.  The
 routines here are the shared substrate for generator construction, spectral
@@ -24,17 +24,13 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOLERANCES",
     "as_complex_matrix",
-    "is_hermitian",
     "assert_hermitian",
-    "vec",
-    "unvec",
     "rank",
     "eigenvalues",
     "expm",
     "EigenvalueCluster",
     "eigen_structure",
     "minimal_polynomial",
-    "hermitian_basis",
     "random_hermitian",
 ]
 
@@ -106,20 +102,15 @@ def _square(a, name: str = "matrix", dtype=None) -> np.ndarray:
 
 
 def _hermiticity(stack: np.ndarray, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """``max |A - A^dag|`` and the test of :func:`is_hermitian` for each square matrix on the last two axes."""
+    """Hermiticity of each square matrix on the last two axes: ``max |A - A^dag|`` and the test.
+
+    The test is ``max |A - A^dag| <= atol * (1 + max |A|)``; a matrix with a
+    NaN or infinite entry fails it.
+    """
     with np.errstate(invalid="ignore", over="ignore"):
         scale = 1.0 + np.abs(stack).max(axis=(-2, -1), initial=0.0)
         dev = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
     return dev, (scale < np.inf) & (dev <= atol * scale)
-
-
-def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
-    """Entrywise hermiticity test: max |A - A^dag| <= atol * (1 + max |A|).
-
-    A matrix with a NaN or infinite entry is not hermitian.
-    """
-    arr = as_complex_matrix(a)
-    return arr.shape[0] == arr.shape[1] and bool(_hermiticity(arr, atol)[1])
 
 
 def assert_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -130,25 +121,16 @@ def assert_hermitian(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def vec(m) -> np.ndarray:
-    """Row-stack a matrix into a vector: vec([[a,b],[c,d]]) = (a, b, c, d)."""
-    return as_complex_matrix(m).reshape(-1)
-
-
-def unvec(v, n: int) -> np.ndarray:
-    """Inverse of :func:`vec` for an ``n x n`` matrix."""
-    arr = np.asarray(v, dtype=complex).reshape(-1)
-    if arr.size != n * n:
-        raise ValidationError(f"cannot unvec length-{arr.size} vector into a {n}x{n} matrix")
-    return arr.reshape(n, n)
-
-
 def rank(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Numerical rank: singular values strictly above rank_rtol * sigma_max.
 
-    A real matrix gets a real SVD.
+    A real matrix gets a real SVD.  A matrix with a NaN or infinite entry
+    has no numerical rank and raises :class:`NumericalFailure`.
     """
-    sigma = np.linalg.svd(_matrix(m), compute_uv=False)
+    arr = _matrix(m)
+    if not np.isfinite(arr).all():
+        raise NumericalFailure(f"cannot rank a {arr.shape[0]}x{arr.shape[1]} matrix with non-finite entries")
+    sigma = np.linalg.svd(arr, compute_uv=False)
     return int(np.sum(sigma > tol.rank_rtol * sigma[0])) if sigma.size else 0
 
 
@@ -459,27 +441,19 @@ def minimal_polynomial(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarr
     return _minimal_polynomial_of(eigen_structure(m, tol))
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal hermitian basis of the n x n matrices under ``tr(A^dag B)``.
-
-    Returns ``n**2`` matrices: the normalized identity followed by the
-    generalized Gell-Mann families (symmetric, antisymmetric, diagonal).
-    Every hermitian ``H`` expands as ``sum_k tr(B_k H) * B_k`` with real
-    coefficients, which the package computes without forming the basis.
-    """
-    if n < 2:
-        raise ValidationError(f"hermitian basis needs dimension >= 2, got {n}")
-    return list(_from_coordinates(np.eye(n * n), n))
-
-
 @lru_cache(maxsize=None)
 def _hermitian_indices(n: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Row-stacked index arithmetic of :func:`hermitian_basis`, as ``(rows, cols, pairs, levels)``.
+    """Row-stacked index arithmetic of the hermitian basis of ``n x n`` matrices, as ``(rows, cols, pairs, levels)``.
 
-    ``rows`` lists the ``pairs`` entries ``jk`` with ``j < k``, then the
-    diagonal entries ``jj``; ``cols`` lists the same ``jk``, their mirrors
-    ``kj``, then the diagonal.  ``levels`` holds, on the diagonal entries,
-    the normalized identity and the diagonal family.
+    The basis ``B_k`` is orthonormal under ``tr(A^dag B)``: the normalized
+    identity, then the generalized Gell-Mann families (symmetric,
+    antisymmetric, diagonal), ``n**2`` matrices in all; every hermitian
+    ``A`` is ``sum_k tr(B_k A) B_k`` with real coefficients, and the
+    package never forms the ``B_k`` themselves.  ``rows`` lists the
+    ``pairs`` entries ``jk`` with ``j < k``, then the diagonal entries
+    ``jj``; ``cols`` lists the same ``jk``, their mirrors ``kj``, then the
+    diagonal.  ``levels`` holds, on the diagonal entries, the normalized
+    identity and the diagonal family.
     """
     j, k = np.triu_indices(n, 1)
     diagonal = np.arange(n) * (n + 1)
@@ -491,9 +465,10 @@ def _hermitian_indices(n: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]
 
 
 def _coordinates(a: np.ndarray) -> np.ndarray:
-    """Real coordinates ``x_k = tr(B_k A)`` of hermitian matrices, in :func:`hermitian_basis` order.
+    """Real coordinates ``x_k = tr(B_k A)`` of hermitian matrices, in the basis order of :func:`_hermitian_indices`.
 
-    ``x = T^dag vec(A)``, ``T`` the unitary with the columns ``vec(B_k)``; ``x`` replaces the last two axes.
+    ``x = T^dag vec(A)``, ``T`` the unitary with the columns ``vec(B_k)`` and ``vec``
+    row-stacking; ``x`` replaces the last two axes.
     """
     n = a.shape[-1]
     scaled = a.reshape(-1, n * n)[:, _hermitian_indices(n)[0]].T * np.sqrt(2.0)
@@ -522,19 +497,20 @@ def _from_coordinates(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _hermitian_form(m: np.ndarray, n: int) -> np.ndarray:
-    """A generator in hermitian coordinates: ``T^dag m T``, real when ``m`` preserves hermiticity.
+    """A generator in hermitian coordinates: the real ``T^dag m T``.
 
     ``T`` is unitary, so the result has the spectrum, Jordan structure and
     Frobenius norm of ``m``.  A generator that maps hermitian matrices to
     hermitian matrices, ``m[kj, ml] = conj(m[jk, lm])`` for all indices,
     is a real matrix in these coordinates (Gorini, Kossakowski & Sudarshan,
     J. Math. Phys. 17, 821 (1976)).  That holds exactly when the reshuffled
-    matrix ``C[jl, km] = m[jk, lm]`` passes :func:`is_hermitian`; then each
+    matrix ``C[jl, km] = m[jk, lm]`` passes :func:`_hermiticity`; then each
     column of ``m T`` is hermitian, so only its rows ``jk`` with ``j <= k``
-    are formed.  Any other ``m`` (NaN or infinite entries too) is returned as given.
+    are formed.  Any other ``m``, NaN or infinite entries included, raises
+    :class:`ValidationError`.
     """
-    if not is_hermitian(m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)):
-        return m
+    if not _hermiticity(m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n))[1]:
+        raise ValidationError("superoperator matrix does not preserve hermiticity (or is not finite)")
     rows, cols, pairs, levels = _hermitian_indices(n)
     # sqrt(2) (m T) on the rows jk (j < k) and jj: the symmetric and the
     # antisymmetric family from the entry pairs, the others from levels

@@ -25,7 +25,6 @@ from .lindblad import (
     _integer,
     _nonnegative_real,
     _propagated,
-    _real_generator,
     validate_density_matrix,
 )
 from .analysis import SpectralReport, _observable_coordinates
@@ -54,23 +53,36 @@ __all__ = [
 CSV_HEADER = ("observable_index", "time", "value", "sigma")
 
 
+def _real_array(values) -> np.ndarray:
+    """``values`` as a float64 array; :class:`TypeError` for ``None``, complex values, text or bools.
+
+    numpy reads text as numbers and a bool as 0 or 1, and it makes numbers
+    of a list that mixes bools with numbers, so the entries of a list and
+    of an object array are inspected one by one.
+    """
+    if values is None:
+        raise TypeError("got None")
+    raw = np.asarray(values)
+    if np.iscomplexobj(raw):
+        raise TypeError("got complex values")
+    given = np.asarray(values, dtype=object) if isinstance(values, (list, tuple)) else raw
+    entries = list(given.flat) if given.dtype == object else []
+    if raw.dtype.kind in "SU" or any(isinstance(x, (str, bytes)) for x in entries):
+        raise TypeError("got text")
+    if raw.dtype.kind == "b" or any(isinstance(x, (bool, np.bool_)) for x in entries):
+        raise TypeError("got bools")
+    return raw.astype(float, copy=False)
+
+
 def validate_time_grid(instants) -> np.ndarray:
     """Coerce to a 1-D float array of distinct, positive, increasing times.
 
     Input that is not an array of real numbers (``None``, complex values,
-    text, a ragged list, an integer past the float range) raises
+    text, bools, a ragged list, an integer past the float range) raises
     :class:`ValidationError`, as does every failed test.
     """
     try:
-        if instants is None:
-            raise TypeError("got None")
-        raw = np.asarray(instants)
-        if np.iscomplexobj(raw):
-            raise TypeError("got complex values")
-        if raw.dtype.kind in "SU" or (raw.dtype == object
-                                      and any(isinstance(x, (str, bytes)) for x in raw.flat)):
-            raise TypeError("got text")
-        grid = raw.astype(float, copy=False).reshape(-1)
+        grid = _real_array(instants).reshape(-1)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"time grid must be an array of real instants: {exc}") from exc
     if grid.size == 0:
@@ -88,7 +100,8 @@ def validate_time_grid(instants) -> np.ndarray:
 class MeasurementRecord:
     """Expectation-value samples, one row ``(observable index, time, value, sigma)`` each.
 
-    ``entries`` may be given as any sequence of 4-tuples and is stored as a
+    ``entries`` may be given as any sequence of 4-tuples of real numbers,
+    not text or bools, as for :func:`validate_time_grid`, and is stored as a
     read-only ``(rows, 4)`` float array.  ``grid`` holds the distinct
     measurement instants; every entry's time must be one of them, and
     every index must be an integer in ``[0, observable_count)``.  Repeated
@@ -104,7 +117,7 @@ class MeasurementRecord:
         _integer(self.observable_count, "observable_count")
         object.__setattr__(self, "grid", validate_time_grid(self.grid))
         try:
-            rows = np.array(self.entries, dtype=float)
+            rows = np.array(_real_array(self.entries))
             if rows.shape == (0,):
                 rows = rows.reshape(0, 4)
             if rows.ndim != 2 or rows.shape[1] != 4:
@@ -161,7 +174,10 @@ def default_time_grid(report: SpectralReport) -> np.ndarray:
     transient range; a generator with no decaying part falls back to the
     reciprocal of the largest eigenvalue magnitude, and a zero generator to
     ``dt = 1``.  No claim of optimality is attached to this choice.
+    Anything but a :class:`SpectralReport` raises :class:`ValidationError`.
     """
+    if not isinstance(report, SpectralReport):
+        raise ValidationError(f"report must be a SpectralReport, got {type(report).__name__}")
     values = np.array([c.value for c in report.distinct_eigenvalues])
     magnitude = np.abs(values)
     zero_floor = 1e-12 * max(1.0, float(magnitude.max()) if magnitude.size else 0.0)
@@ -193,7 +209,7 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     state0 = _coordinates(validate_density_matrix(rho0, dim=model.dim, name="rho0"))
     coordinates = _observable_coordinates(observables, model.dim)
 
-    states = _propagated(_real_generator(model._generator), grid, state0)
+    states = _propagated(model._generator.hermitian_form, grid, state0)
     _check_density_matrix(_from_coordinates(states.T, model.dim),
                           lambda j: f"evolved state at t={grid[j]:.6g}", evolved=True)
     values = coordinates @ states
@@ -241,7 +257,7 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     instants, at = np.unique(time, return_inverse=True)
     # expm(t R)^T = expm(t R^T), so the observables' coordinates step as columns:
     # rows[k, j, i] is coordinate k of Q_i stepped to instant j
-    rows = _propagated(_real_generator(model._generator).T, instants, coordinates.T)
+    rows = _propagated(model._generator.hermitian_form.T, instants, coordinates.T)
     design = rows[:, at, index.astype(int)].T
     if not np.all(np.isfinite(design)):
         raise NumericalFailure("design matrix overflows: expm(t * L) is not finite on the record's instants")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from strobe_tomo import LindbladModel, random_hermitian
+from strobe_tomo import LindbladModel, Superoperator, random_hermitian
 
 
 def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -83,6 +83,49 @@ def gell_mann_basis(n: int) -> list[np.ndarray]:
         diag[level, level] = -level
         basis.append(diag / np.sqrt(level * (level + 1)))
     return basis
+
+
+def real_jordan_matrix(size: int, blocks, seed: int) -> np.ndarray:
+    """``V J V^-1`` for a random real ``V``, where the real ``J`` holds the given blocks.
+
+    ``blocks`` is a sequence of ``(value, length)`` Jordan blocks with real
+    values.  The rest of the diagonal gets simple values: the pairs
+    ``-0.3 (i+1) +- 0.7i`` as real 2 x 2 rotation blocks at positions
+    ``i, i+1``, and ``-0.3 (i+1)`` alone at the last position if one is left.
+    """
+    jordan = np.zeros((size, size))
+    pos = 0
+    for value, length in blocks:
+        for i in range(pos, pos + length):
+            jordan[i, i] = value
+            if i > pos:
+                jordan[i - 1, i] = 1.0
+        pos += length
+    for i in range(pos, size, 2):
+        jordan[i, i] = -0.3 * (i + 1)
+        if i + 1 < size:
+            jordan[i + 1, i + 1] = jordan[i, i]
+            jordan[i, i + 1], jordan[i + 1, i] = 0.7, -0.7
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((size, size))
+    return v @ jordan @ np.linalg.inv(v)
+
+
+def gell_mann_columns(n: int) -> np.ndarray:
+    """The unitary ``T`` whose columns are the row-stacked matrices of :func:`gell_mann_basis`."""
+    return np.stack([b.reshape(-1) for b in gell_mann_basis(n)], axis=1)
+
+
+def superoperator_from_real(r: np.ndarray) -> Superoperator:
+    """The generator whose form in hermitian coordinates is the real ``n^2 x n^2`` matrix ``r``.
+
+    Its matrix is ``T r T^dag`` with ``T`` of :func:`gell_mann_columns`: it
+    maps hermitian matrices to hermitian matrices, and it has the spectrum
+    and Jordan structure of ``r``.
+    """
+    n = int(round(np.sqrt(r.shape[0])))
+    t = gell_mann_columns(n)
+    return Superoperator(dim=n, matrix=t @ r @ t.conj().T)
 
 
 def cofactor_det(m: np.ndarray) -> complex:

@@ -19,17 +19,23 @@ from strobe_tomo import (
     matrix_from_json,
     matrix_to_json,
     validate_density_matrix,
-    vec,
 )
 
 from strobe_tomo.lindblad import EVOLVE_EIG_FLOOR, MAX_DIM, STATE_EIG_FLOOR, _check_density_matrix
 
-from helpers import kron_generator, laser_cooling_populations, lindblad_rhs, random_density, random_model
+from helpers import (
+    kron_generator,
+    laser_cooling_populations,
+    lindblad_rhs,
+    random_density,
+    random_model,
+    superoperator_from_real,
+)
 
 
 def trace_residual(sup: Superoperator) -> float:
     """max |vec(I)^dag L|: zero iff the generator preserves the trace."""
-    return float(np.abs(vec(np.eye(sup.dim)).conj() @ sup.matrix).max())
+    return float(np.abs(np.eye(sup.dim).reshape(-1) @ sup.matrix).max())
 
 
 def golden_generator(g1: float, g2: float) -> np.ndarray:
@@ -174,8 +180,8 @@ class TestBuildGenerator:
         gen = build_generator(model)
         coherence = np.zeros((2, 2), dtype=complex)
         coherence[0, 1] = 1.0
-        out = gen.matrix @ vec(coherence)
-        assert np.abs(out - (-2j) * vec(coherence)).max() <= 1e-14
+        out = gen.matrix @ coherence.reshape(-1)
+        assert np.abs(out - (-2j) * coherence.reshape(-1)).max() <= 1e-14
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_direct_rhs(self, n):
@@ -186,7 +192,7 @@ class TestBuildGenerator:
             gen = build_generator(model)
             rho = random_density(n, rng)
             direct = lindblad_rhs(model, rho)
-            lifted = (gen.matrix @ vec(rho)).reshape(n, n)
+            lifted = (gen.matrix @ rho.reshape(-1)).reshape(n, n)
             assert np.abs(direct - lifted).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -228,13 +234,27 @@ class TestSuperoperator:
             Superoperator(dim=dim, matrix=np.zeros((size, size)))
 
     def test_synthetic_injection_allowed(self):
-        # trace-functional residual is only enforced for built generators
-        sup = Superoperator(dim=3, matrix=np.diag(np.arange(0.0, -9.0, -1.0)))
+        # trace-functional residual is only enforced for built generators;
+        # the first row of the real form is the trace's rate of change
+        sup = superoperator_from_real(np.diag(np.arange(-1.0, -10.0, -1.0)))
         assert trace_residual(sup) > 0
+
+    @pytest.mark.parametrize("entry", [None, np.nan, np.inf], ids=["breaks-hermiticity", "nan", "inf"])
+    def test_matrix_that_is_not_a_generator_rejected(self, entry):
+        # the dual sends rho_01 to rho_00 alone, so a hermitian input gets a complex diagonal;
+        # a non-finite entry in a generator that preserves hermiticity fails the same test
+        if entry is None:
+            matrix = np.outer(np.eye(4)[1], np.eye(4)[0])
+        else:
+            matrix = build_generator(laser_cooling_model(1.0, 2.0)).matrix.copy()
+            matrix[0, 0] = entry
+        with pytest.raises(ValidationError, match=r"^superoperator matrix does not preserve hermiticity "
+                                                  r"\(or is not finite\)$"):
+            Superoperator(dim=int(np.sqrt(matrix.shape[0])), matrix=matrix)
 
     def test_matrix_is_a_read_only_copy(self):
         # writing into the caller's array does not reach the generator
-        m = np.diag(np.arange(0.0, -9.0, -1.0)).astype(complex)
+        m = superoperator_from_real(np.diag(np.arange(0.0, -9.0, -1.0))).matrix.copy()
         sup = Superoperator(dim=3, matrix=m)
         m[0, 0] = np.nan
         assert np.isfinite(sup.matrix).all()
@@ -327,13 +347,10 @@ class TestEvolve:
     @pytest.mark.parametrize("matrix, rho0, match", [
         # -I scales the state by exp(-t): its trace leaks away
         (-np.eye(4), np.eye(2) / 2, "^evolved state at t=0.5 has trace"),
-        # feeds rho_00 into rho_01 alone, so it is rejected before propagating
-        (np.outer(np.eye(4)[1], np.eye(4)[0]), np.diag([1.0, 0.0]),
-         "^the generator does not preserve hermiticity"),
         # grows rho_00 as exp(t) and drains rho_11 by as much, below zero
         (np.outer(np.eye(4)[0], np.eye(4)[0]) - np.outer(np.eye(4)[3], np.eye(4)[0]),
          np.diag([1.0, 0.0]), "^evolved state at t=0.5 has eigenvalue"),
-    ], ids=["trace", "hermiticity", "eigenvalue"])
+    ], ids=["trace", "eigenvalue"])
     def test_unphysical_evolution_is_a_numerical_failure(self, matrix, rho0, match):
         gen = Superoperator(dim=2, matrix=matrix)
         with pytest.raises(NumericalFailure, match=match):

@@ -8,20 +8,17 @@ import scipy.linalg
 from strobe_tomo import (
     DEFAULT_TOLERANCES,
     LindbladModel,
-    Superoperator,
+    NumericalFailure,
     ToleranceConfig,
     ValidationError,
     build_generator,
+    eigen_structure,
     eigenvalues,
     expm,
-    hermitian_basis,
-    is_hermitian,
     laser_cooling_model,
     minimal_polynomial,
     random_hermitian,
     rank,
-    unvec,
-    vec,
 )
 
 from strobe_tomo.operator_algebra import (
@@ -34,7 +31,15 @@ from strobe_tomo.operator_algebra import (
     _minimal_polynomial_of,
 )
 
-from helpers import cofactor_det, equal_rate_cascade, gell_mann_basis, jordan_matrix, random_density, random_model
+from helpers import (
+    cofactor_det,
+    equal_rate_cascade,
+    gell_mann_basis,
+    gell_mann_columns,
+    jordan_matrix,
+    random_density,
+    random_model,
+)
 
 E1 = np.zeros((3, 3), dtype=complex)
 E1[0, 1] = 1.0
@@ -67,29 +72,19 @@ class TestKron:
                 assert np.allclose(block, a[i, j] * b, atol=0)
 
 
-class TestVec:
+class TestRowStacking:
     def test_row_stacking_definition(self):
         m = np.array([[1 + 2j, 3], [4, 5 - 1j]])
-        assert np.array_equal(vec(m), np.array([1 + 2j, 3, 4, 5 - 1j]))
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_roundtrip(self, n):
-        rng = np.random.default_rng(n)
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert np.array_equal(unvec(vec(m), n), m)
-
-    def test_unvec_rejects_bad_length(self):
-        with pytest.raises(ValidationError):
-            unvec(np.ones(8), 3)
+        assert np.array_equal(m.reshape(-1), np.array([1 + 2j, 3, 4, 5 - 1j]))
 
     def test_product_identity(self):
-        # oracle: vec of the directly computed product A @ X @ B
+        # oracle: the row-stacked, directly computed product A @ X @ B
         rng = np.random.default_rng(7)
         for _ in range(20):
             a, x, b = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                        for _ in range(3))
-            direct = vec(a @ x @ b)
-            lifted = np.kron(a, b.T) @ vec(x)
+            direct = (a @ x @ b).reshape(-1)
+            lifted = np.kron(a, b.T) @ x.reshape(-1)
             assert np.abs(direct - lifted).max() <= 1e-12
 
 
@@ -127,6 +122,14 @@ class TestRank:
         assert rank(np.diag([1.0, 2.0, 0.0])) == 2
         assert rank(np.diag([1.0, 2.0j, 0.0])) == 2
         assert seen == [np.float64, np.complex128]
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)])
+    def test_non_finite_entry_is_a_numerical_failure(self, entry):
+        # numpy's SVD would raise a bare LinAlgError on NaN and give rank 0 on inf
+        m = np.diag([1.0, 1.0]).astype(type(entry))
+        m[0, 0] = entry
+        with pytest.raises(NumericalFailure, match=r"^cannot rank a 2x2 matrix with non-finite entries$"):
+            rank(m)
 
 
 class TestEigenvalues:
@@ -194,7 +197,7 @@ class TestExpm:
         gen = build_generator(laser_cooling_model(1.0, 2.0))
         rng = np.random.default_rng(int(t * 10))
         rho = random_density(3, rng)
-        evolved = unvec(expm(t * gen.matrix) @ vec(rho), 3)
+        evolved = (expm(t * gen.matrix) @ rho.reshape(-1)).reshape(3, 3)
         assert abs(np.trace(evolved) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e308, complex(np.inf, 1.0)])
@@ -394,9 +397,23 @@ class TestMinimalPolynomial:
             assert abs(np.polyval(coeffs[::-1], lam)) <= 1e-8
 
 
+class TestEigenStructure:
+    def test_complex_matrix(self):
+        # J_3(-1) + a semisimple double -2.5 + four simple complex values, under a complex similarity
+        clusters = eigen_structure(jordan_matrix(9, [(-1.0, 3), (-2.5, 1), (-2.5, 1)], seed=4))
+        by_value = {round(c.value.real, 6): c[1:] for c in clusters}
+        assert len(clusters) == 6
+        assert (by_value[-1.0], by_value[-2.5]) == ((3, 1, 3), (2, 2, 1))
+
+
+def package_basis(n: int) -> np.ndarray:
+    """The package's hermitian basis: the matrices whose coordinates are the unit vectors."""
+    return _from_coordinates(np.eye(n * n), n)
+
+
 class TestHermitianBasis:
     def test_qubit_count_and_orthonormality(self):
-        basis = hermitian_basis(2)
+        basis = package_basis(2)
         assert len(basis) == 4
         for i, a in enumerate(basis):
             assert np.abs(a - a.conj().T).max() <= 1e-15
@@ -404,24 +421,20 @@ class TestHermitianBasis:
                 assert np.vdot(a, b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-14)
 
     def test_qutrit_count(self):
-        assert len(hermitian_basis(3)) == 9
+        assert len(package_basis(3)) == 9
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_expansion_completeness(self, n):
         rng = np.random.default_rng(n)
         h = random_hermitian(n, rng)
-        rebuilt = sum(np.vdot(b, h) * b for b in hermitian_basis(n))
+        rebuilt = sum(np.vdot(b, h) * b for b in package_basis(n))
         assert np.abs(rebuilt - h).max() <= 1e-12
-
-    def test_rejects_dimension_below_two(self):
-        with pytest.raises(ValidationError):
-            hermitian_basis(1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_explicit_gell_mann_matrices(self, n):
         # the package builds the basis from its coordinate map; this pins the
         # order, signs and normalization against the matrices written out
-        basis = hermitian_basis(n)
+        basis = package_basis(n)
         assert len(basis) == n * n
         for got, expected in zip(basis, gell_mann_basis(n)):
             assert np.abs(got - expected).max() <= 1e-15
@@ -432,22 +445,13 @@ class TestHermitianForm:
     def test_matches_dense_oracle(self, n):
         # T^dag L T with T the columns vec(B_k) of the hermitian basis
         rng = np.random.default_rng(40 + n)
-        basis = np.stack([vec(b) for b in hermitian_basis(n)], axis=1)
+        basis = gell_mann_columns(n)
         for _ in range(3):
             mat = build_generator(random_model(n, rng)).matrix
             oracle = basis.conj().T @ mat @ basis
             form = _hermitian_form(mat, n)
             assert form.dtype == np.float64
             assert np.abs(form - oracle).max() <= 1e-13 * np.abs(oracle).max()
-
-    def test_generator_breaking_hermiticity_is_returned_as_given(self):
-        mat = jordan_matrix(9, [(-1.0, 2)], seed=0)
-        assert _hermitian_form(mat, 3) is mat
-
-    def test_non_finite_generator_is_returned_as_given(self):
-        mat = build_generator(laser_cooling_model(1.0, 2.0)).matrix.copy()
-        mat[0, 0] = np.inf
-        assert _hermitian_form(mat, 3) is mat
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_generator_stores_its_form_read_only(self, n):
@@ -460,11 +464,6 @@ class TestHermitianForm:
             with pytest.raises(ValueError, match="read-only"):
                 gen.hermitian_form[0, 0] = 1.0
 
-    def test_generator_breaking_hermiticity_stores_its_matrix(self):
-        gen = Superoperator(dim=3, matrix=jordan_matrix(9, [(-1.0, 2)], seed=0))
-        assert gen.hermitian_form is gen.matrix
-        assert not gen.hermitian_form.flags.writeable
-
 
 class TestCoordinates:
     """The coordinate map x_k = tr(B_k A) and its inverse, without a dense basis."""
@@ -472,7 +471,7 @@ class TestCoordinates:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_basis_traces(self, n):
         rng = np.random.default_rng(60 + n)
-        basis = hermitian_basis(n)
+        basis = gell_mann_basis(n)
         for _ in range(3):
             a = random_hermitian(n, rng)
             x = _coordinates(a)
@@ -493,7 +492,11 @@ class TestCoordinates:
         assert _coordinates(stack[0]).shape == (n * n,)
 
 
-class TestIsHermitian:
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(_hermiticity(m)[1])
+
+
+class TestHermiticity:
     def test_hermitian_and_not(self):
         assert is_hermitian(np.array([[1.0, 2 - 1j], [2 + 1j, -3.0]]))
         assert not is_hermitian(np.array([[1.0, 2 - 1j], [2 - 1j, -3.0]]))
@@ -506,7 +509,8 @@ class TestIsHermitian:
         assert not is_hermitian(m)
 
     def test_empty_matrix_gives_a_bool(self):
-        assert is_hermitian(np.zeros((0, 0))) is True
+        dev, hermitian = _hermiticity(np.zeros((0, 0)))
+        assert dev == 0.0 and hermitian.dtype == bool and hermitian
 
     def test_batched_test_matches_matrix_by_matrix(self):
         rng = np.random.default_rng(11)

@@ -17,7 +17,6 @@ from strobe_tomo import (
     build_generator,
     default_time_grid,
     find_observables,
-    hermitian_basis,
     laser_cooling_model,
     random_hermitian,
     read_record_csv,
@@ -25,14 +24,12 @@ from strobe_tomo import (
     simulate_measurements,
     spectral_report,
     state_distance,
-    unvec,
     validate_time_grid,
-    vec,
     verify_observables,
     write_record_csv,
 )
 
-from helpers import random_density, random_model
+from helpers import gell_mann_basis, gell_mann_columns, random_density, random_model, superoperator_from_real
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +67,15 @@ class TestTimeGrid:
         assert np.array_equal(default_time_grid(report), [1.0])
 
     def test_simple_spectrum_spacing(self):
-        gen = Superoperator(dim=2, matrix=np.diag([0.0, -0.5, -1.0, -2.0]))
+        gen = superoperator_from_real(np.diag([0.0, -0.5, -1.0, -2.0]))
         report = spectral_report(gen)
         assert report.mu == 4
         assert np.allclose(default_time_grid(report), [0.5, 1.0, 1.5, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize("report", [None, "report", 3])
+    def test_default_grid_needs_a_report(self, report):
+        with pytest.raises(ValidationError, match=rf"^report must be a SpectralReport, got {type(report).__name__}$"):
+            default_time_grid(report)
 
     def test_purely_imaginary_spectrum_falls_back_to_magnitude(self):
         gen = Superoperator(dim=2, matrix=np.diag([0.0, 2j, -2j, 0.0]))
@@ -97,8 +99,14 @@ class TestTimeGrid:
         ([b"0.5", b"1"], "got text"),
         ([0.5, "1"], "got text"),
         (np.array([0.5, "1"], dtype=object), "got text"),
+        ([True], "got bools"),
+        (np.array([True, False]), "got bools"),
+        ([0.5, True], "got bools"),
+        ([[0.5], [np.True_]], "got bools"),
+        (np.array([0.5, True], dtype=object), "got bools"),
     ], ids=["complex", "complex-array", "ragged", "huge-integer", "none", "str-list", "str", "bytes",
-            "mixed-list", "object-array"])
+            "mixed-list", "object-array", "bool", "bool-array", "mixed-bool-list", "nested-numpy-bool",
+            "object-bool-array"])
     def test_non_real_input_rejected(self, bad, detail):
         with pytest.raises(ValidationError, match=f"^time grid must be an array of real instants: .*{detail}"):
             validate_time_grid(bad)
@@ -233,7 +241,7 @@ class TestLibraryArguments:
 
 
 class TestRealDesign:
-    """The design rows in real coordinates against the dense complex oracle of hermitian_basis."""
+    """The design rows in real coordinates against the dense complex oracle of the Gell-Mann basis."""
 
     @staticmethod
     def _models():
@@ -255,8 +263,8 @@ class TestRealDesign:
             reconstruct(model, observables, record)
         # oracle: tr(Q_i expm(t L)[B_k]) for the traceless basis elements
         gen = build_generator(model).matrix
-        basis = np.stack([vec(b) for b in hermitian_basis(n)[1:]], axis=1)
-        oracle = np.array([(vec(observables[int(i)]).conj() @ scipy.linalg.expm(t * gen) @ basis).real
+        basis = gell_mann_columns(n)[:, 1:]
+        oracle = np.array([(observables[int(i)].reshape(-1).conj() @ scipy.linalg.expm(t * gen) @ basis).real
                            for i, t, _value, _sigma in record.entries])
         assert np.linalg.norm(solved[0] - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
@@ -565,10 +573,10 @@ class TestReconstruct:
                                        cooling_grid)
         result = reconstruct(cooling_model, verified_observables, record)
         # oracle: singular values of the traceless design columns, by explicit traces
-        basis = hermitian_basis(3)[1:]
+        basis = gell_mann_basis(3)[1:]
         gen = build_generator(cooling_model)
         rows = [[np.trace(verified_observables[int(index)].conj().T
-                          @ unvec(scipy.linalg.expm(time * gen.matrix) @ vec(b), 3)).real
+                          @ (scipy.linalg.expm(time * gen.matrix) @ b.reshape(-1)).reshape(3, 3)).real
                  for b in basis]
                 for index, time, _value, _sigma in record.entries]
         sigma = np.linalg.svd(np.array(rows), compute_uv=False)
@@ -675,8 +683,11 @@ class TestMeasurementRecordValidation:
         ((0, 1.0, (0.5, 0.25), 0.0),),
         (((0,), (1.0,), (0.5,), (0.0,)),),
         ((10**400, 1.0, 0.5, 0.0),),
+        (("0", "1.0", "0.5", "0"),),
+        (np.array([("0", "1.0", "0.5", "0")]),),
+        ((True, 1.0, 0.5, 0.0),),
     ], ids=["3-tuple", "four 3-tuples", "text cell", "ragged nested cell", "nested cells",
-            "index past the float range"])
+            "index past the float range", "text row", "text array", "bool index"])
     def test_rejects_entries_that_are_not_rows_of_four_numbers(self, entries):
         with pytest.raises(ValidationError, match=r"^entries must be rows of 4 finite numbers"):
             MeasurementRecord(entries=entries, observable_count=1, grid=np.array([1.0]))
