@@ -27,6 +27,7 @@ from .operator_algebra import (
     ToleranceConfig,
     _coordinates,
     _hermiticity,
+    _instance,
     _minimal_polynomial_of,
     _square,
     _tolerances,
@@ -99,7 +100,7 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     later call, or :func:`find_observables`, reuses them; each call
     returns a new report built from them.
     """
-    distinct = gen._eigen_structure(_tolerances(tol))
+    distinct = _instance(gen, Superoperator, "gen")._eigen_structure(_tolerances(tol))
     eta = _eta(distinct)
     mu = sum(c.index for c in distinct)
     return SpectralReport(
@@ -167,7 +168,7 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     set spans iff the basis reaches dim^2 vectors; ``achieved_rank`` is its size.
     """
     _tolerances(tol)
-    coordinates = _observable_coordinates(observables, gen.dim)
+    coordinates = _observable_coordinates(observables, _instance(gen, Superoperator, "gen").dim)
     adjoint = gen.hermitian_form.T
     n2 = gen.dim * gen.dim
     floor = tol.rank_rtol * float(np.linalg.norm(adjoint, 2))
@@ -203,7 +204,7 @@ def find_observables(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANC
     """
     _integer(seed, "seed")
     _integer(max_attempts, "max_attempts", positive=True)
-    eta = _eta(gen._eigen_structure(_tolerances(tol)))
+    eta = _eta(_instance(gen, Superoperator, "gen")._eigen_structure(_tolerances(tol)))
     rng = np.random.default_rng(seed)
     best_rank = 0
     for _ in range(max_attempts):

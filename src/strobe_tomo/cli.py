@@ -199,7 +199,7 @@ def _cmd_analyze(args, tol: ToleranceConfig) -> None:
     model = _resolve_model(args)
     report = spectral_report(build_generator(model), tol)
     if args.json:
-        print(json.dumps(_analysis_document(model, report, tol), indent=2))
+        print(json.dumps(_analysis_document(model, report, tol)))
     else:
         _print_analysis_text(report)
 
@@ -220,13 +220,11 @@ def _cmd_simulate(args, tol: ToleranceConfig) -> None:
     model = _load_model(args.model_file)
     observables = _load_observables(args.observables_file)
     rho0 = _load_state(args.state_file, model.dim, "state")
-    report = spectral_report(build_generator(model), tol)
-    record = simulate_measurements(
-        model, rho0, observables, default_time_grid(report), noise_sigma=args.sigma, seed=args.seed
-    )
+    grid = default_time_grid(spectral_report(build_generator(model), tol))
+    record = simulate_measurements(model, rho0, observables, grid, noise_sigma=args.sigma, seed=args.seed)
     _write_file(args.out, lambda path: write_record_csv(record, path))
     print(f"wrote {len(record.entries)} measurements "
-          f"({record.observable_count} observables x {record.grid.size} instants, "
+          f"({len(observables)} observables x {grid.size} instants, "
           f"sigma={args.sigma:g}, seed={args.seed}) to {args.out}")
 
 
@@ -256,7 +254,7 @@ def _cmd_reconstruct(args, tol: ToleranceConfig) -> None:
     distances = state_distance(result.rho_hat, truth) if truth is not None else None
 
     if args.json:
-        print(json.dumps(_reconstruction_document(result, not args.no_project, distances), indent=2))
+        print(json.dumps(_reconstruction_document(result, not args.no_project, distances)))
         return
 
     print("reconstructed initial state:")

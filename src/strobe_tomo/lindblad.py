@@ -31,6 +31,7 @@ from .operator_algebra import (
     _from_coordinates,
     _hermitian_form,
     _hermiticity,
+    _instance,
     _square,
     as_complex_matrix,
     assert_hermitian,
@@ -247,7 +248,7 @@ def build_generator(model: LindbladModel) -> Superoperator:
     :func:`reconstruct` read that one too); a build that raises is not
     kept, so it raises on every call.
     """
-    return model._generator
+    return _instance(model, LindbladModel, "model")._generator
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -384,7 +385,7 @@ def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
     trace to 1e-10 and eigenvalues above -1e-8.  A violation is reported as
     a numerical failure naming the instant rather than silently repaired.
     """
-    rho0 = validate_density_matrix(rho0, dim=gen.dim, name="rho0")
+    rho0 = validate_density_matrix(rho0, dim=_instance(gen, Superoperator, "gen").dim, name="rho0")
     t = _nonnegative_real(t, "propagation time")
     x = _propagated(gen.hermitian_form, np.array([t], dtype=float), _coordinates(rho0))[:, 0]
     return _check_density_matrix(_from_coordinates(x, gen.dim), f"evolved state at t={t:.6g}", evolved=True)

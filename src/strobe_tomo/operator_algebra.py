@@ -67,11 +67,16 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
+def _instance(value, kind: type, name: str):
+    """``value`` if it is a ``kind``; else :class:`ValidationError` naming ``name`` and both types."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _tolerances(tol) -> ToleranceConfig:
     """``tol`` if it is a :class:`ToleranceConfig`; else :class:`ValidationError`."""
-    if not isinstance(tol, ToleranceConfig):
-        raise ValidationError(f"tol must be a ToleranceConfig, got {type(tol).__name__}")
-    return tol
+    return _instance(tol, ToleranceConfig, "tol")
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:

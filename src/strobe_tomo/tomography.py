@@ -33,6 +33,7 @@ from .operator_algebra import (
     ToleranceConfig,
     _coordinates,
     _from_coordinates,
+    _instance,
     _tolerances,
     assert_hermitian,
 )
@@ -100,22 +101,18 @@ def validate_time_grid(instants) -> np.ndarray:
 class MeasurementRecord:
     """Expectation-value samples, one row ``(observable index, time, value, sigma)`` each.
 
-    ``entries`` may be given as any sequence of 4-tuples of real numbers,
-    not text or bools, as for :func:`validate_time_grid`, and is stored as a
-    read-only ``(rows, 4)`` float array.  ``grid`` holds the distinct
-    measurement instants; every entry's time must be one of them, and
-    every index must be an integer in ``[0, observable_count)``.  Repeated
-    (index, time) entries are legal and mean repeated measurements.
+    A record is the rows of its CSV file and nothing else.  ``entries`` may
+    be any sequence of 4-tuples of real numbers, not text or bools, and is
+    stored as a read-only ``(rows, 4)`` float array.  Each row must hold a
+    non-negative integer index, a finite value, a finite sigma >= 0 and a
+    finite time > 0; an error names the first bad row and its first failed
+    test.  Repeated (index, time) entries mean repeated measurements.
     Records compare and hash by identity; compare contents with ``np.array_equal``.
     """
 
     entries: np.ndarray
-    observable_count: int
-    grid: np.ndarray
 
     def __post_init__(self):
-        _integer(self.observable_count, "observable_count")
-        object.__setattr__(self, "grid", validate_time_grid(self.grid))
         try:
             rows = np.array(_real_array(self.entries))
             if rows.shape == (0,):
@@ -128,14 +125,12 @@ class MeasurementRecord:
         rows.setflags(write=False)
         object.__setattr__(self, "entries", rows)
         index, time, value, sigma = rows.T
-        # the grid is sorted, so a time is on it iff it equals its insertion neighbour
-        nearest = self.grid[np.minimum(np.searchsorted(self.grid, time), self.grid.size - 1)]
         # one test per entry column, in the order they are reported
         passed = (
-            (0 <= index) & (index < self.observable_count) & (index == np.floor(index)),
+            (0 <= index) & (index < np.inf) & (index == np.floor(index)),
             np.isfinite(value),
             (0 <= sigma) & (sigma < np.inf),
-            nearest == time,
+            (0 < time) & (time < np.inf),
         )
         failed = ~np.logical_and.reduce(passed)
         if failed.any():
@@ -144,10 +139,10 @@ class MeasurementRecord:
             if bad_index.is_integer():
                 bad_index = int(bad_index)
             message = (
-                f"observable index {bad_index} out of range [0, {self.observable_count})",
+                f"observable index must be a non-negative integer, got {bad_index}",
                 f"non-finite value {bad_value!r}",
                 f"sigma must be finite and >= 0, got {bad_sigma}",
-                f"time {bad_time!r} is not on the grid",
+                f"time must be finite and > 0, got {bad_time}",
             )[[bool(test[pos]) for test in passed].index(False)]
             raise ValidationError(f"entries[{pos}]: {message}")
 
@@ -176,9 +171,7 @@ def default_time_grid(report: SpectralReport) -> np.ndarray:
     ``dt = 1``.  No claim of optimality is attached to this choice.
     Anything but a :class:`SpectralReport` raises :class:`ValidationError`.
     """
-    if not isinstance(report, SpectralReport):
-        raise ValidationError(f"report must be a SpectralReport, got {type(report).__name__}")
-    values = np.array([c.value for c in report.distinct_eigenvalues])
+    values = np.array([c.value for c in _instance(report, SpectralReport, "report").distinct_eigenvalues])
     magnitude = np.abs(values)
     zero_floor = 1e-12 * max(1.0, float(magnitude.max()) if magnitude.size else 0.0)
     nonzero = values[magnitude > zero_floor]
@@ -203,6 +196,7 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     order from a generator seeded with ``seed`` (an integer >= 0), so
     records are bit-identical across runs with the same arguments.
     """
+    _instance(model, LindbladModel, "model")
     grid = validate_time_grid(grid)
     noise_sigma = _nonnegative_real(noise_sigma, "noise_sigma")
     _integer(seed, "seed")
@@ -218,7 +212,7 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     count = len(coordinates)
     entries = np.column_stack((np.arange(count).repeat(grid.size), np.tile(grid, count),
                                values.reshape(-1), np.full(values.size, noise_sigma)))
-    return MeasurementRecord(entries=entries, observable_count=count, grid=grid)
+    return MeasurementRecord(entries=entries)
 
 
 def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
@@ -241,19 +235,18 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     With ``project=True`` (default) the least-squares estimate is made
     physical afterwards: negative eigenvalues are clipped to zero and the
     trace renormalized.  ``truth`` adds the Frobenius distance to a known
-    state to the result.
+    state to the result.  The record holds one observable past its largest
+    index, which must be the number of observables; an empty record fails on rank alone.
     """
+    n = _instance(model, LindbladModel, "model").dim
     _tolerances(tol)
-    n = model.dim
     if n < 2:
         raise ValidationError(f"reconstruction needs dimension >= 2, got {n}")
     coordinates = _observable_coordinates(observables, n)
-    if record.observable_count != len(coordinates):
-        raise ValidationError(
-            f"record holds {record.observable_count} observables, got {len(coordinates)}"
-        )
-
-    index, time, rhs, _sigma = record.entries.T
+    index, time, rhs, _sigma = _instance(record, MeasurementRecord, "record").entries.T
+    held = int(index.max()) + 1 if index.size else len(coordinates)
+    if held != len(coordinates):
+        raise ValidationError(f"record holds {held} observables, got {len(coordinates)}")
     instants, at = np.unique(time, return_inverse=True)
     # expm(t R)^T = expm(t R^T), so the observables' coordinates step as columns:
     # rows[k, j, i] is coordinate k of Q_i stepped to instant j
@@ -378,9 +371,9 @@ def _parsed(texts: tuple[str, ...]) -> np.ndarray:
 def read_record_csv(path) -> MeasurementRecord:
     """Read a record written by :func:`write_record_csv`.
 
-    The grid is recovered as the sorted distinct times and the observable
-    count as one past the largest index seen.  The index column is read
-    with ``int()`` and the others with ``float()``, all rows at once, and
+    The record is the file's rows, so reading back what
+    :func:`write_record_csv` wrote gives the same record.  The index column
+    is read with ``int()`` and the others with ``float()``, all rows at once, and
     the time and sigma columns, which repeat, once per distinct string;
     only when that fails are the rows converted one by one, so that the
     error names the offending line.  A file that cannot be opened, or is
@@ -407,5 +400,4 @@ def read_record_csv(path) -> MeasurementRecord:
         entries = _entries_by_line(rows, path)
     if not entries.size:
         raise ValidationError(f"record file {path!s}: no measurement rows")
-    count = int(entries[:, 0].max()) + 1
-    return MeasurementRecord(entries=entries, observable_count=count, grid=np.unique(entries[:, 1]))
+    return MeasurementRecord(entries=entries)

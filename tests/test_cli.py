@@ -255,6 +255,7 @@ class TestSimulate:
                      str(obs_path), "--out", str(out)]) == 0
         record = read_record_csv(out)
         assert np.allclose(record.entries[:, 2], 1.0, rtol=0.0, atol=1e-12)
+        assert "wrote 3 measurements (1 observables x 3 instants, " in capsys.readouterr().out
 
     def test_excited_projector_value(self, cooling_files, tmp_path):
         proj = np.diag([0.0, 1.0, 0.0])
@@ -344,6 +345,18 @@ class TestReconstruct:
         assert code == 6
         err = capsys.readouterr().err
         assert "rank" in err and "9" in err
+
+    def test_record_of_fewer_observables_exit_two(self, cooling_files, tmp_path, capsys):
+        three = json.loads(cooling_files["obs"].read_text())[:3]
+        obs3_path = tmp_path / "obs3.json"
+        obs3_path.write_text(json.dumps(three))
+        record_path = tmp_path / "rec3.csv"
+        assert main(["simulate", str(cooling_files["model"]), str(cooling_files["state"]),
+                     str(obs3_path), "--out", str(record_path)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", str(cooling_files["model"]), str(cooling_files["obs"]),
+                     str(record_path)]) == 2
+        assert capsys.readouterr().err == "error: record holds 3 observables, got 4\n"
 
     def test_calls_in_one_process_print_what_each_prints_alone(self, cooling_files, tmp_path,
                                                                capsys):

@@ -3,7 +3,8 @@
 Records hold arbitrary finite values and sigmas, including ``-0.0``,
 subnormals and magnitudes near 1e±300.  The writer must emit the same
 bytes as a plain ``csv.writer`` loop with 17-significant-digit floats,
-and the reader must give back the same entries bit for bit.  The runs are
+and the reader must give back the same entries bit for bit; a record is
+its entries, so that is the whole record.  The runs are
 derandomized and keep no example database, so the suite stays
 deterministic.
 """
@@ -34,11 +35,11 @@ INSTANTS = st.one_of(st.sampled_from([s for s in SPECIAL if s > 0]),
 
 @st.composite
 def records(draw) -> MeasurementRecord:
-    count = draw(st.integers(1, 4), label="observable count")
-    grid = sorted(draw(st.sets(INSTANTS, min_size=1, max_size=5), label="grid"))
-    entries = draw(st.lists(st.tuples(st.integers(0, count - 1), st.sampled_from(grid), FINITE,
+    # a few instants, so that entries share them as simulated records do
+    instants = draw(st.lists(INSTANTS, min_size=1, max_size=5), label="instants")
+    entries = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(instants), FINITE,
                                       NON_NEGATIVE), min_size=1, max_size=12), label="entries")
-    return MeasurementRecord(entries=entries, observable_count=count, grid=np.array(grid))
+    return MeasurementRecord(entries=entries)
 
 
 def _reference_csv(record: MeasurementRecord, path) -> None:
@@ -86,7 +87,7 @@ def test_mixed_sigmas_and_signed_zeros_match_reference(tmp_path):
     sigmas = [0.0, -0.0, 1e-6, 5e-324, 0.1, 1e300, -0.0, 0.0, 1e-6]
     values = [0.0, -0.0, 1.5, -2.5e-310]
     entries = [(i % 3, grid[i % 4], values[i % 4], sigmas[i % 9]) for i in range(40)]
-    record = MeasurementRecord(entries=entries, observable_count=3, grid=np.array(grid))
+    record = MeasurementRecord(entries=entries)
     zeros = record.entries[:, 2:] == 0
     assert (zeros & np.signbit(record.entries[:, 2:])).any(axis=0).all()
     assert (zeros & ~np.signbit(record.entries[:, 2:])).any(axis=0).all()

@@ -16,6 +16,7 @@ from strobe_tomo import (
     ValidationError,
     build_generator,
     default_time_grid,
+    evolve,
     find_observables,
     laser_cooling_model,
     random_hermitian,
@@ -112,8 +113,6 @@ class TestTimeGrid:
             validate_time_grid(bad)
         with pytest.raises(ValidationError, match="^time grid must be an array of real instants"):
             simulate_measurements(laser_cooling_model(1.0, 2.0), np.eye(3) / 3, [np.eye(3)], bad)
-        with pytest.raises(ValidationError, match="^time grid must be an array of real instants"):
-            MeasurementRecord(entries=[], observable_count=1, grid=bad)
 
     @pytest.mark.parametrize("grid", [[1, 2], (0.5,), 2.0, [np.float32(1.0), 2**70]])
     def test_real_input_accepted(self, grid):
@@ -143,7 +142,6 @@ class TestSimulate:
         second = simulate_measurements(cooling_model, rho0, verified_observables,
                                        cooling_grid, noise_sigma=1e-3, seed=11)
         assert np.array_equal(first.entries, second.entries)
-        assert np.array_equal(first.grid, second.grid)
 
     def test_noise_changes_values(self, cooling_model, cooling_grid, verified_observables):
         rho0 = random_density(3, np.random.default_rng(1))
@@ -188,10 +186,8 @@ class TestSimulate:
 
 def _record_grid(grid: np.ndarray, path) -> np.ndarray:
     """``grid`` as read back from a record CSV file holding one entry per instant."""
-    record = MeasurementRecord(entries=[(0, t, 0.0, 0.0) for t in grid],
-                               observable_count=1, grid=grid)
-    write_record_csv(record, path)
-    return read_record_csv(path).grid
+    write_record_csv(MeasurementRecord(entries=[(0, t, 0.0, 0.0) for t in grid]), path)
+    return np.unique(read_record_csv(path).entries[:, 1])
 
 
 def _horizon(mat: np.ndarray) -> float:
@@ -225,6 +221,27 @@ class TestLibraryArguments:
     def test_rejected_with_the_argument_named(self, cooling_gen, cooling_model, call, name):
         with pytest.raises(ValidationError, match=f"^{name} must be"):
             call(cooling_gen, cooling_model)
+
+    @pytest.mark.parametrize("call, name, kind, got", [
+        (lambda gen, model, record: spectral_report(model), "gen", "Superoperator", "LindbladModel"),
+        (lambda gen, model, record: verify_observables(model, [np.eye(3)]), "gen", "Superoperator",
+         "LindbladModel"),
+        (lambda gen, model, record: find_observables(model), "gen", "Superoperator", "LindbladModel"),
+        (lambda gen, model, record: evolve(model, np.eye(3) / 3, 1.0), "gen", "Superoperator",
+         "LindbladModel"),
+        (lambda gen, model, record: simulate_measurements(gen, np.eye(3) / 3, [np.eye(3)], [1.0]),
+         "model", "LindbladModel", "Superoperator"),
+        (lambda gen, model, record: reconstruct(gen, [np.eye(3)], record), "model", "LindbladModel",
+         "Superoperator"),
+        (lambda gen, model, record: build_generator(gen), "model", "LindbladModel", "Superoperator"),
+        (lambda gen, model, record: reconstruct(model, [np.eye(3)], record.entries), "record",
+         "MeasurementRecord", "ndarray"),
+    ], ids=["spectral-report", "verify", "find", "evolve", "simulate", "reconstruct-model", "build",
+            "reconstruct-record"])
+    def test_wrong_argument_type_is_named(self, cooling_gen, cooling_model, call, name, kind, got):
+        record = simulate_measurements(cooling_model, np.eye(3) / 3, [np.eye(3)], [1.0])
+        with pytest.raises(ValidationError, match=f"^{name} must be a {kind}, got {got}$"):
+            call(cooling_gen, cooling_model, record)
 
     @pytest.mark.parametrize("tol, kind", [(None, "NoneType"), (1e-9, "float")], ids=["none", "float"])
     def test_tolerances_must_be_a_config(self, cooling_gen, cooling_model, tol, kind):
@@ -270,7 +287,7 @@ class TestRealDesign:
 
     def test_one_level_model_is_rejected(self):
         model = LindbladModel(dim=1, hamiltonian=np.array([[0.5]]))
-        record = MeasurementRecord(entries=[(0, 1.0, 1.0, 0.0)], observable_count=1, grid=[1.0])
+        record = MeasurementRecord(entries=[(0, 1.0, 1.0, 0.0)])
         with pytest.raises(ValidationError, match="dimension >= 2, got 1"):
             reconstruct(model, [np.eye(1)], record)
 
@@ -356,8 +373,6 @@ class TestRecordCsv:
         write_record_csv(record, path)
         back = read_record_csv(path)
         assert back.entries.tobytes() == record.entries.tobytes()
-        assert back.observable_count == record.observable_count
-        assert np.array_equal(back.grid, record.grid)
 
     def test_header_is_documented_format(self, cooling_model, cooling_grid, tmp_path):
         rho0 = random_density(3, np.random.default_rng(4))
@@ -400,7 +415,7 @@ class TestRecordCsv:
         record = read_record_csv(path)
         assert record.entries.tolist() == [[0, 0.5, 1, 0.5], [1, 0.5, 2, 0.5], [0, 1, 3, 0.5],
                                            [1, 1, 4, 0.5]]
-        assert record.grid.tolist() == [0.5, 1.0]
+        assert np.unique(record.entries[:, 1]).tolist() == [0.5, 1.0]
 
     def test_cells_read_as_int_and_float_read_them(self, tmp_path):
         path = tmp_path / "record.csv"
@@ -453,26 +468,34 @@ class TestReconstruct:
         single = simulate_measurements(cooling_model, truth, verified_observables,
                                        np.array([0.5]))
         entries = tuple(single.entries) * 3
-        degenerate = MeasurementRecord(entries=entries, observable_count=4,
-                                       grid=np.array([0.5]))
+        degenerate = MeasurementRecord(entries=entries)
         with pytest.raises(RankDeficiencyError):
             reconstruct(cooling_model, verified_observables, degenerate)
 
-    def test_entry_order_and_unmeasured_instants_do_not_matter(self, cooling_model, cooling_grid,
-                                                               verified_observables):
+    def test_entry_order_does_not_matter(self, cooling_model, cooling_grid, verified_observables):
         truth = random_density(3, np.random.default_rng(14))
         record = simulate_measurements(cooling_model, truth, verified_observables,
                                        cooling_grid, noise_sigma=1e-3, seed=3)
         order = np.random.default_rng(15).permutation(len(record.entries))
-        shuffled = MeasurementRecord(entries=tuple(record.entries[i] for i in order),
-                                     observable_count=4,
-                                     grid=np.concatenate([[0.1], cooling_grid, [5.0]]))
+        shuffled = MeasurementRecord(entries=tuple(record.entries[i] for i in order))
         a = reconstruct(cooling_model, verified_observables, record, project=False)
         b = reconstruct(cooling_model, verified_observables, shuffled, project=False)
         assert np.abs(a.rho_hat - b.rho_hat).max() <= 1e-12
 
+    def test_record_must_hold_as_many_observables_as_given(self, cooling_model, cooling_grid,
+                                                           verified_observables):
+        record = simulate_measurements(cooling_model, np.eye(3) / 3, verified_observables[:3], cooling_grid)
+        with pytest.raises(ValidationError, match=r"^record holds 3 observables, got 4$"):
+            reconstruct(cooling_model, verified_observables, record)
+
+    def test_rejects_out_of_range_index(self, cooling_model):
+        # index 2 makes a record of 3 observables
+        record = MeasurementRecord(entries=((0, 1.0, 0.5, 0.0), (2, 1.0, 0.5, 0.0)))
+        with pytest.raises(ValidationError, match=r"^record holds 3 observables, got 2$"):
+            reconstruct(cooling_model, [np.eye(3), np.eye(3)], record)
+
     def test_empty_record_rank_deficient(self, cooling_model, verified_observables):
-        empty = MeasurementRecord(entries=(), observable_count=4, grid=np.array([0.5]))
+        empty = MeasurementRecord(entries=())
         assert empty.entries.shape == (0, 4)
         with pytest.raises(RankDeficiencyError) as excinfo:
             reconstruct(cooling_model, verified_observables, empty)
@@ -624,38 +647,32 @@ class TestStateDistance:
 
 
 class TestMeasurementRecordValidation:
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValidationError, match="out of range"):
-            MeasurementRecord(entries=((2, 1.0, 0.5, 0.0),),
-                              observable_count=2, grid=np.array([1.0]))
+    @pytest.mark.parametrize("index", [0.5, -1, math.inf, math.nan])
+    def test_rejects_index_that_is_not_a_non_negative_integer(self, index):
+        with pytest.raises(ValidationError,
+                           match=rf"^entries\[0\]: observable index must be a non-negative integer, got {index}$"):
+            MeasurementRecord(entries=((index, 1.0, 0.5, 0.0),))
 
-    def test_rejects_fractional_index(self):
-        with pytest.raises(ValidationError, match=r"entries\[0\]: observable index 0\.5 out of range"):
-            MeasurementRecord(entries=((0.5, 1.0, 0.5, 0.0),),
-                              observable_count=2, grid=np.array([1.0]))
-
-    def test_rejects_time_off_grid(self):
-        with pytest.raises(ValidationError, match="grid"):
-            MeasurementRecord(entries=((0, 2.0, 0.5, 0.0),),
-                              observable_count=1, grid=np.array([1.0]))
+    @pytest.mark.parametrize("time", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_time_that_is_not_finite_and_positive(self, time):
+        with pytest.raises(ValidationError, match=rf"^entries\[0\]: time must be finite and > 0, got {time}$"):
+            MeasurementRecord(entries=((0, time, 0.5, 0.0),))
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValidationError, match="sigma"):
-            MeasurementRecord(entries=((0, 1.0, 0.5, -0.1),),
-                              observable_count=1, grid=np.array([1.0]))
+            MeasurementRecord(entries=((0, 1.0, 0.5, -0.1),))
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_rejects_non_finite_sigma(self, sigma):
         with pytest.raises(ValidationError, match="sigma must be finite"):
-            MeasurementRecord(entries=((0, 1.0, 0.5, sigma),),
-                              observable_count=1, grid=np.array([1.0]))
+            MeasurementRecord(entries=((0, 1.0, 0.5, sigma),))
 
     #: per test in check order: the column, a value that fails it, and the message it raises
     FAILURES = (
-        (0, 5, r"observable index 5 out of range \[0, 2\)"),
+        (0, -1, "observable index must be a non-negative integer, got -1"),
         (2, math.nan, "non-finite value nan"),
         (3, -0.1, r"sigma must be finite and >= 0, got -0\.1"),
-        (1, 2.5, r"time 2\.5 is not on the grid"),
+        (1, 0.0, r"time must be finite and > 0, got 0\.0"),
     )
 
     @staticmethod
@@ -674,7 +691,7 @@ class TestMeasurementRecordValidation:
         entries = (good, good, first, good, other, good)
         message = self.FAILURES[test][2]
         with pytest.raises(ValidationError, match=rf"^entries\[2\]: {message}$"):
-            MeasurementRecord(entries=entries, observable_count=2, grid=np.array([1.0, 2.0]))
+            MeasurementRecord(entries=entries)
 
     @pytest.mark.parametrize("entries", [
         ((0, 1.0, 0.5),),
@@ -690,19 +707,12 @@ class TestMeasurementRecordValidation:
             "index past the float range", "text row", "text array", "bool index"])
     def test_rejects_entries_that_are_not_rows_of_four_numbers(self, entries):
         with pytest.raises(ValidationError, match=r"^entries must be rows of 4 finite numbers"):
-            MeasurementRecord(entries=entries, observable_count=1, grid=np.array([1.0]))
-
-    @pytest.mark.parametrize("count", ["x", None, 2.5, True, -1])
-    def test_rejects_observable_count_that_is_not_a_non_negative_integer(self, count):
-        with pytest.raises(ValidationError, match=r"^observable_count must be a non-negative integer"):
-            MeasurementRecord(entries=((0, 1.0, 0.5, 0.0),), observable_count=count,
-                              grid=np.array([1.0]))
+            MeasurementRecord(entries=entries)
 
     def test_entries_are_a_read_only_copy(self):
         source = np.array([(0, 1.0, 0.5, 0.0), (1, 2.0, 0.25, 0.1)])
-        record = MeasurementRecord(entries=source, observable_count=2, grid=np.array([1.0, 2.0]))
-        from_tuples = MeasurementRecord(entries=[(0, 1.0, 0.5, 0.0), (1, 2.0, 0.25, 0.1)],
-                                        observable_count=2, grid=np.array([1.0, 2.0]))
+        record = MeasurementRecord(entries=source)
+        from_tuples = MeasurementRecord(entries=[(0, 1.0, 0.5, 0.0), (1, 2.0, 0.25, 0.1)])
         assert record.entries.dtype == float and record.entries.shape == (2, 4)
         assert np.array_equal(record.entries, from_tuples.entries)
         with pytest.raises(ValueError):

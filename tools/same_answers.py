@@ -104,12 +104,15 @@ class DesignProbe:
         return result
 
 
-def oracle_record(st, oracle, inp: dict, sigma: float = 0.0):
+def oracle_record(st, oracle, inp: dict, path: str, sigma: float = 0.0):
     """The record of a long-record input, its values computed by the oracle.
 
     With ``sigma > 0`` the values get Gaussian noise of that sigma, seeded
     with :data:`NOISE_SEED` and drawn in entry order, and the sigma column
-    holds ``sigma``; otherwise the record is noiseless, with sigma 0.
+    holds ``sigma``; otherwise the record is noiseless, with sigma 0.  The
+    rows are written to ``path`` as CSV (``%d`` index, ``%.17g`` floats)
+    and read back with ``read_record_csv``, so the record is built the
+    same way on every checkout.
     """
     mat = oracle.superoperator(inp["ham"], inp["jumps"])
     duals = np.array([np.asarray(q, dtype=complex).reshape(-1).conj() for q in inp["observables"]])
@@ -120,14 +123,17 @@ def oracle_record(st, oracle, inp: dict, sigma: float = 0.0):
     count, size = values.shape
     entries = np.column_stack((np.arange(count).repeat(size), np.tile(inp["grid"], count),
                                values.reshape(-1), np.full(values.size, sigma)))
-    return st.MeasurementRecord(entries=entries, observable_count=count, grid=inp["grid"])
+    with open(path, "w") as handle:
+        handle.write("observable_index,time,value,sigma\n")
+        handle.writelines("%d,%.17g,%.17g,%.17g\n" % tuple(row) for row in entries.tolist())
+    return st.read_record_csv(path)
 
 
 def csv_answers(st, oracle, inp: dict, path: str) -> dict:
     """The SHA-256 of each oracle record's CSV, and whether reading it back gives the record."""
     answers = {}
     for prefix, sigma in (("csv", 0.0), ("noisy_csv", NOISY_SIGMA)):
-        rec = oracle_record(st, oracle, inp, sigma)
+        rec = oracle_record(st, oracle, inp, path, sigma)
         st.write_record_csv(rec, path)
         with open(path, "rb") as handle:
             answers[f"{prefix}_sha256"] = hashlib.sha256(handle.read()).hexdigest()
