@@ -5,7 +5,9 @@ unwritable output path, 3 numerical failure, 4 observable search
 exhausted, 5 state file (``simulate``'s state or ``--truth``) violates the
 density-matrix invariants, 6 measurement design rank deficiency.  The
 commands raise the package's errors and :func:`main` alone maps them to
-codes, through :data:`EXIT_CODES`.
+codes, through :data:`EXIT_CODES`.  A command whose reader closes stdout
+early (``strobe-tomo analyze ... --json | head -c 20``) exits 0 with no
+traceback: its work is done, and only the reader stopped.
 """
 
 from __future__ import annotations
@@ -325,14 +327,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; return 0, argparse's own code, or the :data:`EXIT_CODES` code of the error."""
+    """Run one command; return 0, argparse's own code, or the :data:`EXIT_CODES` code of the error.
+
+    A reader that closes stdout early ends the command quietly with 0: its
+    work is done, so stdout is pointed at ``os.devnull``, where the
+    interpreter's last flush cannot fail.
+    """
     try:
         args = _parser().parse_args(argv)
         # every overflow ends in an explicit finiteness check, reported as an error line
         with np.errstate(all="ignore"):
             args.func(args, _tolerances_from_env())
+        sys.stdout.flush()
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except tuple(kind for kind, _code in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

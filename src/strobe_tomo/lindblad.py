@@ -13,8 +13,10 @@ resulting dim^2 x dim^2 matrix generates the state evolution
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -436,7 +438,56 @@ def _entry_from_json(obj, field_name: str) -> complex:
     return complex(_number_from_json(obj, field_name))
 
 
+#: the real and imaginary part of an ``{"re", "im"}`` entry
+_PARTS = operator.itemgetter("re", "im")
+
+
+def _matrix_in_bulk(obj) -> np.ndarray | None:
+    """A rectangular JSON matrix as a complex array in one fill, or None.
+
+    Its entries must be all ``{"re", "im"}`` objects (other keys are
+    ignored) or all plain numbers, each an ``int`` or ``float``, never a
+    bool, with a finite float value.  None leaves the matrix to the
+    per-entry walk of :func:`matrix_from_json`, which names the offending
+    field.
+    """
+    if type(obj) is not list or not obj or any(type(row) is not list for row in obj):
+        return None
+    shape = (len(obj), len(obj[0]))
+    if not shape[1] or any(len(row) != shape[1] for row in obj):
+        return None
+    numbers = list(itertools.chain.from_iterable(obj))
+    kinds = set(map(type, numbers))
+    pairs = kinds == {dict}
+    if pairs:
+        try:
+            numbers = list(itertools.chain.from_iterable(map(_PARTS, numbers)))
+        except KeyError:
+            return None
+        kinds = set(map(type, numbers))
+    if not kinds <= {int, float}:
+        return None
+    try:
+        flat = np.array(numbers, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.view(complex).reshape(shape) if pairs else flat.reshape(shape).astype(complex)
+
+
 def matrix_from_json(obj, field_name: str = "matrix") -> np.ndarray:
+    """The complex matrix a JSON list of rows encodes; an error names the offending field.
+
+    A rectangular matrix of all ``{"re", "im"}`` objects or all plain
+    numbers is decoded in one array fill (:func:`_matrix_in_bulk`); any
+    other, and every invalid one, is walked entry by entry, which gives
+    the same bits and names the first bad row or entry, e.g.
+    ``hamiltonian[1][0].re``.
+    """
+    bulk = _matrix_in_bulk(obj)
+    if bulk is not None:
+        return bulk
     if not isinstance(obj, list) or not obj:
         raise ValidationError(f"{field_name}: expected a non-empty list of rows")
     width = None

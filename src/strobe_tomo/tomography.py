@@ -13,6 +13,8 @@ diagnosable rank deficiency instead of a silently wrong state.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -345,8 +347,50 @@ def write_record_csv(record: MeasurementRecord, path) -> None:
         handle.write(text)
 
 
-def _entries_by_line(rows: list[list[str]], path) -> np.ndarray:
-    """The measurement rows converted one line at a time; an error names its line."""
+#: one row of a record file as ``np.loadtxt`` reads it: an integer index, then three floats
+_ROW = np.dtype([("index", np.int64), ("time", float), ("value", float), ("sigma", float)])
+#: the ASCII separators U+001C-U+001F, which ``np.loadtxt`` skips as spaces and ``float()`` rejects
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _entries_in_bulk(text: str) -> np.ndarray | None:
+    """The measurement rows of a record file's text in one ``np.loadtxt`` parse, or None.
+
+    None leaves the file to :func:`_entries_by_line`: a header other than
+    :data:`CSV_HEADER`, a parse that fails or warns (an empty body, and on
+    numpy < 2 an index written as a float literal), or text that
+    ``np.loadtxt`` reads differently from ``csv.reader``, ``int()`` and
+    ``float()``: a non-ASCII character (it misreads non-ASCII digits), one
+    of :data:`_SEPARATORS`, or a field longer than ``csv.field_size_limit()``.
+    """
+    limit = csv.field_size_limit()
+    if (not text.isascii() or any(c in text for c in _SEPARATORS)
+            or len(text) > limit and max(map(len, text.split(","))) > limit):
+        return None
+    lines = io.StringIO(text, newline="")
+    try:
+        if tuple(h.strip() for h in next(csv.reader(lines), ())) != CSV_HEADER:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=_ROW, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except (csv.Error, ValueError, Warning):
+        return None
+    return np.column_stack([rows[name] for name in _ROW.names])
+
+
+def _entries_by_line(text: str, path) -> np.ndarray:
+    """The measurement rows converted one ``csv.reader`` row at a time; an error names its line.
+
+    The header is checked first, then each field goes through ``int()``
+    (the index) or ``float()`` (the rest).
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise ValidationError(f"record file {path!s} is not UTF-8 CSV text: {exc}") from exc
+    if not rows or tuple(h.strip() for h in rows[0]) != CSV_HEADER:
+        raise ValidationError(f"record file {path!s}: expected header {','.join(CSV_HEADER)}")
     entries = np.empty((len(rows) - 1, 4))
     filled = 0
     for lineno, row in enumerate(rows[1:], start=2):
@@ -362,42 +406,27 @@ def _entries_by_line(rows: list[list[str]], path) -> np.ndarray:
     return entries[:filled]
 
 
-def _parsed(texts: tuple[str, ...]) -> np.ndarray:
-    """``float()`` of each string, converted once per distinct string."""
-    value = {text: float(text) for text in set(texts)}
-    return np.fromiter(map(value.__getitem__, texts), float, len(texts))
-
-
 def read_record_csv(path) -> MeasurementRecord:
     """Read a record written by :func:`write_record_csv`.
 
     The record is the file's rows, so reading back what
-    :func:`write_record_csv` wrote gives the same record.  The index column
-    is read with ``int()`` and the others with ``float()``, all rows at once, and
-    the time and sigma columns, which repeat, once per distinct string;
-    only when that fails are the rows converted one by one, so that the
-    error names the offending line.  A file that cannot be opened, or is
-    not UTF-8 CSV text, raises :class:`ValidationError`.
+    :func:`write_record_csv` wrote gives the same record.  The rows are
+    parsed in C, by one ``np.loadtxt`` call (see :func:`_entries_in_bulk`).
+    Only a file that this call cannot read exactly as ``csv.reader``,
+    ``int()`` and ``float()`` do is read again line by line, which also
+    names the offending line of a file that fails.  A file that cannot be
+    opened, or is not UTF-8 CSV text, raises :class:`ValidationError`.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
+            text = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read record file {path!s}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
         raise ValidationError(f"record file {path!s} is not UTF-8 CSV text: {exc}") from exc
-    if not rows or tuple(h.strip() for h in rows[0]) != CSV_HEADER:
-        raise ValidationError(f"record file {path!s}: expected header {','.join(CSV_HEADER)}")
-    body = list(filter(None, rows[1:]))
-    try:
-        if set(map(len, body)) != {4}:
-            raise ValueError("not every row has 4 fields")
-        index, time, value, sigma = zip(*body)
-        # numpy converts strings with int() and float(), as the line-by-line path does
-        entries = np.column_stack((np.array(index, dtype=np.int64), _parsed(time),
-                                   np.array(value, dtype=float), _parsed(sigma)))
-    except (ValueError, OverflowError):
-        entries = _entries_by_line(rows, path)
+    entries = _entries_in_bulk(text)
+    if entries is None:
+        entries = _entries_by_line(text, path)
     if not entries.size:
         raise ValidationError(f"record file {path!s}: no measurement rows")
     return MeasurementRecord(entries=entries)

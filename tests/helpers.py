@@ -1,8 +1,11 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import csv
+
 import numpy as np
 
-from strobe_tomo import LindbladModel, Superoperator, random_hermitian
+from strobe_tomo import LindbladModel, MeasurementRecord, Superoperator, ValidationError, random_hermitian
+from strobe_tomo.tomography import CSV_HEADER
 
 
 def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -219,3 +222,35 @@ def equal_rate_cascade(n: int, rate: float, rng: np.random.Generator) -> Lindbla
         lower[k, k + 1] = 1.0
         jumps.append((rate, q @ lower @ q.conj().T))
     return LindbladModel(dim=n, jumps=tuple(jumps))
+
+
+def read_record_by_line(path) -> MeasurementRecord:
+    """The record file reader written out line by line: ``csv.reader`` rows, ``int()`` and ``float()``.
+
+    The reference that ``read_record_csv`` is checked against: the same
+    record, or a :class:`ValidationError` with the same message.  Blank
+    rows are skipped; every other row must hold 4 fields, and an error
+    names its line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except OSError as exc:
+        raise ValidationError(f"cannot read record file {path!s}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"record file {path!s} is not UTF-8 CSV text: {exc}") from exc
+    if not rows or tuple(h.strip() for h in rows[0]) != CSV_HEADER:
+        raise ValidationError(f"record file {path!s}: expected header {','.join(CSV_HEADER)}")
+    entries = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValidationError(f"record file {path!s}, line {lineno}: expected 4 fields")
+        try:
+            entries.append([float(int(row[0])), float(row[1]), float(row[2]), float(row[3])])
+        except (ValueError, OverflowError) as exc:
+            raise ValidationError(f"record file {path!s}, line {lineno}: {exc}") from exc
+    if not entries:
+        raise ValidationError(f"record file {path!s}: no measurement rows")
+    return MeasurementRecord(entries=entries)

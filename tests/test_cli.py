@@ -440,6 +440,25 @@ class TestArgparseBehaviour:
         assert "strobe-tomo" in capsys.readouterr().out
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--gamma1", "1", "--gamma2", "2", "--json"],
+        ["analyze", "--gamma1", "1", "--gamma2", "2"],
+        ["--help"],
+    ])
+    def test_reader_gone_before_the_output_ends_quietly_with_zero(self, argv):
+        # a pipe whose read end is closed before the command starts: every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = pathlib.Path(strobe_tomo.__file__).parent.parent
+        try:
+            done = subprocess.run([sys.executable, "-m", "strobe_tomo", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)})
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
+
+
 @pytest.fixture()
 def cooling_record(cooling_files):
     """A noiseless record of the cooling state under the verified observables."""

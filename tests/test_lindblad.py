@@ -2,9 +2,12 @@ import json
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from strobe_tomo import (
     LindbladModel,
@@ -21,6 +24,7 @@ from strobe_tomo import (
     validate_density_matrix,
 )
 
+from strobe_tomo import lindblad
 from strobe_tomo.lindblad import EVOLVE_EIG_FLOOR, MAX_DIM, STATE_EIG_FLOOR, _check_density_matrix
 
 from helpers import (
@@ -566,3 +570,81 @@ class TestModelJson:
         rng = np.random.default_rng(21)
         mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.array_equal(matrix_from_json(matrix_to_json(mat)), mat)
+
+
+#: JSON numbers that decode to floats: signed zero, subnormals, the float range's ends and
+#: integers that round or do not fit in int64
+JSON_NUMBERS = [0, 1, -7, 2**53 + 1, 2**63, 2**64 + 1, -2**63 - 1, 10**308, 0.5, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1.79e308, -1.79e308, 1.7976931348623157e308]
+#: entries that the per-entry walk rejects, or reads only as a mixed row
+ODD_ENTRIES = [10**400, -10**400, True, False, "1", None, float("nan"), float("inf"), -float("inf"), [1],
+               {"re": 1}, {"im": 1}, {"re": 1, "im": 2, "extra": "ignored"}, {"re": True, "im": 0},
+               {"re": "1", "im": 0}, {"re": 10**400, "im": 0}, {"re": 0, "im": float("nan")}, 0.25]
+
+
+def _decoded(doc):
+    """``(dtype, shape, bytes)`` of ``matrix_from_json(doc)``, or the message of its error."""
+    try:
+        matrix = matrix_from_json(doc, "m")
+    except ValidationError as exc:
+        return str(exc)
+    return matrix.dtype.str, matrix.shape, matrix.tobytes()
+
+
+@st.composite
+def json_matrices(draw):
+    """A JSON matrix of numbers or {"re", "im"} objects, sometimes ragged, empty or with odd entries."""
+    rows, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    numbers = st.sampled_from(JSON_NUMBERS)
+    pairs = st.fixed_dictionaries({"re": numbers, "im": numbers})
+    kind = draw(st.sampled_from([numbers, pairs, st.one_of(numbers, pairs)]))
+    doc = [[draw(kind) for _ in range(width)] for _ in range(rows)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, width - 1))
+        doc[i][j] = draw(st.sampled_from(ODD_ENTRIES))
+    shape_change = draw(st.sampled_from([None, None, "ragged", "empty row", "empty"]))
+    if shape_change == "ragged":
+        doc[-1].append(doc[0][0])
+    elif shape_change == "empty row":
+        doc[draw(st.integers(0, rows - 1))] = []
+    elif shape_change == "empty":
+        doc = []
+    # through the JSON text, so that NaN and Infinity arrive as their literals decode
+    return json.loads(json.dumps(doc))
+
+
+class TestMatrixJsonBulk:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=json_matrices())
+    def test_bulk_decoding_matches_the_per_entry_walk(self, doc):
+        with mock.patch.object(lindblad, "_matrix_in_bulk", lambda obj: None):
+            walked = _decoded(doc)
+        assert _decoded(doc) == walked
+
+    @pytest.mark.parametrize("doc", [
+        [[1, -0.0], [5e-324, 2**53 + 1]],
+        [[{"re": -0.0, "im": 1.79e308}, {"re": 2**64 + 1, "im": -5e-324}]],
+        [[{"re": 1, "im": 2, "extra": [None]}]],
+    ])
+    def test_valid_matrices_take_the_bulk_path(self, doc):
+        bulk = lindblad._matrix_in_bulk(doc)
+        with mock.patch.object(lindblad, "_matrix_in_bulk", lambda obj: None):
+            walked = matrix_from_json(doc)
+        assert bulk is not None and bulk.tobytes() == walked.tobytes() and bulk.shape == walked.shape
+
+    @pytest.mark.parametrize("doc,message", [
+        ([[10**400]], "m[0][0]: integer out of the float range"),
+        ([[{"re": 0, "im": 10**400}]], "m[0][0].im: integer out of the float range"),
+        ([[1, True]], "m[0][1]: expected a number, got bool"),
+        ([[{"re": "1", "im": 0}]], "m[0][0].re: expected a number, got str"),
+        ([[0.5, float("nan")]], "m[0][1]: non-finite number nan"),
+        ([[{"re": 0, "im": float("-inf")}]], "m[0][0].im: non-finite number -inf"),
+        ([[{"re": 1}]], "m[0][0]: missing key 'im'"),
+        ([[1, 2], [3]], "m[1]: ragged row (length 1, expected 2)"),
+        ([[1], []], "m[1]: expected a non-empty list of entries"),
+        ([], "m: expected a non-empty list of rows"),
+    ])
+    def test_errors_name_the_field(self, doc, message):
+        assert _decoded(doc) == message
+

@@ -399,9 +399,9 @@ class TestRecordCsv:
     @pytest.mark.parametrize("bad", ["0,1,x,0", "0,1,2", "0,1,2,3,4", "1.0,1,2,0", "0,1,2,0,",
                                      "0,x,2,0", "0,1e,2,0", "0,1,2,x"])
     def test_error_names_the_line_after_valid_rows(self, tmp_path, bad):
-        # a bad cell (the instant and sigma columns are converted once per
-        # distinct string), a ragged row, or a float literal in the index
-        # column on line 5, after three valid rows and a blank line
+        # a bad cell, a ragged row, or a float literal in the index column
+        # on line 5, after three valid rows and a blank line: the bulk parse
+        # fails and the line-by-line reader names the line
         path = tmp_path / "bad.csv"
         path.write_text("observable_index,time,value,sigma\n0,1,0.5,0\n\n1,1,0.25,0\n"
                         f"{bad}\n0,2,0.5,0\n")

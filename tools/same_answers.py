@@ -17,12 +17,15 @@ reads each file back to the same entries.  The first record is
 noiseless, with sigma 0; the second adds seeded Gaussian noise of sigma
 1e-6 and holds 1e-6 in its sigma column.  (The record the workload
 simulates itself may differ between checkouts in the last bits of its
-values.)  Compare two such files::
+values.)  Each CSV is also re-spelled (:data:`RESPELLINGS`: every field
+quoted, LF line ends, cells padded with spaces and tabs, digits grouped
+with ``_``) and read back, and the file holds the SHA-256 of the entries
+each re-spelling reads as.  Compare two such files::
 
     python3 tools/same_answers.py compare parent.json change.json
 
 The comparison lists every input whose ``eta``, ``mu``, causes, design
-rank, CSV bytes or CSV roundtrips differ, or whose ``rho_hat`` differs from the first
+rank, CSV bytes, CSV roundtrips or re-spelled reads differ, or whose ``rho_hat`` differs from the first
 file's by more than 1e-12 (Frobenius) where the first file's design
 condition is below 1e4, and by more than 1e-14 times that condition
 elsewhere.  It exits with 1 when it lists anything.
@@ -40,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import hashlib
 import json
+import re
 import shutil
 import tempfile
 
@@ -58,6 +62,15 @@ SHOWN = 20
 #: noise level and noise seed of the second oracle record
 NOISY_SIGMA = 1e-6
 NOISE_SEED = 0
+#: spellings of a written record CSV that read back to the same entries; ``int()`` and
+#: ``float()`` read the last one (``_`` between digits) but ``np.loadtxt`` does not, so
+#: ``read_record_csv`` reads it line by line
+RESPELLINGS = {
+    "quoted": lambda text: re.sub(r"[^,\r\n]+", r'"\g<0>"', text),
+    "lf": lambda text: text.replace("\r\n", "\n"),
+    "padded": lambda text: re.sub(r"[^,\r\n]+", " \\g<0>\t", text),
+    "underscored": lambda text: re.sub(r"(?<=\d)(?=\d)", "_", text),
+}
 
 
 def parse_args(argv=None):
@@ -130,16 +143,25 @@ def oracle_record(st, oracle, inp: dict, path: str, sigma: float = 0.0):
 
 
 def csv_answers(st, oracle, inp: dict, path: str) -> dict:
-    """The SHA-256 of each oracle record's CSV, and whether reading it back gives the record."""
+    """For each oracle record's CSV: its SHA-256, whether reading it back gives the record,
+    and the SHA-256 of the entries each of its :data:`RESPELLINGS` reads back as."""
     answers = {}
     for prefix, sigma in (("csv", 0.0), ("noisy_csv", NOISY_SIGMA)):
         rec = oracle_record(st, oracle, inp, path, sigma)
         st.write_record_csv(rec, path)
         with open(path, "rb") as handle:
-            answers[f"{prefix}_sha256"] = hashlib.sha256(handle.read()).hexdigest()
+            written = handle.read()
+        answers[f"{prefix}_sha256"] = hashlib.sha256(written).hexdigest()
         back = st.read_record_csv(path)
-        os.remove(path)
         answers[f"{prefix}_roundtrip"] = back.entries.tobytes() == rec.entries.tobytes()
+        respelled = {}
+        for name, respell in RESPELLINGS.items():
+            with open(path, "wb") as handle:
+                handle.write(respell(written.decode()).encode())
+            entries = st.read_record_csv(path).entries
+            respelled[name] = hashlib.sha256(entries.tobytes()).hexdigest()
+        answers[f"{prefix}_respelled_sha256"] = respelled
+        os.remove(path)
     return answers
 
 
@@ -220,7 +242,8 @@ def compare(args) -> int:
         a, b = first[k], second[k]
         label = "{} seed {} {} round {}".format(*k)
         for field in ("eta", "mu", "causes", "design_rank", "csv_sha256", "csv_roundtrip",
-                      "noisy_csv_sha256", "noisy_csv_roundtrip"):
+                      "csv_respelled_sha256", "noisy_csv_sha256", "noisy_csv_roundtrip",
+                      "noisy_csv_respelled_sha256"):
             if a.get(field) != b.get(field):
                 differences.setdefault(field, []).append(f"{label}: {a.get(field)!r} -> {b.get(field)!r}")
         gap = rho_gap(a, b)
