@@ -29,7 +29,6 @@ from .operator_algebra import (
     _hermiticity,
     _instance,
     _minimal_polynomial_of,
-    _square,
     _tolerances,
     assert_hermitian,
     random_hermitian,
@@ -118,31 +117,46 @@ def _eta(distinct: Sequence[EigenvalueCluster]) -> int:
     return max(c.geometric_multiplicity for c in distinct)
 
 
-def _observable_coordinates(observables, dim: int) -> np.ndarray:
-    """Coordinate rows of a non-empty list of hermitian ``dim x dim`` matrices; errors name ``observables[i]``.
+def _observable_coordinates(observables, gen: Superoperator) -> np.ndarray:
+    """Read-only coordinate rows of a non-empty list of hermitian ``gen.dim x gen.dim`` matrices; errors name ``observables[i]``.
 
-    The list is checked in one batched pass: every observable coerced in
-    order, the stack tested with one :func:`_hermiticity` call, then its
-    shape.  A list that fails is checked again one observable at a time,
-    so the error names the first failing observable and that observable's
-    first failing test: coercion, hermiticity (which also rejects NaN and
-    infinite entries), finiteness, shape.  Anything that is not iterable
-    raises :class:`ValidationError` too.
+    The list is checked in one batched pass: coerced as a whole by one
+    ``np.asarray``, its shape tested, then the stack tested with one
+    :func:`_hermiticity` call.  A set whose values equal those of the
+    last set this generator mapped is not tested again: the kept rows are
+    returned.  The key is the content, so a list or array edited
+    in place since is tested afresh.  A list that fails is checked again
+    one observable at a time, so the error names the first failing
+    observable and that observable's first failing test: coercion,
+    hermiticity (which also rejects NaN and infinite entries),
+    finiteness, shape.  Anything that is not iterable raises
+    :class:`ValidationError` too.
     """
     try:
         observables = list(observables)
     except TypeError:
         raise ValidationError("observables must be a sequence of matrices, "
                               f"got {type(observables).__name__}") from None
+    dim = gen.dim
     try:
-        stack = np.stack([_square(q, f"observables[{i}]", dtype=complex) for i, q in enumerate(observables)])
-    except (ValidationError, ValueError):  # a matrix that does not coerce, or mixed shapes or none at all
+        stack = np.asarray(observables, dtype=complex)
+    except (TypeError, ValueError):  # a matrix that does not coerce, or mixed shapes
         stack = None
-    if stack is None or stack.shape[1:] != (dim, dim) or not _hermiticity(stack)[1].all():
-        for i, q in enumerate(observables):
-            _operator(assert_hermitian(q, name=f"observables[{i}]"), f"observables[{i}]", dim)
-        raise ValidationError("observable set must contain at least one observable")
-    return _coordinates(stack)
+    if stack is not None and stack.ndim == 3 and stack.shape[1:] == (dim, dim):
+        # with the shape of each matrix fixed, the values' bytes also fix their number
+        values = stack.tobytes()
+        kept = gen._kept_observables
+        if kept is not None and kept[0] == values:
+            return kept[1]
+        if _hermiticity(stack)[1].all():
+            rows = _coordinates(stack)
+            rows.setflags(write=False)
+            # one tuple, replaced whole, so a racing thread sees an old entry or a new one
+            object.__setattr__(gen, "_kept_observables", (values, rows))
+            return rows
+    for i, q in enumerate(observables):
+        _operator(assert_hermitian(q, name=f"observables[{i}]"), f"observables[{i}]", dim)
+    raise ValidationError("observable set must contain at least one observable")
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -166,12 +180,16 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     residual exceeds ``rank_rtol`` times its norm, a later element when it
     exceeds ``rank_rtol * |R|_2``, so roundoff never adds a direction.  The
     set spans iff the basis reaches dim^2 vectors; ``achieved_rank`` is its size.
+    The generator keeps ``|R|_2`` after the first call and the coordinates
+    of the last set it checked (see :class:`Superoperator`), so a search
+    computes the norm once, and simulating and reconstructing with the
+    set it returns check that set no more.
     """
     _tolerances(tol)
-    coordinates = _observable_coordinates(observables, _instance(gen, Superoperator, "gen").dim)
+    coordinates = _observable_coordinates(observables, _instance(gen, Superoperator, "gen"))
     adjoint = gen.hermitian_form.T
     n2 = gen.dim * gen.dim
-    floor = tol.rank_rtol * float(np.linalg.norm(adjoint, 2))
+    floor = tol.rank_rtol * gen._norm_2
     basis = np.zeros((n2, n2))
     size = 0
     for candidate in coordinates:

@@ -176,7 +176,16 @@ class Superoperator:
     its clusters off the Bohr frequencies ``-i (E_j - E_k)`` instead: one
     n x n ``eigvalsh`` when it is built plus a grouping of n^2 values, and
     no rank decision, so those clusters do not depend on ``rank_rtol``.
-    A generator made by hand takes the general route.  Compared and
+    A generator made by hand takes the general route.
+
+    Every stage of the library loop also reads three things the generator
+    keeps once computed: the step exponential ``expm(t * hermitian_form)``
+    of the last ``t`` asked for, shared by :func:`simulate_measurements`,
+    :func:`reconstruct` and :func:`evolve` (one more dim^2 x dim^2 real
+    matrix: 166 KB at dim 12, 128 MiB at :data:`MAX_DIM`); ``|R|_2``, one
+    float, for :func:`verify_observables`; and the coordinate rows of the
+    last observable set checked, with a copy of its values as the key, so
+    one set is checked once however many stages read it.  Compared and
     hashed by identity; compare contents with ``np.array_equal``.
     """
 
@@ -186,6 +195,11 @@ class Superoperator:
     _structures: dict = field(init=False, repr=False, default_factory=dict)
     # eigvalsh of the Hamiltonian of a closed model, set by _vectorized
     _energies: np.ndarray | None = field(init=False, repr=False, default=None)
+    # (t, expm(t * hermitian_form)) of the last step asked for, see _step
+    _kept_step: tuple | None = field(init=False, repr=False, default=None)
+    # (values as bytes, coordinate rows) of the last observable set checked, set by
+    # analysis._observable_coordinates
+    _kept_observables: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix, "superoperator matrix")
@@ -219,6 +233,27 @@ class Superoperator:
                                                   lambda value, size: (size, 1))
         return self._structures[tol]
 
+    def _step(self, t: float) -> np.ndarray:
+        """``expm(t * hermitian_form)``, read-only; only the last ``t`` asked for is kept.
+
+        One entry suffices: every stage of the library loop steps by the
+        same ``t_1`` on an equispaced grid, and any other grid asks for
+        each gap in turn.
+        """
+        # one tuple, replaced whole, so a racing thread sees an old entry or a new one
+        kept = self._kept_step
+        if kept is None or kept[0] != t:
+            step = expm(t * self.hermitian_form)
+            step.setflags(write=False)
+            kept = (t, step)
+            object.__setattr__(self, "_kept_step", kept)
+        return kept[1]
+
+    @cached_property
+    def _norm_2(self) -> float:
+        """``|R|_2 = |R^T|_2``, the largest singular value of the hermitian form, computed on first read."""
+        return float(np.linalg.norm(self.hermitian_form.T, 2))
+
 
 def laser_cooling_model(gamma1: float, gamma2: float) -> LindbladModel:
     """Three-level model with decay |2> -> |1> at gamma1 and |2> -> |3> at gamma2.
@@ -248,7 +283,12 @@ def build_generator(model: LindbladModel) -> Superoperator:
     The model builds its generator on the first call and returns the same
     object on every later one (:func:`simulate_measurements` and
     :func:`reconstruct` read that one too); a build that raises is not
-    kept, so it raises on every call.
+    kept, so it raises on every call.  Sharing one generator shares what
+    it keeps (see :class:`Superoperator`): on one model and equispaced
+    grid, simulation and reconstruction form one step exponential between
+    them, and an observable set that :func:`find_observables` verified is
+    not checked again.  A model rebuilt from its JSON document is a new
+    model, with its own generator.
     """
     return _instance(model, LindbladModel, "model")._generator
 
@@ -286,28 +326,34 @@ def _vectorized(model: LindbladModel) -> Superoperator:
     return gen
 
 
-def _propagated(mat: np.ndarray, instants: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    """``expm(t * mat) @ operand`` at each instant, stacked along a new second axis.
+def _propagated(gen: Superoperator, instants: np.ndarray, operand: np.ndarray, *,
+                dual: bool = False) -> np.ndarray:
+    """``expm(t R) @ operand`` at each instant, ``R`` the generator's hermitian form, stacked along a new second axis.
 
     The package's one forward map; no propagator is formed per instant.
-    ``out[:, j]`` is the operand propagated to ``instants[j]``, so the
-    instants lie side by side in the columns of one array.  On an
+    With ``dual`` the map is ``expm(t R^T)``, the transpose of the same
+    exponential, which steps the coordinates of observables.  ``out[:, j]``
+    is the operand propagated to ``instants[j]``, so the instants lie side
+    by side in the columns of one array.  Every exponential is the
+    generator's kept step (:meth:`Superoperator._step`).  On an
     equispaced grid (``t_j = j * t_1`` to a relative
-    :data:`EQUISPACED_RTOL`) the one exponential ``S = expm(t_1 * mat)``
-    gives the first instant, and the grid fills by doubling: with ``d``
-    instants done, the next ``d`` are ``S**d`` times the first ``d``, in
-    one matrix product, then ``S**d`` is squared; about ``log2(m)``
-    products for ``m`` instants.  Any other grid carries the operand from
-    one instant to the next, one exponential per gap.  Either way the
-    results match separate exponentials to roundoff, not bit for bit.
+    :data:`EQUISPACED_RTOL`) the one step ``S = expm(t_1 R)`` gives the
+    first instant, and the grid fills by doubling: with ``d`` instants
+    done, the next ``d`` are ``S**d`` times the first ``d``, in one matrix
+    product, then ``S**d`` is squared; about ``log2(m)`` products for
+    ``m`` instants.  Any other grid carries the operand from one instant
+    to the next, one step per gap.  Either way the results match separate
+    exponentials to roundoff, not bit for bit.
     """
+    # expm(t R)^T = expm(t R^T)
+    step = (lambda t: gen._step(t).T) if dual else gen._step
     size = instants.size
     cols = operand.reshape(operand.shape[0], -1)
     width = cols.shape[1]
-    out = np.empty((cols.shape[0], size * width), dtype=np.result_type(mat, cols))
+    out = np.empty((cols.shape[0], size * width), dtype=np.result_type(gen.hermitian_form, cols))
     steps = np.arange(1, size + 1)
     if size and np.all(np.abs(instants - steps * instants[:1]) <= EQUISPACED_RTOL * instants):
-        power = expm(instants[0] * mat)
+        power = step(instants[0])
         np.matmul(power, cols, out=out[:, :width])
         done = 1
         while done < size:
@@ -319,7 +365,7 @@ def _propagated(mat: np.ndarray, instants: np.ndarray, operand: np.ndarray) -> n
     else:
         current, previous = cols, 0.0
         for j, t in enumerate(instants):
-            current = expm((t - previous) * mat) @ current
+            current = step(t - previous) @ current
             out[:, j * width:(j + 1) * width], previous = current, t
     return out.reshape((cols.shape[0], size) + operand.shape[1:])
 
@@ -386,10 +432,12 @@ def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
     generator, after checking that it is still a density matrix: unit
     trace to 1e-10 and eigenvalues above -1e-8.  A violation is reported as
     a numerical failure naming the instant rather than silently repaired.
+    The exponential is the generator's kept step, so evolving by the same
+    ``t`` again forms no new one.
     """
     rho0 = validate_density_matrix(rho0, dim=_instance(gen, Superoperator, "gen").dim, name="rho0")
     t = _nonnegative_real(t, "propagation time")
-    x = _propagated(gen.hermitian_form, np.array([t], dtype=float), _coordinates(rho0))[:, 0]
+    x = _propagated(gen, np.array([t], dtype=float), _coordinates(rho0))[:, 0]
     return _check_density_matrix(_from_coordinates(x, gen.dim), f"evolved state at t={t:.6g}", evolved=True)
 
 

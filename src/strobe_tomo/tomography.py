@@ -192,8 +192,11 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     Each value is ``c_i . expm(t_j R) x``, with ``R`` the real form of the
     model's generator (built once per model, see :func:`build_generator`)
     and ``c_i``, ``x`` the real coordinates of ``Q_i`` and the state, in
-    observable-major order.  Every evolved state is checked to be a density
-    matrix, as in :func:`evolve`.  With ``noise_sigma > 0`` (a finite real)
+    observable-major order.  The exponentials are the generator's kept
+    step, and a set equal to the last one the generator checked is not
+    checked again (see :class:`Superoperator`); a model whose generator
+    cannot be built fails before its observables are checked.  Every
+    evolved state is checked to be a density matrix, as in :func:`evolve`.  With ``noise_sigma > 0`` (a finite real)
     the values get independent additive Gaussian noise, drawn in entry
     order from a generator seeded with ``seed`` (an integer >= 0), so
     records are bit-identical across runs with the same arguments.
@@ -203,9 +206,10 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     noise_sigma = _nonnegative_real(noise_sigma, "noise_sigma")
     _integer(seed, "seed")
     state0 = _coordinates(validate_density_matrix(rho0, dim=model.dim, name="rho0"))
-    coordinates = _observable_coordinates(observables, model.dim)
+    gen = model._generator
+    coordinates = _observable_coordinates(observables, gen)
 
-    states = _propagated(model._generator.hermitian_form, grid, state0)
+    states = _propagated(gen, grid, state0)
     _check_density_matrix(_from_coordinates(states.T, model.dim),
                           lambda j: f"evolved state at t={grid[j]:.6g}", evolved=True)
     values = coordinates @ states
@@ -225,7 +229,11 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     The unknowns are the state's real coordinates; each record entry
     contributes the design row ``expm(t_j R^T) c_i``, the coordinates of
     ``Q_i`` stepped by the transpose of the real form of the model's
-    generator (built once per model, see :func:`build_generator`).  The trace
+    generator (built once per model, see :func:`build_generator`).  The
+    exponentials are the transposes of the generator's kept step, so
+    reconstructing right after simulating on the same model and
+    equispaced grid forms no new one, and a set equal to the last one the
+    generator checked is not checked again.  The trace
     constraint is exact: the identity coordinate is fixed at
     ``1/sqrt(dim)`` and least squares solves only for the dim^2 - 1 >= 3
     traceless coordinates.  ``design_rank``
@@ -244,15 +252,16 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
     _tolerances(tol)
     if n < 2:
         raise ValidationError(f"reconstruction needs dimension >= 2, got {n}")
-    coordinates = _observable_coordinates(observables, n)
+    gen = model._generator
+    coordinates = _observable_coordinates(observables, gen)
     index, time, rhs, _sigma = _instance(record, MeasurementRecord, "record").entries.T
     held = int(index.max()) + 1 if index.size else len(coordinates)
     if held != len(coordinates):
         raise ValidationError(f"record holds {held} observables, got {len(coordinates)}")
     instants, at = np.unique(time, return_inverse=True)
-    # expm(t R)^T = expm(t R^T), so the observables' coordinates step as columns:
-    # rows[k, j, i] is coordinate k of Q_i stepped to instant j
-    rows = _propagated(model._generator.hermitian_form.T, instants, coordinates.T)
+    # the observables' coordinates step as columns: rows[k, j, i] is
+    # coordinate k of Q_i stepped to instant j
+    rows = _propagated(gen, instants, coordinates.T, dual=True)
     design = rows[:, at, index.astype(int)].T
     if not np.all(np.isfinite(design)):
         raise NumericalFailure("design matrix overflows: expm(t * L) is not finite on the record's instants")
@@ -383,17 +392,20 @@ def _entries_by_line(text: str, path) -> np.ndarray:
     """The measurement rows converted one ``csv.reader`` row at a time; an error names its line.
 
     The header is checked first, then each field goes through ``int()``
-    (the index) or ``float()`` (the rest).
+    (the index) or ``float()`` (the rest).  The line an error names is
+    the file's physical line on which the row ends (``csv.reader``'s
+    ``line_num``), so a quoted field that spans lines does not shift it.
     """
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise ValidationError(f"record file {path!s} is not UTF-8 CSV text: {exc}") from exc
-    if not rows or tuple(h.strip() for h in rows[0]) != CSV_HEADER:
+    if not rows or tuple(h.strip() for h in rows[0][1]) != CSV_HEADER:
         raise ValidationError(f"record file {path!s}: expected header {','.join(CSV_HEADER)}")
     entries = np.empty((len(rows) - 1, 4))
     filled = 0
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 4:

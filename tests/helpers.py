@@ -230,19 +230,20 @@ def read_record_by_line(path) -> MeasurementRecord:
     The reference that ``read_record_csv`` is checked against: the same
     record, or a :class:`ValidationError` with the same message.  Blank
     rows are skipped; every other row must hold 4 fields, and an error
-    names its line.
+    names the physical line on which its row ends.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            rows = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise ValidationError(f"cannot read record file {path!s}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"record file {path!s} is not UTF-8 CSV text: {exc}") from exc
-    if not rows or tuple(h.strip() for h in rows[0]) != CSV_HEADER:
+    if not rows or tuple(h.strip() for h in rows[0][1]) != CSV_HEADER:
         raise ValidationError(f"record file {path!s}: expected header {','.join(CSV_HEADER)}")
     entries = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 4:

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import strobe_tomo.analysis
 import strobe_tomo.operator_algebra
 from strobe_tomo import (
     LindbladModel,
@@ -496,14 +497,99 @@ class TestObservableListCheck:
         with pytest.raises(ValidationError, match=r"^observables\[1\] has shape \(2, 2\), expected \(3, 3\)$"):
             verify_observables(cooling_gen, observables)
 
-    def test_valid_list_gives_coordinate_rows(self):
+    def test_valid_list_gives_coordinate_rows(self, cooling_gen):
         rng = np.random.default_rng(8)
         observables = [random_hermitian(3, rng) for _ in range(4)]
         basis = gell_mann_basis(3)
-        rows = _observable_coordinates(observables, 3)
-        assert rows.shape == (4, 9)
+        rows = _observable_coordinates(observables, cooling_gen)
+        assert rows.shape == (4, 9) and not rows.flags.writeable
         expected = [[np.trace(b @ q).real for b in basis] for q in observables]
         assert np.abs(rows - expected).max() <= 1e-14
+
+    # whole lists that fail the batched check; every stage names the first bad observable
+    LISTS = {
+        "non-hermitian": ([np.eye(3), np.triu(np.ones((3, 3)))],
+                          r"observables\[1\] is not hermitian \(max \|A - A\^dag\| = 1\.000e\+00\)"),
+        "wrong-shape": ([np.eye(2), np.eye(2)], r"observables\[0\] has shape \(2, 2\), expected \(3, 3\)"),
+        "mixed-shapes": ([np.eye(3), np.eye(2)], r"observables\[1\] has shape \(2, 2\), expected \(3, 3\)"),
+        "empty": ([], r"observable set must contain at least one observable"),
+        "ragged": ([np.eye(3), [[1, 0, 0], [0, 1], [0, 0, 1]]],
+                   r"observables\[1\] is not convertible to a complex matrix: .*inhomogeneous"),
+    }
+
+    @pytest.mark.parametrize("kind", list(LISTS))
+    def test_failing_list_named_by_every_stage(self, kind):
+        observables, message = self.LISTS[kind]
+        model = laser_cooling_model(1.0, 2.0)
+        gen = build_generator(model)
+        record = simulate_measurements(model, np.eye(3) / 3, [np.eye(3)], [1.0])
+        calls = [
+            lambda: verify_observables(gen, observables),
+            lambda: simulate_measurements(model, np.eye(3) / 3, observables, [1.0]),
+            lambda: reconstruct(model, observables, record),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=f"^{message}"):
+                call()
+
+
+class TestObservablesMappedOnce:
+    """A generator keeps the coordinate rows of the last observable set it mapped, keyed by the set's values."""
+
+    @pytest.fixture
+    def mapped(self, monkeypatch):
+        calls = []
+        original = strobe_tomo.analysis._coordinates
+
+        def counted(stack):
+            calls.append(stack.shape)
+            return original(stack)
+
+        monkeypatch.setattr(strobe_tomo.analysis, "_coordinates", counted)
+        return calls
+
+    def test_one_set_mapped_once_across_the_loop(self, mapped):
+        model = laser_cooling_model(1.0, 2.0)
+        gen = build_generator(model)
+        rng = np.random.default_rng(12)
+        rho0 = random_density(3, rng)
+        observables = [random_hermitian(3, rng) for _ in range(4)]
+        assert verify_observables(gen, observables).ok
+        # an equal copy, as nested lists, is the same set
+        record = simulate_measurements(model, rho0, [q.tolist() for q in observables], np.arange(1, 4) / 3)
+        result = reconstruct(model, observables, record, truth=rho0)
+        assert result.frobenius_error < 1e-9
+        assert mapped == [(4, 3, 3)]
+
+    def test_set_edited_in_place_is_checked_again(self, mapped):
+        model = laser_cooling_model(1.0, 2.0)
+        rng = np.random.default_rng(13)
+        rho0 = random_density(3, rng)
+        observables = np.stack([random_hermitian(3, rng) for _ in range(4)])
+        record = simulate_measurements(model, rho0, observables, np.arange(1, 4) / 3)
+        observables[1, 0, 2] += 1.0
+        with pytest.raises(ValidationError, match=r"^observables\[1\] is not hermitian"):
+            reconstruct(model, observables, record)
+        # a hermitian edit is mapped afresh, so the reconstruction sees the new set
+        observables[1, 2, 0] += 1.0
+        assert reconstruct(model, observables, record, truth=rho0).frobenius_error > 1e-3
+        assert mapped == [(4, 3, 3)] * 2
+
+    def test_search_computes_the_norm_once(self, monkeypatch):
+        norms = []
+        original = np.linalg.norm
+
+        def counted(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                norms.append(x.shape)
+            return original(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        gen = build_generator(laser_cooling_model(1.0, 2.0))
+        with pytest.raises(SearchExhausted, match="in 4 attempts"):
+            find_observables(gen, ToleranceConfig(rank_rtol=0.5), seed=0, max_attempts=4)
+        assert norms == [(9, 9)]
+        assert gen._norm_2 == original(gen.hermitian_form.T, 2)
 
 
 def _benchmark_search_input(seed: int, n: int, cls: int, round_: int):

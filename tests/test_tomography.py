@@ -298,16 +298,17 @@ class TestPropagation:
     @pytest.fixture(params=["laser"] + [f"random-{n}" for n in (3, 4, 5, 6)])
     def generator(self, request):
         if request.param == "laser":
-            return build_generator(laser_cooling_model(1.0, 2.0)).matrix
+            return build_generator(laser_cooling_model(1.0, 2.0))
         n = int(request.param.split("-")[1])
-        return build_generator(random_model(n, np.random.default_rng(40 + n))).matrix
+        return build_generator(random_model(n, np.random.default_rng(40 + n)))
 
     # "equispaced" has 16 instants; the other lengths lie on both sides of
     # powers of two, where the doubling ends with a partial product
     @pytest.mark.parametrize("kind", ["equispaced", "csv-256", "log"]
                              + [f"equispaced-{m}" for m in (1, 2, 3, 5, 100, 255, 257)])
     def test_matches_expm_per_instant(self, generator, kind, tmp_path):
-        a = _horizon(generator)
+        form = generator.hermitian_form
+        a = _horizon(form)
         if kind.startswith("equispaced"):
             m = int(kind.split("-")[1]) if "-" in kind else 16
             grid = a * np.arange(1, m + 1) / m
@@ -316,17 +317,26 @@ class TestPropagation:
         else:
             grid = np.geomspace(a / 1e3, a, 40)
         rng = np.random.default_rng(5)
-        size = generator.shape[0]
+        size = form.shape[0]
         # the state vector as simulate propagates it, and three dual rows as reconstruct does
         state = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         duals = rng.standard_normal((size, 3)) + 0j
         states = lindblad._propagated(generator, grid, state)
-        rows = lindblad._propagated(generator.T, grid, duals)
+        rows = lindblad._propagated(generator, grid, duals, dual=True)
         for t, got_state, got_rows in zip(grid, states.swapaxes(0, 1), rows.swapaxes(0, 1)):
-            # expm(t L^T) = expm(t L)^T
-            prop = scipy.linalg.expm(t * generator)
-            for got, expected in ((got_state, prop @ state), (got_rows, prop.T @ duals)):
+            for got, expected in ((got_state, scipy.linalg.expm(t * form) @ state),
+                                  (got_rows, scipy.linalg.expm(t * form.T) @ duals)):
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_generator_keeps_the_last_step_only(self):
+        gen = build_generator(laser_cooling_model(1.0, 2.0))
+        first = gen._step(0.5)
+        assert gen._step(0.5) is first
+        second = gen._step(0.75)
+        t, kept = gen._kept_step
+        assert t == 0.75 and kept is second and not kept.flags.writeable
+        assert np.abs(kept - scipy.linalg.expm(0.75 * gen.hermitian_form)).max() <= 1e-14
+        assert gen._step(0.5) is not first
 
     @pytest.fixture
     def expm_calls(self, monkeypatch):
@@ -340,22 +350,30 @@ class TestPropagation:
         monkeypatch.setattr(lindblad, "expm", counted)
         return calls
 
-    def _stages(self, grid, path, calls):
-        """expm calls of simulate and of reconstruct on the record read back from CSV."""
+    def _stages(self, grid, path, calls, rebuilt=False):
+        """expm calls of simulate and of reconstruct on the record read back from CSV.
+
+        With ``rebuilt`` the record is reconstructed on the model read back
+        from its JSON document, as the CLI does.
+        """
         model = laser_cooling_model(1.0, 2.0)
         observables = find_observables(build_generator(model), seed=3)
         rho0 = random_density(3, np.random.default_rng(9))
         record = simulate_measurements(model, rho0, observables, grid)
         simulated = len(calls)
         write_record_csv(record, path)
+        if rebuilt:
+            model = lindblad.model_from_json(lindblad.model_to_json(model))
         result = reconstruct(model, observables, read_record_csv(path), truth=rho0)
         assert result.frobenius_error < 1e-9
         return simulated, len(calls) - simulated
 
-    def test_equispaced_grid_costs_one_exponential_per_stage(self, expm_calls, tmp_path):
-        # 3 j / 240 differs from j * (3 / 240) in the last bit at 85 of the instants
+    @pytest.mark.parametrize("rebuilt, expected", [(False, (1, 0)), (True, (1, 1))], ids=["one-model", "rebuilt"])
+    def test_equispaced_grid_costs_one_exponential_per_generator(self, expm_calls, tmp_path, rebuilt, expected):
+        # 3 j / 240 differs from j * (3 / 240) in the last bit at 85 of the instants;
+        # reconstruct steps by the transpose of the step simulate kept on the same generator
         grid = 3.0 * np.arange(1, 241) / 240
-        assert self._stages(grid, tmp_path / "record.csv", expm_calls) == (1, 1)
+        assert self._stages(grid, tmp_path / "record.csv", expm_calls, rebuilt) == expected
 
     def test_other_grid_costs_at_most_one_exponential_per_gap(self, expm_calls, tmp_path):
         grid = np.geomspace(0.01, 3.0, 40)
@@ -406,6 +424,14 @@ class TestRecordCsv:
         path.write_text("observable_index,time,value,sigma\n0,1,0.5,0\n\n1,1,0.25,0\n"
                         f"{bad}\n0,2,0.5,0\n")
         with pytest.raises(ValidationError, match="line 5: "):
+            read_record_csv(path)
+
+    @pytest.mark.parametrize("bad, message", [("x,1,2,0", "invalid literal"), ("0,1,2", "expected 4 fields")])
+    def test_error_names_the_physical_line(self, tmp_path, bad, message):
+        # the quoted time of line 2 ends on line 3, so the bad row is on line 4
+        path = tmp_path / "bad.csv"
+        path.write_text(f'observable_index,time,value,sigma\n0,"1.5\n",2,0\n{bad}\n')
+        with pytest.raises(ValidationError, match=f"line 4: {message}"):
             read_record_csv(path)
 
     def test_spellings_of_one_instant_read_as_one_value(self, tmp_path):
