@@ -81,7 +81,7 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     """Cluster the spectrum once per tolerance and derive the resource bounds from it.
 
     Everything comes from one :func:`eigen_structure` call on the form the
-    generator stored when it was made, the real ``gen.hermitian_form =
+    generator stores, the real ``gen.hermitian_form =
     T^dag L T`` with ``T`` the columns ``vec(B_k)`` of the hermitian basis
     (the normalized identity, then the generalized Gell-Mann matrices): a
     unitary change of basis, so the spectrum and the Jordan structure are
@@ -93,11 +93,13 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     an all-zero operator; see :func:`build_generator`) is ``-i[H, .]``,
     diagonalizable with the Bohr frequencies ``-i (E_j - E_k)`` as its
     eigenvalues: its clusters are those n^2 values grouped by the same
-    rule, at the cost of one n x n ``eigvalsh`` plus the grouping, and
-    since no rank is decided its answer does not depend on
-    ``tol.rank_rtol``.  The generator keeps the clusters per ``tol``, so a
-    later call, or :func:`find_observables`, reuses them; each call
-    returns a new report built from them.
+    rule, with the radius from their own Frobenius norm (which can differ
+    from ``|R|_F`` in the last bits), at the cost of one n x n
+    ``eigvalsh`` plus one sort, O(n^2 log n) time and O(n^2) memory with
+    no n^2 x n^2 array formed, and since no rank is decided its answer
+    does not depend on ``tol.rank_rtol``.  The generator keeps the
+    clusters per ``tol``, so a later call, or :func:`find_observables`,
+    reuses them; each call returns a new report built from them.
     """
     distinct = _instance(gen, Superoperator, "gen")._eigen_structure(_tolerances(tol))
     eta = _eta(distinct)

@@ -170,12 +170,16 @@ class Superoperator:
     that every stage runs on.  A generator analyses its spectrum once per
     :class:`ToleranceConfig`: it keeps ``eigen_structure(hermitian_form, tol)``
     for each tolerance asked about, and :func:`spectral_report` and
-    :func:`find_observables` read the kept clusters.  The generator of a
-    closed model, one whose every jump has rate 0 or an all-zero operator,
-    also keeps the eigenvalues ``E`` of the model's Hamiltonian and reads
-    its clusters off the Bohr frequencies ``-i (E_j - E_k)`` instead: one
-    n x n ``eigvalsh`` when it is built plus a grouping of n^2 values, and
-    no rank decision, so those clusters do not depend on ``rank_rtol``.
+    :func:`find_observables` read the kept clusters.  The generator that
+    :func:`build_generator` makes of a closed model, one whose every jump
+    has rate 0 or an all-zero operator, keeps the eigenvalues ``E`` of the
+    model's Hamiltonian instead and reads its clusters off the Bohr
+    frequencies ``-i (E_j - E_k)``: one n x n ``eigvalsh`` when it is built
+    plus a grouping of n^2 values, with the radius taken from
+    ``|R|_F = |E_j - E_k|_F``, and no rank decision, so those clusters do
+    not depend on ``rank_rtol``.  Its ``matrix`` and ``hermitian_form``
+    are formed, bit for bit as here, when a stage first reads them, so
+    its spectral analysis holds O(n^2) numbers, not O(n^4).
     A generator made by hand takes the general route.
 
     Every stage of the library loop also reads three things the generator
@@ -193,8 +197,6 @@ class Superoperator:
     matrix: np.ndarray
     hermitian_form: np.ndarray = field(init=False, repr=False)
     _structures: dict = field(init=False, repr=False, default_factory=dict)
-    # eigvalsh of the Hamiltonian of a closed model, set by _vectorized
-    _energies: np.ndarray | None = field(init=False, repr=False, default=None)
     # (t, expm(t * hermitian_form)) of the last step asked for, see _step
     _kept_step: tuple | None = field(init=False, repr=False, default=None)
     # (values as bytes, coordinate rows) of the last observable set checked, set by
@@ -216,22 +218,15 @@ class Superoperator:
         self.hermitian_form.setflags(write=False)
 
     def _eigen_structure(self, tol: ToleranceConfig) -> tuple[EigenvalueCluster, ...]:
-        """``eigen_structure(self.hermitian_form, tol)``, computed on the first request per ``tol`` and kept.
-
-        A closed model's generator ``-i[H, .]`` is anti-hermitian, hence
-        diagonalizable: its Bohr frequencies are grouped as computed
-        eigenvalues are, and each group is one cluster with geometric
-        multiplicity its size and index 1.
-        """
+        """:meth:`_analysed`, computed on the first request per ``tol`` and kept."""
         # threads that race here only repeat the same deterministic computation
         if tol not in self._structures:
-            if self._energies is None:
-                self._structures[tol] = eigen_structure(self.hermitian_form, tol)
-            else:
-                bohr = -1j * (self._energies[:, None] - self._energies).reshape(-1)
-                self._structures[tol] = _clusters(bohr, _frobenius(self.hermitian_form), True,
-                                                  lambda value, size: (size, 1))
+            self._structures[tol] = self._analysed(tol)
         return self._structures[tol]
+
+    def _analysed(self, tol: ToleranceConfig) -> tuple[EigenvalueCluster, ...]:
+        """``eigen_structure(self.hermitian_form, tol)``; a closed model's generator reads its energies instead."""
+        return eigen_structure(self.hermitian_form, tol)
 
     def _step(self, t: float) -> np.ndarray:
         """``expm(t * hermitian_form)``, read-only; only the last ``t`` asked for is kept.
@@ -253,6 +248,55 @@ class Superoperator:
     def _norm_2(self) -> float:
         """``|R|_2 = |R^T|_2``, the largest singular value of the hermitian form, computed on first read."""
         return float(np.linalg.norm(self.hermitian_form.T, 2))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class _ClosedGenerator(Superoperator):
+    """The generator ``-i[H, .]`` of a closed model, as :func:`build_generator` makes it: O(n^2) numbers until read.
+
+    It holds ``eigvalsh(H)``, which its spectral analysis reads (see
+    :meth:`_analysed`), and the parts ``matrix`` is assembled from:
+    ``G = -iH`` and the silent jumps.
+    ``matrix`` and ``hermitian_form`` are formed when a stage first reads
+    them, bit for bit as the general route forms them when it is made, and
+    kept read-only; a hermitian form of such a matrix always exists, since
+    ``G rho + rho G^dag`` is exactly hermitian for a hermitian ``rho``.
+    """
+
+    matrix: np.ndarray = field(init=False)
+    _energies: np.ndarray = field(repr=False)
+    # (G, jumps) that _assembled forms matrix from
+    _parts: tuple = field(repr=False)
+
+    def __post_init__(self):
+        """Nothing to check: :func:`_vectorized` checked the model and its guards."""
+
+    def _analysed(self, tol: ToleranceConfig) -> tuple[EigenvalueCluster, ...]:
+        """The clusters of the Bohr frequencies ``-i (E_j - E_k)``; ``hermitian_form`` is not read.
+
+        ``-i[H, .]`` is anti-hermitian, hence diagonalizable: the Bohr
+        frequencies are grouped as computed eigenvalues are, and each group
+        is one cluster with geometric multiplicity its size and index 1.
+        The grouping radius scales with ``|R|_F``, taken from the Bohr
+        frequencies themselves (the Frobenius norm is unitarily invariant);
+        it can differ from the norm of the formed ``R`` in the last bits,
+        which could only move a gap within roundoff of the radius.
+        """
+        bohr = -1j * (self._energies[:, None] - self._energies).reshape(-1)
+        return _clusters(bohr, _frobenius(bohr), True, lambda value, size: (size, 1))
+
+    def __getattr__(self, name: str):
+        # reached only while matrix or hermitian_form is not formed yet
+        if name == "matrix":
+            value = _assembled(*self._parts)
+        elif name == "hermitian_form":
+            value = _hermitian_form(self.matrix, self.dim)
+            value.setflags(write=False)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # threads that race here only form the same array twice
+        object.__setattr__(self, name, value)
+        return value
 
 
 def laser_cooling_model(gamma1: float, gamma2: float) -> LindbladModel:
@@ -279,7 +323,15 @@ def build_generator(model: LindbladModel) -> Superoperator:
     its spectral analysis: one n x n ``eigvalsh`` here and a grouping of
     the n^2 Bohr frequencies later, instead of an n^2 x n^2 eigensolver
     and an SVD per multiple eigenvalue.  That analysis decides no rank, so
-    its answer does not depend on ``rank_rtol``.
+    its answer does not depend on ``rank_rtol``.  Such a generator forms
+    its matrix and hermitian form only when a stage first reads them, and
+    both checks here read the entries of its matrix off ``H``, so building
+    and analysing it takes O(n^2) memory.  The trace check allows a
+    residual of ``1e-10`` times the largest entry of the matrix or summand
+    of an entry (``max |G|``, and ``rate max |L|^2`` per jump), or 1e-10
+    when those are below 1: the residual is the roundoff of those
+    summands, which a multiple of the identity in ``H`` makes large while
+    it cancels out of the entries.
     The model builds its generator on the first call and returns the same
     object on every later one (:func:`simulate_measurements` and
     :func:`reconstruct` read that one too); a build that raises is not
@@ -299,31 +351,68 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * n, n * n)
 
 
+def _assembled(effective: np.ndarray, jumps) -> np.ndarray:
+    """``kron(G, I) + kron(I, conj(G)) + sum rate kron(L, conj(L))``, read-only: the generator matrix of ``G`` and the jumps.
+
+    Called under ``np.errstate(all="ignore")``, or on parts whose guards
+    showed every entry finite.
+    """
+    eye = np.eye(effective.shape[0], dtype=complex)
+    mat = _kron(effective, eye) + _kron(eye, effective.conj())
+    for rate, op in jumps:
+        mat += rate * _kron(op, op.conj())
+    mat.setflags(write=False)
+    return mat
+
+
 def _vectorized(model: LindbladModel) -> Superoperator:
-    """The generator of :func:`build_generator`, built anew."""
+    """The generator of :func:`build_generator`, built anew.
+
+    A closed model's guards read the entries of its matrix ``M`` off
+    ``G = -iH`` (plus the silent jumps' zeros): ``G_jl`` (``j != l``),
+    ``conj(G_km)`` (``k != m``) and ``G_jj + conj(G_kk)``, and the trace
+    residual ``vec(I)^T M`` is ``G^T + conj(G)``; so its matrix is not formed.
+    """
     n = model.dim
-    eye = np.eye(n, dtype=complex)
+    closed = all(rate == 0 or not op.any() for rate, op in model.jumps)
     with np.errstate(all="ignore"):
         # G rho + rho G^dag + sum rate L rho L^dag, with G = -iH - (1/2) sum rate L^dag L
         effective = -1j * model.hamiltonian
         for rate, op in model.jumps:
             effective = effective - 0.5 * rate * (op.conj().T @ op)
-        mat = _kron(effective, eye) + _kron(eye, effective.conj())
-        for rate, op in model.jumps:
-            mat += rate * _kron(op, op.conj())
-        top = float(np.abs(mat).max())
+        if closed:
+            diagonal = effective.diagonal()
+            top = float(np.max([np.abs(effective[~np.eye(n, dtype=bool)]).max(initial=0.0),
+                                np.abs(diagonal[:, None] + diagonal.conj()).max()]))
+            # a silent jump adds exact zeros to M unless a product L_jl conj(L_km) overflows, which
+            # takes an entry above 1e150; 0 * inf is then NaN, as in the formed matrix
+            if any(np.abs(op).max() > 1e150 and not np.isfinite(_kron(op, op.conj())).all()
+                   for _, op in model.jumps):
+                top = np.nan
+        else:
+            mat = _assembled(effective, model.jumps)
+            top = float(np.abs(mat).max())
     if not top < np.inf:
         raise NumericalFailure("the generator overflows the float range")
-    residual = float(np.abs(eye.reshape(-1) @ mat).max())
+    if closed:
+        residual = float(np.abs(effective.T + effective.conj()).max())
+    else:
+        residual = float(np.abs(np.eye(n, dtype=complex).reshape(-1) @ mat).max())
     if residual > 1e-10 * max(1.0, top):
-        raise NumericalFailure(
-            f"generator fails to annihilate the trace functional (residual {residual:.3e})"
-        )
-    mat.setflags(write=False)
-    gen = Superoperator(dim=n, matrix=mat)
-    if all(rate == 0 or not op.any() for rate, op in model.jumps):
-        object.__setattr__(gen, "_energies", np.linalg.eigvalsh(model.hamiltonian))
-    return gen
+        # a multiple of the identity in H cancels out of M's entries but not out of the
+        # residual's summands, whose roundoff it sets: the largest summand scales it too
+        with np.errstate(over="ignore"):
+            summand = max([np.abs(effective).max()]
+                          + [rate * np.abs(op).max() ** 2 for rate, op in model.jumps if rate])
+        if residual > 1e-10 * summand:
+            raise NumericalFailure(
+                f"generator fails to annihilate the trace functional (residual {residual:.3e})"
+            )
+    if closed:
+        effective.setflags(write=False)
+        return _ClosedGenerator(dim=n, _energies=np.linalg.eigvalsh(model.hamiltonian),
+                                _parts=(effective, model.jumps))
+    return Superoperator(dim=n, matrix=mat)
 
 
 def _propagated(gen: Superoperator, instants: np.ndarray, operand: np.ndarray, *,

@@ -301,14 +301,43 @@ class EigenvalueCluster(NamedTuple):
 
 
 def _group_close(values: np.ndarray, radius: float) -> tuple[np.ndarray, list[list[int]]]:
-    """Single-linkage groups of values within ``radius``: the lone values, then the groups.
+    """Single-linkage groups of finite values within ``radius >= 0``: the lone values, then the groups.
 
-    Distances are tested for all pairs at once; union-find then runs only
-    over the pairs that are close.  Returns the indices of the values with
-    no other value within ``radius``, and the index lists of the groups of
-    two or more.
+    Two values are close when ``|a - b| <= radius``.  The values are sorted
+    along the axis, real or imaginary, over which they spread more.  A
+    close pair is also within ``radius`` along that axis, so only the pairs
+    within ``2 * radius`` along it are tested, which finds the same close
+    pairs as testing all of them; union-find joins them.  Values on one
+    line along the axis, as the Bohr frequencies of a closed model and a
+    real spectrum are, need only each value and the next tested: rounding
+    is monotone, so two values across a gap wider than ``radius`` are
+    farther apart still.  That is one sort plus the pairs tested:
+    O(m log m) time and O(m) memory for m values on one line, or when few
+    values crowd within a radius of each other along the axis.  Returns
+    the indices of the values with no other value within ``radius``, and
+    the index lists of the groups of two or more, ordered by their first
+    member, each in index order.
     """
+    real, imag = values.real, values.imag
+    spread = real.max() - real.min(), imag.max() - imag.min()
+    along = real if spread[0] > spread[1] else imag
+    # the order of equal coordinates does not matter: every pair of them falls in one window
+    order = along.argsort()
+    coordinate = along[order]
+    after = np.arange(1, values.size + 1)
+    # fl(b - a) <= radius implies b <= a + 2 radius, so each window holds every close pair
+    widths = coordinate.searchsorted(coordinate + 2 * radius, side="right") - after
+    if min(spread) == 0:
+        widths = np.minimum(widths, 1)
+    if not widths.any():
+        return np.arange(values.size), []
+    # the window after the k-th value in order holds the next widths[k] values
+    first = order.repeat(widths)
+    second = order[np.arange(first.size) + (after + widths - widths.cumsum()).repeat(widths)]
+    # the test of the all-pairs matrix, |a - b| by numpy, so its roundoff is the same
+    close = np.abs(values[first] - values[second]) <= radius
     parent = list(range(values.size))
+    paired = [False] * values.size
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -316,16 +345,17 @@ def _group_close(values: np.ndarray, radius: float) -> tuple[np.ndarray, list[li
             i = parent[i]
         return i
 
-    close = np.abs(values[:, None] - values) <= radius
-    np.fill_diagonal(close, False)
-    first, second = np.nonzero(close)
-    for i, j in zip(first.tolist(), second.tolist()):
+    for i, j in zip(first[close].tolist(), second[close].tolist()):
         parent[find(i)] = find(j)
-    paired = close.any(axis=1)
+        paired[i] = paired[j] = True
+    lone: list[int] = []
     groups: dict[int, list[int]] = {}
-    for i in np.flatnonzero(paired).tolist():
-        groups.setdefault(find(i), []).append(i)
-    return np.flatnonzero(~paired), list(groups.values())
+    for i, joined in enumerate(paired):
+        if joined:
+            groups.setdefault(find(i), []).append(i)
+        else:
+            lone.append(i)
+    return np.array(lone, dtype=np.intp), list(groups.values())
 
 
 def _jordan_counts(shifted: np.ndarray, algebraic: int,

@@ -255,3 +255,30 @@ def read_record_by_line(path) -> MeasurementRecord:
     if not entries:
         raise ValidationError(f"record file {path!s}: no measurement rows")
     return MeasurementRecord(entries=entries)
+
+
+def group_close_by_all_pairs(values: np.ndarray, radius: float) -> tuple[np.ndarray, list[list[int]]]:
+    """Single linkage written out over all pairs: the reference for ``operator_algebra._group_close``.
+
+    Two values are close when ``|a - b| <= radius``; the groups are the
+    connected components of two or more values, found by a depth-first walk
+    of the full closeness matrix.  Returns the indices of the values close
+    to no other, and the groups ordered by their first member, each in
+    index order.
+    """
+    close = np.abs(values[:, None] - values) <= radius
+    np.fill_diagonal(close, False)
+    component = np.full(values.size, -1)
+    groups = []
+    for start in range(values.size):
+        if component[start] >= 0 or not close[start].any():
+            continue
+        component[start] = start
+        stack, members = [start], [start]
+        while stack:
+            for j in np.flatnonzero(close[stack.pop()] & (component < 0)).tolist():
+                component[j] = start
+                stack.append(j)
+                members.append(j)
+        groups.append(sorted(members))
+    return np.flatnonzero(component < 0), groups

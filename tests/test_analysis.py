@@ -1,8 +1,11 @@
 import importlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strobe_tomo.analysis
 import strobe_tomo.operator_algebra
@@ -25,9 +28,11 @@ from strobe_tomo import (
 )
 
 from strobe_tomo.analysis import _observable_coordinates
+from strobe_tomo.operator_algebra import _hermitian_form
 
 from helpers import (
     gell_mann_basis,
+    kron_generator,
     krylov_subspace,
     random_density,
     real_jordan_matrix,
@@ -279,6 +284,51 @@ class TestClosedModels:
         report = self.report_matching_general_route(model)
         assert (report.eta, report.mu) == (2, 3)
 
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), integer=st.booleans(),
+           scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    def test_report_equals_the_general_route_on_the_formed_form(self, n, seed, integer, scale):
+        rng = np.random.default_rng(seed)
+        energies = rng.integers(-2, 3, size=n) if integer else rng.standard_normal(n)
+        u = random_unitary(n, rng)
+        ham = scale * (u @ np.diag(energies.astype(float)) @ u.conj().T)
+        self.report_matching_general_route(LindbladModel(dim=n, hamiltonian=ham))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_forms_read_after_the_report_are_those_of_the_general_route(self, n):
+        rng = np.random.default_rng(500 + n)
+        silent = (0.0, rng.standard_normal((n, n)))
+        model = LindbladModel(dim=n, hamiltonian=random_hermitian(n, rng), jumps=(silent,))
+        gen = build_generator(model)
+        spectral_report(gen)
+        assert not {"matrix", "hermitian_form"} & vars(gen).keys()
+        assert gen.matrix.tobytes() == kron_generator(model).tobytes()
+        assert gen.hermitian_form.tobytes() == _hermitian_form(gen.matrix, n).tobytes()
+        assert gen.matrix is gen.matrix and gen.hermitian_form is gen.hermitian_form
+        assert not (gen.matrix.flags.writeable or gen.hermitian_form.flags.writeable)
+
+    @pytest.mark.parametrize("levels", [64, 3], ids=["random", "three-levels"])
+    def test_64_level_report_forms_no_generator(self, levels):
+        # the generator matrix of 64 levels takes 268 MB and its hermitian form 134 MB;
+        # the report needs the 4096 Bohr frequencies and their grouping
+        rng = np.random.default_rng(64)
+        energies = rng.standard_normal(64) if levels == 64 else np.arange(64) % 3
+        u = random_unitary(64, rng)
+        model = LindbladModel(dim=64, hamiltonian=u @ np.diag(energies.astype(float)) @ u.conj().T)
+        tracemalloc.start()
+        try:
+            gen = build_generator(model)
+            report = spectral_report(gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        assert not {"matrix", "hermitian_form"} & vars(gen).keys()
+        if levels == 3:
+            assert (report.eta, report.mu) == (22**2 + 2 * 21**2, 5)
+        else:
+            assert report.eta == 64
+
     def test_closed_model_runs_no_eigensolver_and_no_rank(self, spy):
         values, ranks = spy("operator_algebra", "eigenvalues"), spy("operator_algebra", "rank")
         report = spectral_report(build_generator(LindbladModel(dim=6, hamiltonian=np.diag(np.arange(6.0) % 3))))
@@ -290,7 +340,7 @@ class TestClosedModels:
         values, ranks = spy("operator_algebra", "eigenvalues"), spy("operator_algebra", "rank")
         model = LindbladModel(dim=3, hamiltonian=np.diag([0.0, 1.0, 1.0]),
                               jumps=((rate, np.outer(np.eye(3)[0], np.eye(3)[1])),))
-        assert build_generator(model)._energies is None
+        assert getattr(build_generator(model), "_energies", None) is None
         spectral_report(build_generator(model))
         assert len(values) == 1 and len(ranks) > 0
 

@@ -217,6 +217,67 @@ class TestBuildGenerator:
             gen = build_generator(random_model(n, rng))
             assert trace_residual(gen) <= 1e-10
 
+    @pytest.mark.parametrize("jumps", [(), ((1.0, np.outer(np.eye(3)[0], np.eye(3)[1])),)],
+                             ids=["closed", "dissipative"])
+    def test_rotated_multiple_of_the_identity_builds(self, jumps):
+        # the identity part cancels in the matrix's entries but not in the residual's summands,
+        # whose roundoff is about eps |H|; the threshold scaled by max |M| alone read 1e-16
+        rng = np.random.default_rng(1)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        model = LindbladModel(dim=3, hamiltonian=q @ (1e9 * np.eye(3)) @ q.conj().T, jumps=jumps)
+        residual = trace_residual(build_generator(model))
+        assert 1e-9 < residual <= 1e-15 * 1e9
+
+    @staticmethod
+    def guard_message_of_the_formed_matrix(model: LindbladModel) -> str | None:
+        """The guards' verdict read off the matrix written out: the failure message, or None."""
+        with np.errstate(all="ignore"):
+            mat = kron_generator(model)
+            top = np.abs(mat).max()
+            if not top < np.inf:
+                return "the generator overflows the float range"
+            residual = np.abs(np.eye(model.dim).reshape(-1) @ mat).max()
+            effective = -1j * model.hamiltonian
+            for rate, op in model.jumps:
+                effective = effective - 0.5 * rate * (op.conj().T @ op)
+            summand = max([np.abs(effective).max()] + [rate * np.abs(op).max() ** 2 for rate, op in model.jumps])
+        if residual > 1e-10 * max(1.0, top, summand):
+            return f"generator fails to annihilate the trace functional (residual {residual:.3e})"
+        return None
+
+    @staticmethod
+    def silent(size: float) -> tuple:
+        """A rate-0 jump on 3 levels whose largest entry is ``size``."""
+        op = np.zeros((3, 3), dtype=complex)
+        op[0, 2], op[2, 1] = size, 0.7j * size
+        return ((0.0, op),)
+
+    EDGE_MODELS = {
+        "one-level": (np.array([[3.0]]), ()),
+        "huge-diagonal": (np.diag([1.7e308, -1.7e308, 0.0]), ()),
+        "huge-equal-diagonal": (np.diag([1.7e308, 1.7e308, 0.0]), ()),
+        "huge-off-diagonal": (np.array([[0.0, 1.7e308, 0.0], [1.7e308, 0.0, 0.0], [0.0, 0.0, 1.0]]), ()),
+        "hermiticity-defect": (np.array([[1.0, 2.0 + 2e-12, 0.0], [2.0, -1.0, 1j], [0.0, -1j, 0.5]]), ()),
+        "scalar-1e12": (1e12 * np.eye(3), ()),
+        "silent-1e100": (np.eye(3), silent(1e100)),
+        "silent-1e152": (np.eye(3), silent(1e152)),
+        "silent-1e154": (np.eye(3), silent(1.2e154)),
+        "silent-1e160": (np.eye(3), silent(1e160)),
+        "zero-operator-at-huge-rate": (np.eye(3), ((1e300, np.zeros((3, 3))),)),
+    }
+
+    @pytest.mark.parametrize("name", EDGE_MODELS)
+    def test_closed_guards_match_the_formed_matrix(self, name):
+        # a closed model's guards read M's entries off G = -iH without forming M
+        ham, jumps = self.EDGE_MODELS[name]
+        model = LindbladModel(dim=ham.shape[0], hamiltonian=ham, jumps=jumps)
+        expected = self.guard_message_of_the_formed_matrix(model)
+        if expected is None:
+            assert build_generator(model)._energies is not None
+        else:
+            with pytest.raises(NumericalFailure, match=f"^{re.escape(expected)}$"):
+                build_generator(model)
+
     def test_overflowing_generator_rejected_without_warning(self):
         # L^dag L has an entry of 1e400, and the krons turn it into inf and NaN entries
         model = LindbladModel(dim=2, jumps=((1.0, np.array([[0.0, 1e200], [0.0, 0.0]])),))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import mpmath
@@ -26,6 +27,7 @@ from strobe_tomo.operator_algebra import (
     EigenvalueCluster,
     _coordinates,
     _from_coordinates,
+    _group_close,
     _hermitian_form,
     _hermiticity,
     _minimal_polynomial_of,
@@ -36,6 +38,7 @@ from helpers import (
     equal_rate_cascade,
     gell_mann_basis,
     gell_mann_columns,
+    group_close_by_all_pairs,
     jordan_matrix,
     random_density,
     random_model,
@@ -404,6 +407,65 @@ class TestEigenStructure:
         by_value = {round(c.value.real, 6): c[1:] for c in clusters}
         assert len(clusters) == 6
         assert (by_value[-1.0], by_value[-2.5]) == ((3, 1, 3), (2, 2, 1))
+
+
+def grouping_cases(kind: str, rng: np.random.Generator):
+    """``(values, radius)`` pairs of one kind for the grouping tests."""
+    for _ in range(150):
+        size = int(rng.integers(1, 30))
+        radius = float(rng.choice([0.0, 0.25, 1e-3, 0.7]))
+        if kind == "ties":
+            # few distinct points, each taken several times
+            values = (rng.integers(-2, 3, size) + 1j * rng.integers(-2, 3, size)) * 0.25
+        elif kind == "chains":
+            # steps of exactly the radius, one ulp inside it or one ulp outside it, along a random direction
+            steps = rng.choice([radius, np.nextafter(radius, 0.0), np.nextafter(radius, 1.0)], size)
+            values = np.exp(1j * rng.choice([0.0, np.pi / 2, np.pi / 4, rng.uniform(0, np.pi)])) * np.cumsum(steps)
+        elif kind == "conjugate-pairs":
+            half = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * radius * 3
+            values = np.concatenate([half, half.conj(), half.real[: size // 3]])
+        elif kind == "one-line":
+            # Bohr frequencies -i (E_j - E_k) of integer energies, exact or a little off, or of random
+            # ones; or real values, as a real spectrum has
+            energies = (rng.integers(-3, 4, size) + rng.choice([0.0, 1e-9]) * rng.standard_normal(size)) * radius
+            if rng.random() < 0.3:
+                energies = rng.standard_normal(size) * radius * 4
+            values = -1j * (energies[:, None] - energies).reshape(-1) if rng.random() < 0.7 else energies
+        else:
+            values = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * radius * 2
+        yield values.astype(complex), radius
+
+
+class TestGroupClose:
+    """The sorted sweep finds the single-linkage groups of the all-pairs test, in the same order."""
+
+    @pytest.mark.parametrize("kind", ["ties", "chains", "conjugate-pairs", "one-line", "scattered"])
+    def test_matches_the_all_pairs_reference(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for values, radius in grouping_cases(kind, rng):
+            lone, groups = _group_close(values, radius)
+            expected_lone, expected_groups = group_close_by_all_pairs(values, radius)
+            assert np.array_equal(lone, expected_lone)
+            assert groups == expected_groups
+
+    def test_pair_whose_gap_rounds_onto_the_radius(self):
+        # b - a rounds to 0.7 although b lies past a + 0.7 as rounded: a window of one radius misses it
+        a, b = -0.5981710012073957, 0.10182899879260422
+        assert b - a == 0.7 and b > a + 0.7
+        values = np.array([1j * a, 1j * b, 5j])
+        assert group_close_by_all_pairs(values, 0.7)[1] == _group_close(values, 0.7)[1] == [[0, 1]]
+
+    def test_many_equal_values_in_linear_time(self):
+        # 4096 equal Bohr frequencies, as a zero Hamiltonian on 64 levels has: one group,
+        # without the 16.7 million pairs of the all-pairs test
+        tracemalloc.start()
+        try:
+            lone, groups = _group_close(np.zeros(4096, dtype=complex), 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lone.size == 0 and groups == [list(range(4096))]
+        assert peak < 2_000_000
 
 
 def package_basis(n: int) -> np.ndarray:
