@@ -30,6 +30,7 @@ from .operator_algebra import (
     _instance,
     _minimal_polynomial_of,
     _tolerances,
+    _type_name,
     assert_hermitian,
     random_hermitian,
 )
@@ -138,7 +139,7 @@ def _observable_coordinates(observables, gen: Superoperator) -> np.ndarray:
         observables = list(observables)
     except TypeError:
         raise ValidationError("observables must be a sequence of matrices, "
-                              f"got {type(observables).__name__}") from None
+                              f"got {_type_name(observables)}") from None
     dim = gen.dim
     try:
         stack = np.asarray(observables, dtype=complex)

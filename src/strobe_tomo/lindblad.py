@@ -29,12 +29,15 @@ from .operator_algebra import (
     ToleranceConfig,
     _clusters,
     _coordinates,
+    _form_of_rows,
     _frobenius,
     _from_coordinates,
     _hermitian_form,
+    _hermitian_indices,
     _hermiticity,
     _instance,
     _square,
+    _type_name,
     as_complex_matrix,
     assert_hermitian,
     eigen_structure,
@@ -62,8 +65,9 @@ EVOLVE_EIG_FLOOR = -1e-8
 STATE_EIG_FLOOR = -1e-10
 #: a grid is equispaced when every ``t_j`` is ``j * t_1`` to this relative tolerance
 EQUISPACED_RTOL = 1e-12
-#: largest model dimension: the dense generator of a 64-level model is a
-#: 4096 x 4096 complex matrix (256 MiB), and every analysis step is O(dim^6)
+#: largest model dimension: a 64-level build with an active jump forms the rows jk (j <= k)
+#: of its 4096 x 4096 complex generator matrix (130 MiB), a closed one nothing that size; the
+#: whole matrix (256 MiB) is formed only when read; every analysis step is O(dim^6)
 MAX_DIM = 64
 
 
@@ -78,7 +82,7 @@ def _integer(value, name: str, positive: bool = False):
 def _nonnegative_real(value, name: str) -> float:
     """``value`` as a float if it is a finite real number >= 0, not a bool; else :class:`ValidationError`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {type(value).__name__}")
+        raise ValidationError(f"{name} must be a real number, got {_type_name(value)}")
     try:
         value = float(value)
     except OverflowError:
@@ -134,7 +138,7 @@ class LindbladModel:
             jumps = tuple(self.jumps)
         except TypeError:
             raise ValidationError("jumps must be a sequence of (rate, operator) pairs, "
-                                  f"got {type(self.jumps).__name__}") from None
+                                  f"got {_type_name(self.jumps)}") from None
         checked = []
         for idx, item in enumerate(jumps):
             try:
@@ -164,23 +168,30 @@ class Superoperator:
     matrices produced by :func:`build_generator` also annihilate the trace
     functional (``vec(I)^dag @ matrix ~ 0``).  The matrix is
     stored read-only: a caller's array is copied, unless it is already a
-    read-only complex array that owns its memory, as :func:`build_generator`
-    passes.  Formed once here for every stage, the read-only ``hermitian_form``
-    is the generator in hermitian coordinates, the real ``R = T^dag matrix T``
-    that every stage runs on.  A generator analyses its spectrum once per
+    read-only complex array that owns its memory.  Formed once here for
+    every stage, the read-only ``hermitian_form`` is the generator in
+    hermitian coordinates, the real ``R = T^dag matrix T`` that every stage
+    runs on.  A generator analyses its spectrum once per
     :class:`ToleranceConfig`: it keeps ``eigen_structure(hermitian_form, tol)``
     for each tolerance asked about, and :func:`spectral_report` and
-    :func:`find_observables` read the kept clusters.  The generator that
-    :func:`build_generator` makes of a closed model, one whose every jump
-    has rate 0 or an all-zero operator, keeps the eigenvalues ``E`` of the
-    model's Hamiltonian instead and reads its clusters off the Bohr
-    frequencies ``-i (E_j - E_k)``: one n x n ``eigvalsh`` when it is built
-    plus a grouping of n^2 values, with the radius taken from
+    :func:`find_observables` read the kept clusters.
+
+    A generator that :func:`build_generator` makes is a ``Superoperator``
+    formed from the model's parts rather than from a matrix: it forms
+    ``hermitian_form`` from the rows ``jk`` (``j <= k``) of the matrix,
+    assembled off ``G`` and the jumps, and ``matrix`` only when a caller
+    reads it, both bit for bit as here, and it skips the hermiticity test
+    (each mirrored pair of entries is made of the same finite products).
+    ``repr()`` and error messages show it as a ``Superoperator``, and
+    ``repr()`` forms nothing.  Of a closed model, one whose every jump has
+    rate 0 or an all-zero operator, it keeps the eigenvalues ``E`` of the
+    model's Hamiltonian and reads its clusters off the Bohr frequencies
+    ``-i (E_j - E_k)``: one n x n ``eigvalsh`` when it is built plus a
+    grouping of n^2 values, with the radius taken from
     ``|R|_F = |E_j - E_k|_F``, and no rank decision, so those clusters do
-    not depend on ``rank_rtol``.  Its ``matrix`` and ``hermitian_form``
-    are formed, bit for bit as here, when a stage first reads them, so
-    its spectral analysis holds O(n^2) numbers, not O(n^4).
-    A generator made by hand takes the general route.
+    not depend on ``rank_rtol``.  Its ``hermitian_form`` too is formed
+    when a stage first reads it, so its spectral analysis holds O(n^2)
+    numbers, not O(n^4).
 
     Every stage of the library loop also reads three things the generator
     keeps once computed: the step exponential ``expm(t * hermitian_form)``
@@ -251,28 +262,42 @@ class Superoperator:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class _ClosedGenerator(Superoperator):
-    """The generator ``-i[H, .]`` of a closed model, as :func:`build_generator` makes it: O(n^2) numbers until read.
+class _BuiltGenerator(Superoperator):
+    """The generator of a model, as :func:`build_generator` makes it: its matrix is formed only when read.
 
-    It holds ``eigvalsh(H)``, which its spectral analysis reads (see
-    :meth:`_analysed`), and the parts ``matrix`` is assembled from:
-    ``G = -iH`` and the silent jumps.
-    ``matrix`` and ``hermitian_form`` are formed when a stage first reads
-    them, bit for bit as the general route forms them when it is made, and
-    kept read-only; a hermitian form of such a matrix always exists, since
-    ``G rho + rho G^dag`` is exactly hermitian for a hermitian ``rho``.
+    It holds the parts ``matrix`` is assembled from, ``G`` and the jumps
+    (see :func:`_assembled`), and of a closed model ``eigvalsh(H)``, which
+    its spectral analysis reads instead of ``hermitian_form`` (see
+    :meth:`_analysed`).  ``matrix``, and a closed model's
+    ``hermitian_form``, are formed when a stage first reads them, bit for
+    bit as a ``Superoperator`` made of the same matrix forms them, and
+    kept read-only.  The reshuffle test of :func:`_hermitian_form` is
+    skipped, and the hermitian form is formed from the rows ``jk`` with
+    ``j <= k`` alone: the entries ``m[kj, ml]`` and ``conj(m[jk, lm])`` are
+    sums of the same finite products, conjugated, so they differ by the
+    roundoff of those products, far below the test's ``1e-12 * (1 + max
+    |m|)`` unless the entries cancel far below the products, as on one
+    level, where a jump at rate 1e6 leaves a generator of 0 that the test
+    would reject.  It reads as a ``Superoperator`` in ``repr()`` and in
+    error messages, and ``repr()`` forms nothing.
     """
 
     matrix: np.ndarray = field(init=False)
-    _energies: np.ndarray = field(repr=False)
-    # (G, jumps) that _assembled forms matrix from
+    # (G, jumps) that _assembled forms the entries of matrix from
     _parts: tuple = field(repr=False)
+    # eigvalsh(H) of a closed model; None when a jump is active
+    _energies: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
         """Nothing to check: :func:`_vectorized` checked the model and its guards."""
 
+    def __repr__(self) -> str:
+        matrix = vars(self).get("matrix")
+        shown = "<formed on first read>" if matrix is None else repr(matrix)
+        return f"Superoperator(dim={self.dim!r}, matrix={shown})"
+
     def _analysed(self, tol: ToleranceConfig) -> tuple[EigenvalueCluster, ...]:
-        """The clusters of the Bohr frequencies ``-i (E_j - E_k)``; ``hermitian_form`` is not read.
+        """A closed model's clusters from the Bohr frequencies ``-i (E_j - E_k)``, ``hermitian_form`` not read; else the general route.
 
         ``-i[H, .]`` is anti-hermitian, hence diagonalizable: the Bohr
         frequencies are grouped as computed eigenvalues are, and each group
@@ -282,18 +307,20 @@ class _ClosedGenerator(Superoperator):
         it can differ from the norm of the formed ``R`` in the last bits,
         which could only move a gap within roundoff of the radius.
         """
+        if self._energies is None:
+            return super()._analysed(tol)
         bohr = -1j * (self._energies[:, None] - self._energies).reshape(-1)
         return _clusters(bohr, _frobenius(bohr), True, lambda value, size: (size, 1))
 
     def __getattr__(self, name: str):
         # reached only while matrix or hermitian_form is not formed yet
         if name == "matrix":
-            value = _assembled(*self._parts)
+            value = _assembled(*self._parts, np.arange(self.dim ** 2))
         elif name == "hermitian_form":
-            value = _hermitian_form(self.matrix, self.dim)
-            value.setflags(write=False)
+            value = _form_of_rows(_assembled(*self._parts, _hermitian_indices(self.dim)[0]), self.dim)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value.setflags(write=False)
         # threads that race here only form the same array twice
         object.__setattr__(self, name, value)
         return value
@@ -318,13 +345,19 @@ def build_generator(model: LindbladModel) -> Superoperator:
     The output annihilates the trace functional by construction; this is
     re-checked numerically as a guard against degenerate inputs.  A
     generator with an entry past the float range raises :class:`NumericalFailure`.
+    No n^2 x n^2 complex matrix is formed: a model with an active jump
+    assembles the rows ``jk`` (``j <= k``) of its matrix, about half of
+    it, from ``G = -iH - (1/2) sum rate L^dag L`` and the jumps, reads both
+    checks off them and forms the hermitian form from them; the matrix
+    is formed, bit for bit as the ``kron`` sum forms it, only when a
+    caller reads ``matrix``.
     A model is closed when every jump has rate 0 or an all-zero operator;
     its generator is then ``-i[H, .]``, and it keeps ``eigvalsh(H)`` for
     its spectral analysis: one n x n ``eigvalsh`` here and a grouping of
     the n^2 Bohr frequencies later, instead of an n^2 x n^2 eigensolver
     and an SVD per multiple eigenvalue.  That analysis decides no rank, so
     its answer does not depend on ``rank_rtol``.  Such a generator forms
-    its matrix and hermitian form only when a stage first reads them, and
+    its hermitian form too only when a stage first reads it, and
     both checks here read the entries of its matrix off ``H``, so building
     and analysing it takes O(n^2) memory.  The trace check allows a
     residual of ``1e-10`` times the largest entry of the matrix or summand
@@ -345,33 +378,42 @@ def build_generator(model: LindbladModel) -> Superoperator:
     return _instance(model, LindbladModel, "model")._generator
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two ``n x n`` matrices as one broadcast product, bit for bit."""
-    n = a.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * n, n * n)
+def _assembled(effective: np.ndarray, jumps, rows: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` of ``kron(G, I) + kron(I, conj(G)) + sum rate kron(L, conj(L))``: the generator matrix of ``G`` and the jumps.
 
-
-def _assembled(effective: np.ndarray, jumps) -> np.ndarray:
-    """``kron(G, I) + kron(I, conj(G)) + sum rate kron(L, conj(L))``, read-only: the generator matrix of ``G`` and the jumps.
-
-    Called under ``np.errstate(all="ignore")``, or on parts whose guards
-    showed every entry finite.
+    Entry ``(jk, lm)`` is ``G_jl I_km + I_jl conj(G_km) + sum rate L_jl
+    conj(L_km)``, each product and sum computed as the ``np.kron`` sum
+    computes it, so every entry has its bits; ``np.arange(dim**2)`` gives
+    the whole matrix.  Called under ``np.errstate(all="ignore")``, or on
+    parts whose guards showed every entry finite.
     """
-    eye = np.eye(effective.shape[0], dtype=complex)
-    mat = _kron(effective, eye) + _kron(eye, effective.conj())
+    n = effective.shape[0]
+    j, k = np.divmod(rows, n)
+    eye = np.eye(n, dtype=complex)
+    out = np.empty((rows.size, n, n), dtype=complex)
+    term = np.empty_like(out)
+    np.multiply(effective[j, :, None], eye[k, None, :], out=out)
+    np.multiply(eye[j, :, None], effective.conj()[k, None, :], out=term)
+    out += term
     for rate, op in jumps:
-        mat += rate * _kron(op, op.conj())
-    mat.setflags(write=False)
-    return mat
+        np.multiply(op[j, :, None], op.conj()[k, None, :], out=term)
+        term *= rate
+        out += term
+    return out.reshape(rows.size, n * n)
 
 
 def _vectorized(model: LindbladModel) -> Superoperator:
     """The generator of :func:`build_generator`, built anew.
 
-    A closed model's guards read the entries of its matrix ``M`` off
-    ``G = -iH`` (plus the silent jumps' zeros): ``G_jl`` (``j != l``),
-    ``conj(G_km)`` (``k != m``) and ``G_jj + conj(G_kk)``, and the trace
-    residual ``vec(I)^T M`` is ``G^T + conj(G)``; so its matrix is not formed.
+    The guards read the matrix ``M`` without forming it.  A model with an
+    active jump assembles the rows ``jk`` with ``j <= k`` of ``M``, about
+    half of it, and forms ``R`` from them: each row ``kj`` is the conjugate
+    mirror of row ``jk``, so the largest entry of those rows is that of
+    ``M``, and the rows ``jj`` that ``vec(I)^T M`` sums are among them.  A
+    closed model's guards read the entries of ``M`` off ``G = -iH`` (plus
+    the silent jumps' zeros): ``G_jl`` (``j != l``), ``conj(G_km)``
+    (``k != m``) and ``G_jj + conj(G_kk)``, and the trace residual
+    ``vec(I)^T M`` is ``G^T + conj(G)``; so nothing of size n^2 x n^2 is formed.
     """
     n = model.dim
     closed = all(rate == 0 or not op.any() for rate, op in model.jumps)
@@ -386,18 +428,17 @@ def _vectorized(model: LindbladModel) -> Superoperator:
                                 np.abs(diagonal[:, None] + diagonal.conj()).max()]))
             # a silent jump adds exact zeros to M unless a product L_jl conj(L_km) overflows, which
             # takes an entry above 1e150; 0 * inf is then NaN, as in the formed matrix
-            if any(np.abs(op).max() > 1e150 and not np.isfinite(_kron(op, op.conj())).all()
+            if any(np.abs(op).max() > 1e150 and not np.isfinite(np.multiply.outer(op, op.conj())).all()
                    for _, op in model.jumps):
                 top = np.nan
+            residual = float(np.abs(effective.T + effective.conj()).max())
         else:
-            mat = _assembled(effective, model.jumps)
-            top = float(np.abs(mat).max())
+            upper_rows = _assembled(effective, model.jumps, _hermitian_indices(n)[0])
+            top = float(np.abs(upper_rows).max())
+            # the rows jj come last
+            residual = float(np.abs(upper_rows[-n:].sum(axis=0)).max())
     if not top < np.inf:
         raise NumericalFailure("the generator overflows the float range")
-    if closed:
-        residual = float(np.abs(effective.T + effective.conj()).max())
-    else:
-        residual = float(np.abs(np.eye(n, dtype=complex).reshape(-1) @ mat).max())
     if residual > 1e-10 * max(1.0, top):
         # a multiple of the identity in H cancels out of M's entries but not out of the
         # residual's summands, whose roundoff it sets: the largest summand scales it too
@@ -408,11 +449,14 @@ def _vectorized(model: LindbladModel) -> Superoperator:
             raise NumericalFailure(
                 f"generator fails to annihilate the trace functional (residual {residual:.3e})"
             )
-    if closed:
-        effective.setflags(write=False)
-        return _ClosedGenerator(dim=n, _energies=np.linalg.eigvalsh(model.hamiltonian),
-                                _parts=(effective, model.jumps))
-    return Superoperator(dim=n, matrix=mat)
+    effective.setflags(write=False)
+    gen = _BuiltGenerator(dim=n, _parts=(effective, model.jumps),
+                          _energies=np.linalg.eigvalsh(model.hamiltonian) if closed else None)
+    if not closed:
+        form = _form_of_rows(upper_rows, n)
+        form.setflags(write=False)
+        object.__setattr__(gen, "hermitian_form", form)
+    return gen
 
 
 def _propagated(gen: Superoperator, instants: np.ndarray, operand: np.ndarray, *,
@@ -553,7 +597,7 @@ def matrix_to_json(m) -> list:
 def _number_from_json(obj, field_name: str) -> float:
     """A JSON number as a finite float; rejects booleans, non-numbers, NaN, infinity and huge integers."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ValidationError(f"{field_name}: expected a number, got {type(obj).__name__}")
+        raise ValidationError(f"{field_name}: expected a number, got {_type_name(obj)}")
     try:
         value = float(obj)
     except OverflowError:
@@ -654,7 +698,7 @@ def model_to_json(model: LindbladModel) -> dict:
 def model_from_json(obj) -> LindbladModel:
     """Parse a model document, naming the offending field on failure."""
     if not isinstance(obj, dict):
-        raise ValidationError(f"model: expected a JSON object, got {type(obj).__name__}")
+        raise ValidationError(f"model: expected a JSON object, got {_type_name(obj)}")
     if "dim" not in obj:
         raise ValidationError("model: missing required field 'dim'")
 

@@ -67,10 +67,15 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
+def _type_name(value) -> str:
+    """The name of ``value``'s type, or of the first public class it extends: a built generator reads as ``Superoperator``."""
+    return next(cls.__name__ for cls in type(value).__mro__ if not cls.__name__.startswith("_"))
+
+
 def _instance(value, kind: type, name: str):
     """``value`` if it is a ``kind``; else :class:`ValidationError` naming ``name`` and both types."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {_type_name(value)}")
     return value
 
 
@@ -307,55 +312,69 @@ def _group_close(values: np.ndarray, radius: float) -> tuple[np.ndarray, list[li
     along the axis, real or imaginary, over which they spread more.  A
     close pair is also within ``radius`` along that axis, so only the pairs
     within ``2 * radius`` along it are tested, which finds the same close
-    pairs as testing all of them; union-find joins them.  Values on one
-    line along the axis, as the Bohr frequencies of a closed model and a
-    real spectrum are, need only each value and the next tested: rounding
-    is monotone, so two values across a gap wider than ``radius`` are
-    farther apart still.  That is one sort plus the pairs tested:
-    O(m log m) time and O(m) memory for m values on one line, or when few
-    values crowd within a radius of each other along the axis.  Returns
-    the indices of the values with no other value within ``radius``, and
-    the index lists of the groups of two or more, ordered by their first
-    member, each in index order.
+    pairs as testing all of them.  Values on one line along the axis, as
+    the Bohr frequencies of a closed model and a real spectrum are, need
+    only each value and the next tested: rounding is monotone, so two
+    values across a gap wider than ``radius`` are farther apart still, and
+    the groups are the runs of neighbours within ``radius``.  Otherwise
+    the close pairs are joined by pointer jumping: each round hooks every
+    root onto the smallest root it is paired with, then points every value
+    at its root, and the rounds needed grow with the logarithm of a
+    group's size.  Every step but the last, which lists each group, is an
+    array operation: O(m log m) time and O(m) memory for m values on one
+    line, or when few values crowd within a radius of each other along the
+    axis.  Returns the indices of the values with no other value within
+    ``radius``, and the index lists of the groups of two or more, ordered
+    by their first member, each in index order.
     """
+    size = values.size
     real, imag = values.real, values.imag
     spread = real.max() - real.min(), imag.max() - imag.min()
     along = real if spread[0] > spread[1] else imag
     # the order of equal coordinates does not matter: every pair of them falls in one window
     order = along.argsort()
+    if min(spread) == 0:
+        # the test of the all-pairs matrix, |a - b| by numpy, so its roundoff is the same
+        linked = np.abs(np.diff(values[order])) <= radius
+        # edge[k] says the (k-1)-th and the k-th value in order are close: the k-th run of
+        # close neighbours spans the positions in order from bounds[2k] to bounds[2k + 1]
+        edge = np.zeros(size + 1, dtype=np.int8)
+        edge[1:-1] = linked
+        bounds = np.flatnonzero(np.diff(edge)).tolist()
+        ranked = order.tolist()
+        groups = sorted(sorted(ranked[a:b + 1]) for a, b in zip(bounds[::2], bounds[1::2]))
+        return np.sort(order[(edge[1:] | edge[:-1]) == 0]), groups
     coordinate = along[order]
-    after = np.arange(1, values.size + 1)
+    after = np.arange(1, size + 1)
     # fl(b - a) <= radius implies b <= a + 2 radius, so each window holds every close pair
     widths = coordinate.searchsorted(coordinate + 2 * radius, side="right") - after
-    if min(spread) == 0:
-        widths = np.minimum(widths, 1)
-    if not widths.any():
-        return np.arange(values.size), []
     # the window after the k-th value in order holds the next widths[k] values
     first = order.repeat(widths)
     second = order[np.arange(first.size) + (after + widths - widths.cumsum()).repeat(widths)]
-    # the test of the all-pairs matrix, |a - b| by numpy, so its roundoff is the same
     close = np.abs(values[first] - values[second]) <= radius
-    parent = list(range(values.size))
-    paired = [False] * values.size
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(first[close].tolist(), second[close].tolist()):
-        parent[find(i)] = find(j)
-        paired[i] = paired[j] = True
-    lone: list[int] = []
-    groups: dict[int, list[int]] = {}
-    for i, joined in enumerate(paired):
-        if joined:
-            groups.setdefault(find(i), []).append(i)
-        else:
-            lone.append(i)
-    return np.array(lone, dtype=np.intp), list(groups.values())
+    if not close.any():
+        return np.arange(size), []
+    first, second = first[close], second[close]
+    paired = np.zeros(size, dtype=bool)
+    paired[first] = paired[second] = True
+    label = np.arange(size)
+    while first.size:
+        ends = label[first], label[second]
+        np.minimum.at(label, ends[0], ends[1])
+        np.minimum.at(label, ends[1], ends[0])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        apart = label[first] != label[second]
+        first, second = first[apart], second[apart]
+    # the grouped values by label, each group in index order, then the groups by first member
+    members = np.flatnonzero(paired)
+    members = members[label[members].argsort(kind="stable")]
+    flat = members.tolist()
+    bounds = [0, *(np.flatnonzero(np.diff(label[members])) + 1).tolist(), len(flat)]
+    return np.flatnonzero(~paired), sorted(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def _jordan_counts(shifted: np.ndarray, algebraic: int,
@@ -391,7 +410,9 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
     ``|m|_F * EIG_CLUSTER_RTOL**(2/3)``; a group's size is the algebraic
     multiplicity, and its value the one member or the mean of several.  A
     simple eigenvalue has geometric multiplicity and index 1 and costs
-    nothing more.  For a multiple one both come from the numerical ranks of
+    nothing more: the grouping, the simple eigenvalues and the order are
+    array operations, with no Python step per eigenvalue (see
+    :func:`_group_close`).  For a multiple one both come from the numerical ranks of
     the powers of ``(m - value*I) / |m|_F``, one SVD per power, stopping at
     the index.  A real ``m`` stays real throughout: its eigenvalues come
     from real LAPACK in conjugate pairs, and a group closed under
@@ -399,7 +420,9 @@ def eigen_structure(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[Eigen
     a real mean, so the SVDs of its powers are real too.  Clusters are
     ordered by decreasing real part, then increasing imaginary part; real
     parts that chain within the radius of each other count as equal, so
-    roundoff never decides the order.  A
+    roundoff never decides the order: a stable sort by decreasing real
+    part, a new level wherever the real part drops by more than the
+    radius, and a stable sort by level and imaginary part.  A
     matrix whose Frobenius norm overflows raises :class:`NumericalFailure`.
     """
     arr = _square(m)
@@ -426,7 +449,9 @@ def _clusters(values: np.ndarray, norm_f: float, real: bool,
 
     ``real`` says the matrix is real, so a group closed under conjugation
     gets a real mean; ``counts(value, size)`` gives the (geometric
-    multiplicity, index) of each group of ``size >= 2`` values.
+    multiplicity, index) of each group of ``size >= 2`` values.  The lone
+    values and the order are array operations; only the groups are visited
+    one by one.
     """
     # A computed Jordan chain of length k spreads by about |m| * delta**(1/k),
     # delta the eigensolver's relative backward error.  EIG_CLUSTER_RTOL is
@@ -434,19 +459,24 @@ def _clusters(values: np.ndarray, norm_f: float, real: bool,
     # delta**(1/3) also holds chains of length 3.
     radius = norm_f * EIG_CLUSTER_RTOL ** (2.0 / 3.0)
     lone, groups = _group_close(values, radius)
-    clusters = [EigenvalueCluster(value, 1, 1, 1) for value in values[lone].astype(complex).tolist()]
-    for members in groups:
+    # the lone values, then one value per group; and each one's (algebraic, geometric, index)
+    found = np.empty(lone.size + len(groups), dtype=complex)
+    found[:lone.size] = values[lone]
+    sizes = np.ones((found.size, 3), dtype=int)
+    for at, members in enumerate(groups, lone.size):
         group = values[members]
         value = group.mean()
         if real and np.abs(group.imag).min() <= radius / 2:
             value = value.real
-        geometric, index = counts(value, group.size)
-        clusters.append(EigenvalueCluster(complex(value), group.size, geometric, index))
-    clusters.sort(key=lambda c: -c.value.real)
-    # a new level wherever the real part drops by more than the radius
-    level = np.cumsum(np.diff([c.value.real for c in clusters], prepend=np.inf) < -radius).tolist()
-    order = sorted(range(len(clusters)), key=lambda i: (level[i], clusters[i].value.imag))
-    return tuple(clusters[i] for i in order)
+        found[at] = value
+        sizes[at] = (group.size, *counts(value, group.size))
+    # decreasing real part, stably; a new level wherever it drops by more than the radius;
+    # within a level, increasing imaginary part, stably
+    by_real = np.argsort(-found.real, kind="stable")
+    level = np.zeros(found.size, dtype=np.intp)
+    np.cumsum(np.diff(found.real[by_real]) < -radius, out=level[1:])
+    order = by_real[np.lexsort((found.imag[by_real], level))]
+    return tuple(map(EigenvalueCluster, found[order].tolist(), *sizes[order].T.tolist()))
 
 
 def _minimal_polynomial_of(clusters: Sequence[EigenvalueCluster]) -> np.ndarray:
@@ -541,15 +571,29 @@ def _hermitian_form(m: np.ndarray, n: int) -> np.ndarray:
     J. Math. Phys. 17, 821 (1976)).  That holds exactly when the reshuffled
     matrix ``C[jl, km] = m[jk, lm]`` passes :func:`_hermiticity`; then each
     column of ``m T`` is hermitian, so only its rows ``jk`` with ``j <= k``
-    are formed.  Any other ``m``, NaN or infinite entries included, raises
-    :class:`ValidationError`.
+    are formed, by :func:`_form_of_rows`.  Any other ``m``, NaN or infinite
+    entries included, raises :class:`ValidationError`.  The generators that
+    :func:`build_generator` makes skip this test and hand their rows to
+    :func:`_form_of_rows` directly.
     """
     if not _hermiticity(m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n))[1]:
         raise ValidationError("superoperator matrix does not preserve hermiticity (or is not finite)")
-    rows, cols, pairs, levels = _hermitian_indices(n)
+    return _form_of_rows(m.take(_hermitian_indices(n)[0], axis=0), n)
+
+
+def _form_of_rows(upper_rows: np.ndarray, n: int) -> np.ndarray:
+    """The real ``T^dag m T`` from ``upper_rows``, the rows of ``m`` on :func:`_hermitian_indices`' rows.
+
+    Those are the rows ``jk`` with ``j <= k``, about half of ``m``; the
+    rest are not read, so ``m`` must map hermitian matrices to hermitian
+    matrices (see :func:`_hermitian_form`).  The one step from a generator's
+    entries to its hermitian form, shared by :func:`_hermitian_form` and the
+    generators that :func:`build_generator` assembles row by row.
+    """
+    _, cols, pairs, levels = _hermitian_indices(n)
     # sqrt(2) (m T) on the rows jk (j < k) and jj: the symmetric and the
     # antisymmetric family from the entry pairs, the others from levels
-    block = m[rows][:, cols]
+    block = upper_rows.take(cols, axis=1)
     upper, lower = block[:, :pairs], block[:, pairs:2 * pairs]
     diagonal = block[:, 2 * pairs:] @ (levels * np.sqrt(2.0))
     scaled = np.concatenate([diagonal[:, :1], upper + lower, (lower - upper) * 1j, diagonal[:, 1:]], axis=1)

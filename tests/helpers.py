@@ -282,3 +282,32 @@ def group_close_by_all_pairs(values: np.ndarray, radius: float) -> tuple[np.ndar
                 members.append(j)
         groups.append(sorted(members))
     return np.flatnonzero(component < 0), groups
+
+
+def clusters_by_key_sorts(values: np.ndarray, norm_f: float, real: bool, counts,
+                          group=group_close_by_all_pairs) -> tuple:
+    """The clusters of ``operator_algebra._clusters`` built one object per value and ordered by two key sorts.
+
+    The reference for its array version: the lone values, then one cluster
+    per group of ``group(values, radius)`` with its mean (real when
+    ``real`` and a member lies within half the radius of the real axis);
+    then a stable sort by decreasing real part, levels that start wherever
+    the real part drops by more than the radius, and a stable sort by
+    level and imaginary part.
+    """
+    from strobe_tomo.operator_algebra import EIG_CLUSTER_RTOL, EigenvalueCluster
+
+    radius = norm_f * EIG_CLUSTER_RTOL ** (2.0 / 3.0)
+    lone, groups = group(values, radius)
+    clusters = [EigenvalueCluster(value, 1, 1, 1) for value in values[lone].astype(complex).tolist()]
+    for members in groups:
+        members_values = values[members]
+        value = members_values.mean()
+        if real and np.abs(members_values.imag).min() <= radius / 2:
+            value = value.real
+        geometric, index = counts(value, members_values.size)
+        clusters.append(EigenvalueCluster(complex(value), members_values.size, geometric, index))
+    clusters.sort(key=lambda c: -c.value.real)
+    level = np.cumsum(np.diff([c.value.real for c in clusters], prepend=np.inf) < -radius).tolist()
+    order = sorted(range(len(clusters)), key=lambda i: (level[i], clusters[i].value.imag))
+    return tuple(clusters[i] for i in order)

@@ -438,8 +438,11 @@ def spy(monkeypatch):
 
 @pytest.fixture
 def form_calls(spy):
-    """The arguments of every ``_hermitian_form`` call, under whichever module name it is called."""
-    return spy("operator_algebra", "_hermitian_form")
+    """The arguments of every step from a generator's rows to its hermitian form, ``_form_of_rows``.
+
+    A hand-made generator takes it through ``_hermitian_form``, a built one directly.
+    """
+    return spy("operator_algebra", "_form_of_rows")
 
 
 class TestFormedOnce:
@@ -476,6 +479,20 @@ class TestOnePlanPerModel:
         result = strobe_tomo.reconstruct(model, observables, record, truth=rho0)
         assert result.frobenius_error < 1e-6
         assert (len(builds), len(form_calls), len(structures)) == (1, 1, 1)
+
+    def test_library_loop_on_a_dissipative_model_forms_no_full_matrix(self, spy):
+        # the build assembles the rows jk (j <= k) of the 9 x 9 matrix, and no stage reads matrix
+        assembled = spy("lindblad", "_assembled")
+        model = laser_cooling_model(1.0, 2.0)
+        rho0 = random_density(3, np.random.default_rng(5))
+        gen = strobe_tomo.build_generator(model)
+        report = strobe_tomo.spectral_report(gen)
+        observables = strobe_tomo.find_observables(gen, seed=3)
+        grid = strobe_tomo.default_time_grid(report)
+        record = strobe_tomo.simulate_measurements(model, rho0, observables, grid, noise_sigma=1e-9, seed=1)
+        assert strobe_tomo.reconstruct(model, observables, record, truth=rho0).frobenius_error < 1e-6
+        assert [args[2].size for args in assembled] == [3 * 4 // 2]
+        assert "matrix" not in vars(gen)
 
     def test_model_returns_its_one_generator(self):
         model = laser_cooling_model(1.0, 2.0)

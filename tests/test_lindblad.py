@@ -21,11 +21,13 @@ from strobe_tomo import (
     model_to_json,
     matrix_from_json,
     matrix_to_json,
+    random_hermitian,
     validate_density_matrix,
 )
 
 from strobe_tomo import lindblad
 from strobe_tomo.lindblad import EVOLVE_EIG_FLOOR, MAX_DIM, STATE_EIG_FLOOR, _check_density_matrix
+from strobe_tomo.operator_algebra import _hermitian_form
 
 from helpers import (
     kron_generator,
@@ -171,6 +173,22 @@ class TestModelValidation:
             model.jumps = ()
 
 
+def with_active_jump(edge_models: dict) -> dict:
+    """3-level edge models with an active jump: each of ``edge_models`` plus a decay |0><1| at
+    rate 1, a rotated multiple of the identity plus that decay, and jumps with entries near 1e154."""
+    decay = (1.0, np.outer(np.eye(3)[0], np.eye(3)[1]))
+    models = {f"{name}+decay": (ham, jumps + (decay,))
+              for name, (ham, jumps) in edge_models.items() if ham.shape[0] == 3}
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    models["rotated-1e9-identity+decay"] = (q @ (1e9 * np.eye(3)) @ q.conj().T, (decay,))
+    for size in (1e152, 1e154, 1.2e154, 1.3e154, 1.4e154):
+        op = np.zeros((3, 3), dtype=complex)
+        op[0, 2], op[2, 1] = size, 0.7j * size
+        models[f"jump-{size:.1e}"] = (np.eye(3), ((1.0, op),))
+    return models
+
+
 class TestBuildGenerator:
     @pytest.mark.parametrize("g1,g2", [(1.0, 2.0), (0.5, 0.5), (3.0, 0.0), (0.25, 1.75)])
     def test_matches_golden_matrix_exactly(self, g1, g2):
@@ -278,6 +296,65 @@ class TestBuildGenerator:
             with pytest.raises(NumericalFailure, match=f"^{re.escape(expected)}$"):
                 build_generator(model)
 
+    ACTIVE_EDGE_MODELS = with_active_jump(EDGE_MODELS)
+
+    @pytest.mark.parametrize("name", ACTIVE_EDGE_MODELS)
+    def test_guards_match_the_formed_matrix(self, name):
+        # a model with an active jump reads the guards off the rows jk (j <= k) of M alone
+        ham, jumps = self.ACTIVE_EDGE_MODELS[name]
+        model = LindbladModel(dim=3, hamiltonian=ham, jumps=jumps)
+        expected = self.guard_message_of_the_formed_matrix(model)
+        if expected is None:
+            # some of these pass the guards and overflow in R, with numpy's warnings, as the
+            # generator made of the formed matrix does
+            with np.errstate(all="ignore"):
+                assert build_generator(model)._energies is None
+        else:
+            with pytest.raises(NumericalFailure, match=f"^{re.escape(expected)}$"):
+                build_generator(model)
+
+    def test_one_level_model_with_a_strong_jump_builds(self):
+        # its generator is 0 up to the roundoff of rate |L|^2 = 6e5: far above the 1e-12 * (1 + |M|)
+        # that the reshuffle test of a hand-made generator allows, which rejects the formed matrix
+        rng = np.random.default_rng(0)
+        model = LindbladModel(dim=1, jumps=((1e6, rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))),))
+        gen = build_generator(model)
+        formed = kron_generator(model)
+        assert gen.matrix.tobytes() == formed.tobytes()
+        assert abs(gen.hermitian_form[0, 0]) <= 1e-15 * 1e6
+        with pytest.raises(ValidationError, match="does not preserve hermiticity"):
+            Superoperator(dim=1, matrix=formed)
+
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), jumps=st.integers(1, 3),
+           silent=st.sampled_from(["none", "rate-0", "zero-operator"]), zero_h=st.booleans(),
+           h_scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+           rate_scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    def test_forms_are_those_of_the_formed_matrix(self, n, seed, jumps, silent, zero_h, h_scale, rate_scale):
+        # R from the rows jk (j <= k) assembled off G and the jumps, and the matrix formed on
+        # first read, bit for bit as the kron sum and the hand-made generator form them
+        rng = np.random.default_rng(seed)
+        ham = np.zeros((n, n)) if zero_h else h_scale * random_hermitian(n, rng)
+        channels = [(rate_scale * float(rng.uniform(0.1, 1.5)),
+                     rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) for _ in range(jumps)]
+        if silent == "rate-0":
+            channels[0] = (0.0, channels[0][1])
+        elif silent == "zero-operator":
+            channels[0] = (channels[0][0], np.zeros((n, n)))
+        model = LindbladModel(dim=n, hamiltonian=ham, jumps=tuple(channels))
+        gen = build_generator(model)
+        formed = kron_generator(model)
+        assert gen.hermitian_form.tobytes() == _hermitian_form(formed, n).tobytes()
+        assert gen.matrix.tobytes() == formed.tobytes()
+
+    def test_matrix_is_formed_on_first_read(self):
+        rng = np.random.default_rng(7)
+        model = random_model(4, rng)
+        gen = build_generator(model)
+        assert "matrix" not in vars(gen)
+        assert gen.matrix is gen.matrix and not gen.matrix.flags.writeable
+        assert gen.matrix.tobytes() == kron_generator(model).tobytes()
+
     def test_overflowing_generator_rejected_without_warning(self):
         # L^dag L has an entry of 1e400, and the krons turn it into inf and NaN entries
         model = LindbladModel(dim=2, jumps=((1.0, np.array([[0.0, 1e200], [0.0, 0.0]])),))
@@ -325,6 +402,27 @@ class TestSuperoperator:
         assert np.isfinite(sup.matrix).all()
         with pytest.raises(ValueError, match="read-only"):
             sup.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "dissipative"])
+    def test_repr_reads_superoperator(self, closed):
+        jumps = () if closed else ((1.0, np.outer(np.eye(3)[0], np.eye(3)[1])),)
+        gen = build_generator(LindbladModel(dim=3, hamiltonian=np.diag([0.0, 1.0, 2.0]), jumps=jumps))
+        assert repr(gen) == "Superoperator(dim=3, matrix=<formed on first read>)"
+        assert "matrix" not in vars(gen)
+        matrix = gen.matrix
+        assert repr(gen) == f"Superoperator(dim=3, matrix={matrix!r})"
+
+    def test_repr_of_64_levels_forms_nothing(self):
+        # the matrix of 64 levels takes 268 MB
+        gen = build_generator(LindbladModel(dim=64, hamiltonian=np.diag(np.arange(64.0))))
+        tracemalloc.start()
+        try:
+            text = repr(gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == "Superoperator(dim=64, matrix=<formed on first read>)"
+        assert peak < 16_000_000
 
     def test_built_generator_is_read_only(self):
         gen = build_generator(laser_cooling_model(1.0, 2.0))

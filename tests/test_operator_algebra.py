@@ -25,6 +25,7 @@ from strobe_tomo import (
 from strobe_tomo.operator_algebra import (
     EIG_CLUSTER_RTOL,
     EigenvalueCluster,
+    _clusters,
     _coordinates,
     _from_coordinates,
     _group_close,
@@ -34,6 +35,7 @@ from strobe_tomo.operator_algebra import (
 )
 
 from helpers import (
+    clusters_by_key_sorts,
     cofactor_det,
     equal_rate_cascade,
     gell_mann_basis,
@@ -466,6 +468,84 @@ class TestGroupClose:
             tracemalloc.stop()
         assert lone.size == 0 and groups == [list(range(4096))]
         assert peak < 2_000_000
+
+
+def cluster_cases(kind: str, rng: np.random.Generator):
+    """``(values, norm_f)`` pairs of one kind for the cluster tests; the radius is ``norm_f * EIG_CLUSTER_RTOL**(2/3)``."""
+    for _ in range(80):
+        size = int(rng.integers(1, 30))
+        norm_f = float(rng.choice([1.0, 3e5, 1e-3]))
+        radius = norm_f * EIG_CLUSTER_RTOL ** (2.0 / 3.0)
+        # imaginary parts 3 radii apart keep values out of each other's groups
+        apart = rng.permutation(size) * 3 * radius
+        if kind == "equal-real":
+            values = rng.integers(-2, 3, size) * radius + 1j * apart
+        elif kind == "real-chains":
+            # real parts falling by exactly the radius, one ulp less or one ulp more
+            steps = rng.choice([radius, np.nextafter(radius, 0.0), np.nextafter(radius, 1.0)], size)
+            values = -np.cumsum(steps) + 1j * apart * rng.choice([-1.0, 1.0])
+        elif kind == "conjugate-pairs":
+            half = (rng.standard_normal(size) + 1j * rng.choice([1e-3, 0.3, 3.0], size)) * radius * 4
+            values = np.concatenate([half, half.conj()])
+        elif kind == "groups":
+            centres = (rng.standard_normal(4) + 1j * rng.integers(-1, 2, 4)) * radius * 10
+            values = centres[rng.integers(0, 4, size)] + rng.standard_normal(size) * radius * 0.2
+        else:
+            # a real array, as the eigensolver returns for a real spectrum
+            values = rng.integers(-3, 4, size) * radius * rng.choice([0.5, 1.0, 2.0])
+        yield (values if kind == "real" else values.astype(complex)), norm_f
+
+
+def cluster_bits(clusters) -> list:
+    """Each cluster's fields with their types, the value as its bytes: equal only when bit for bit the same."""
+    return [(type(c.value), np.array(c.value).tobytes()) + tuple((type(x), x) for x in c[1:]) for c in clusters]
+
+
+def recorded_counts():
+    """``counts(value, size)`` for :func:`_clusters` that records the type and bytes of each value it is given."""
+    calls = []
+
+    def counts(value, size):
+        calls.append((type(value), np.array(value).tobytes(), size))
+        return max(1, size - 1), 1 + size % 3
+
+    return counts, calls
+
+
+class TestClusters:
+    """The array ordering gives the clusters of one object per value and two key sorts, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_key_sorts(values, norm_f, real, group=group_close_by_all_pairs):
+        counts, calls = recorded_counts()
+        expected_counts, expected_calls = recorded_counts()
+        got = _clusters(values, norm_f, real, counts)
+        expected = clusters_by_key_sorts(values, norm_f, real, expected_counts, group)
+        assert cluster_bits(got) == cluster_bits(expected)
+        assert calls == expected_calls
+
+    @pytest.mark.parametrize("kind", ["equal-real", "real-chains", "conjugate-pairs", "groups", "real"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real-matrix", "complex-matrix"])
+    def test_matches_the_key_sorts(self, kind, real):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for values, norm_f in cluster_cases(kind, rng):
+            self.assert_same_as_key_sorts(values, norm_f, real)
+
+    def test_one_value(self):
+        for value in (np.array([-0.0]), np.array([2.5 - 1j]), np.array([0.0 + 0.0j])):
+            self.assert_same_as_key_sorts(value, 1.0, True)
+
+    def test_laser_cooling_spectrum(self):
+        form = build_generator(laser_cooling_model(1.0, 2.0)).hermitian_form
+        values = np.linalg.eigvals(form)
+        assert values.size == 9
+        self.assert_same_as_key_sorts(values, float(np.linalg.norm(form)), True)
+
+    def test_bohr_frequencies_of_64_levels(self):
+        # 4096 values in 9 groups and the lone ones between; the all-pairs grouping would take 268 MB
+        energies = np.random.default_rng(64).integers(-2, 3, 64) + np.arange(64) * 1e-3
+        bohr = -1j * (energies[:, None] - energies).reshape(-1)
+        self.assert_same_as_key_sorts(bohr, float(np.linalg.norm(bohr)), True, group=_group_close)
 
 
 def package_basis(n: int) -> np.ndarray:

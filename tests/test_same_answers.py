@@ -1,5 +1,6 @@
-"""The comparison of ``tools/same_answers.py``: which ``rho_hat`` gaps it lists, and what it prints."""
+"""``tools/same_answers.py``: which ``rho_hat`` gaps and changed hashes it lists, what it prints, and its spectral hashes."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -8,6 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+
+import strobe_tomo
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "same_answers.py"
 
@@ -73,3 +76,36 @@ class TestRhoAllowance:
         a, b = entry(0, zero, 10.0), entry(0, negative, 10.0)
         assert same_answers.rho_gap(a, b)[0] == 0.0
         assert same_answers.bits(a["rho_hat"]) != same_answers.bits(b["rho_hat"])
+
+
+class TestSpectralHashes:
+    def test_hashes_of_the_form_bytes_and_the_clusters(self, same_answers):
+        model = strobe_tomo.laser_cooling_model(1.0, 2.0)
+        answers = same_answers.spectral_answers(strobe_tomo, model)
+        gen = strobe_tomo.build_generator(model)
+        assert answers["form_sha256"] == hashlib.sha256(gen.hermitian_form.tobytes()).hexdigest()
+        again = same_answers.spectral_answers(strobe_tomo, strobe_tomo.laser_cooling_model(1.0, 2.0))
+        other = same_answers.spectral_answers(strobe_tomo, strobe_tomo.laser_cooling_model(1.0, 2.5))
+        assert again == answers
+        assert other["form_sha256"] != answers["form_sha256"]
+        assert other["clusters_sha256"] != answers["clusters_sha256"]
+
+    def test_failed_build_is_named(self, same_answers):
+        model = strobe_tomo.LindbladModel(dim=2, jumps=((1.0, np.array([[0.0, 1e200], [0.0, 0.0]])),))
+        assert same_answers.spectral_answers(strobe_tomo, model) == {"form_sha256": "NumericalFailure",
+                                                                     "clusters_sha256": "NumericalFailure"}
+
+    def test_changed_hash_is_listed(self, same_answers, tmp_path, capsys):
+        rho = np.eye(2) / 2
+        first = [dict(entry(k, rho, 10.0), form_sha256="a", clusters_sha256="b") for k in range(3)]
+        second = [dict(first[0]), dict(first[1], clusters_sha256="c"), dict(first[2], form_sha256="d")]
+        paths = []
+        for name, answers in (("first.json", first), ("second.json", second)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps({"checkout": name, "answers": answers}))
+        assert same_answers.main(["compare", str(paths[0]), str(paths[1])]) == 1
+        out = capsys.readouterr().out
+        assert "form_sha256: 1 inputs differ" in out and "clusters_sha256: 1 inputs differ" in out
+        listed = [line for line in out.splitlines() if line.startswith("  ")]
+        assert sorted(listed) == ["  long-record seed 1 dissipative-6 round 1: 'b' -> 'c'",
+                                  "  long-record seed 1 dissipative-6 round 2: 'a' -> 'd'"]

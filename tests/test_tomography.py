@@ -240,8 +240,11 @@ class TestLibraryArguments:
             "reconstruct-record"])
     def test_wrong_argument_type_is_named(self, cooling_gen, cooling_model, call, name, kind, got):
         record = simulate_measurements(cooling_model, np.eye(3) / 3, [np.eye(3)], [1.0])
-        with pytest.raises(ValidationError, match=f"^{name} must be a {kind}, got {got}$"):
-            call(cooling_gen, cooling_model, record)
+        # a built generator reads as a Superoperator, whether its model is dissipative or closed
+        closed_gen = build_generator(LindbladModel(dim=3, hamiltonian=np.diag([0.0, 1.0, 2.0])))
+        for gen in (cooling_gen, closed_gen):
+            with pytest.raises(ValidationError, match=f"^{name} must be a {kind}, got {got}$"):
+                call(gen, cooling_model, record)
 
     @pytest.mark.parametrize("tol, kind", [(None, "NoneType"), (1e-9, "float")], ids=["none", "float"])
     def test_tolerances_must_be_a_config(self, cooling_gen, cooling_model, tol, kind):

@@ -9,7 +9,11 @@ root of a source tree with ``src/`` and ``perfbench/``)::
 Each input is made, run and checked by the checkout's own
 ``perfbench/workloads.py`` and ``perfbench/oracle.py``, untimed.  For each
 one the file holds ``eta``, ``mu``, the failure causes, ``rho_hat``, the
-design rank and condition that ``reconstruct`` reported.  For a
+design rank and condition that ``reconstruct`` reported, and two
+SHA-256 hashes of the generator that a fresh model of the input builds:
+of its ``hermitian_form`` bytes, and of its clusters (each value's
+bytes, its multiplicities and index); or, for both, the name of the
+exception the build or the report raised.  For a
 long-record input it also holds the SHA-256 of the CSV that
 ``write_record_csv`` makes of two fixed records, whose values the oracle
 computes with one exponential per instant, and whether ``read_record_csv``
@@ -25,7 +29,7 @@ each re-spelling reads as.  Compare two such files::
     python3 tools/same_answers.py compare parent.json change.json
 
 The comparison lists every input whose ``eta``, ``mu``, causes, design
-rank, CSV bytes, CSV roundtrips or re-spelled reads differ, or whose ``rho_hat`` differs from the first
+rank, spectral hashes, CSV bytes, CSV roundtrips or re-spelled reads differ, or whose ``rho_hat`` differs from the first
 file's by more than 1e-14 times the first file's design condition, or
 1e-12 where that condition is below 100 (Frobenius): an allowance that
 grows with the condition, as the solve's roundoff does, without a jump.
@@ -143,6 +147,21 @@ def oracle_record(st, oracle, inp: dict, path: str, sigma: float = 0.0):
     return st.read_record_csv(path)
 
 
+def spectral_answers(st, model) -> dict:
+    """SHA-256 of the generator's ``hermitian_form`` bytes and of its cluster tuples, or the exception's name."""
+    try:
+        gen = st.build_generator(model)
+        form = gen.hermitian_form.tobytes()
+        clusters = st.spectral_report(gen).distinct_eigenvalues
+    except Exception as exc:  # the answer is the failure
+        return {"form_sha256": type(exc).__name__, "clusters_sha256": type(exc).__name__}
+    digest = hashlib.sha256()
+    for cluster in clusters:
+        digest.update(np.array(cluster.value, dtype=complex).tobytes())
+        digest.update(np.array(cluster[1:], dtype=np.int64).tobytes())
+    return {"form_sha256": hashlib.sha256(form).hexdigest(), "clusters_sha256": digest.hexdigest()}
+
+
 def csv_answers(st, oracle, inp: dict, path: str) -> dict:
     """For each oracle record's CSV: its SHA-256, whether reading it back gives the record,
     and the SHA-256 of the entries each of its :data:`RESPELLINGS` reads back as."""
@@ -200,7 +219,7 @@ def record(args) -> None:
                             causes = ["unverifiable"]
                         entry = {"workload": name, "seed": seed, "class": cls_name, "round": k,
                                  "eta": out.get("eta"), "mu": out.get("mu"), "causes": causes,
-                                 **probe.last}
+                                 **probe.last, **spectral_answers(strobe_tomo, workloads._model(inp))}
                         if "rho_hat" in out:
                             rho = np.asarray(out["rho_hat"], dtype=complex)
                             entry["rho_hat"] = [rho.real.tolist(), rho.imag.tolist()]
@@ -247,9 +266,9 @@ def compare(args) -> int:
     for k in common:
         a, b = first[k], second[k]
         label = "{} seed {} {} round {}".format(*k)
-        for field in ("eta", "mu", "causes", "design_rank", "csv_sha256", "csv_roundtrip",
-                      "csv_respelled_sha256", "noisy_csv_sha256", "noisy_csv_roundtrip",
-                      "noisy_csv_respelled_sha256"):
+        for field in ("eta", "mu", "causes", "design_rank", "form_sha256", "clusters_sha256",
+                      "csv_sha256", "csv_roundtrip", "csv_respelled_sha256", "noisy_csv_sha256",
+                      "noisy_csv_roundtrip", "noisy_csv_respelled_sha256"):
             if a.get(field) != b.get(field):
                 differences.setdefault(field, []).append(f"{label}: {a.get(field)!r} -> {b.get(field)!r}")
         gap = rho_gap(a, b)
