@@ -13,6 +13,7 @@ random sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -29,10 +30,10 @@ from .operator_algebra import (
     _hermiticity,
     _instance,
     _minimal_polynomial_of,
+    _random_hermitians,
     _tolerances,
     _type_name,
     assert_hermitian,
-    random_hermitian,
 )
 
 __all__ = [
@@ -162,13 +163,6 @@ def _observable_coordinates(observables, gen: Superoperator) -> np.ndarray:
     raise ValidationError("observable set must contain at least one observable")
 
 
-def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Residual of ``w`` against the orthonormal rows of ``basis``, Gram-Schmidt applied twice."""
-    for _ in range(2):
-        w = w - basis.T @ (basis @ w)
-    return w
-
-
 def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> VerificationResult:
     """Test whether the observables' Krylov subspaces span all hermitian matrices.
@@ -183,10 +177,14 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     residual exceeds ``rank_rtol`` times its norm, a later element when it
     exceeds ``rank_rtol * |R|_2``, so roundoff never adds a direction.  The
     set spans iff the basis reaches dim^2 vectors; ``achieved_rank`` is its size.
-    The generator keeps ``|R|_2`` after the first call and the coordinates
-    of the last set it checked (see :class:`Superoperator`), so a search
-    computes the norm once, and simulating and reconstructing with the
-    set it returns check that set no more.
+    Each step is a few whole-vector operations: both Gram-Schmidt passes
+    are ``w - B^T (B w)`` on the basis ``B`` so far, each 2-norm is the
+    root of ``w . w`` (what ``np.linalg.norm`` computes for a real
+    vector), and each new basis row is divided into place.  The generator
+    keeps ``|R|_2`` after the first call and the coordinates of the last
+    set it checked (see :class:`Superoperator`), so a search computes the
+    norm once, and simulating and reconstructing with the set it returns
+    check that set no more.
     """
     _tolerances(tol)
     coordinates = _observable_coordinates(observables, _instance(gen, Superoperator, "gen"))
@@ -196,13 +194,16 @@ def verify_observables(gen: Superoperator, observables: Sequence[np.ndarray],
     basis = np.zeros((n2, n2))
     size = 0
     for candidate in coordinates:
-        threshold = tol.rank_rtol * float(np.linalg.norm(candidate))
+        # |v|_2 of a real vector as np.linalg.norm takes it: the root of v . v
+        threshold = tol.rank_rtol * math.sqrt(candidate.dot(candidate))
         while size < n2:
-            resid = _orthogonalize(candidate, basis[:size])
-            norm = float(np.linalg.norm(resid))
+            done = basis[:size]
+            resid = candidate - done.T @ (done @ candidate)
+            resid = resid - done.T @ (done @ resid)
+            norm = math.sqrt(resid.dot(resid))
             if not norm > threshold:
                 break
-            basis[size] = resid / norm
+            np.divide(resid, norm, out=basis[size])
             size += 1
             if size == n2:
                 break
@@ -219,9 +220,12 @@ def find_observables(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANC
     ones :func:`spectral_report` reads, computed on first request), then
     draws ``eta`` random hermitian matrices per attempt (complex Gaussian
     entries, symmetrized) and returns the first set that passes
-    :func:`verify_observables`.  Deterministic for a fixed seed (an integer
-    >= 0).  Raises :class:`SearchExhausted` with the best achieved rank
-    when all ``max_attempts`` (an integer >= 1) attempts fail.
+    :func:`verify_observables`.  An attempt draws its ``eta`` matrices in
+    one call, the same matrices, bit for bit, as ``eta`` calls of
+    :func:`random_hermitian` on the same generator.  Deterministic for a
+    fixed seed (an integer >= 0).  Raises :class:`SearchExhausted` with the
+    best achieved rank when all ``max_attempts`` (an integer >= 1)
+    attempts fail.
     """
     _integer(seed, "seed")
     _integer(max_attempts, "max_attempts", positive=True)
@@ -229,10 +233,10 @@ def find_observables(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANC
     rng = np.random.default_rng(seed)
     best_rank = 0
     for _ in range(max_attempts):
-        candidate = [random_hermitian(gen.dim, rng) for _ in range(eta)]
+        candidate = _random_hermitians(gen.dim, eta, rng)
         ok, achieved = verify_observables(gen, candidate, tol)
         if ok:
-            return candidate
+            return list(candidate)
         best_rank = max(best_rank, achieved)
     raise SearchExhausted(
         f"no passing observable set in {max_attempts} attempts "

@@ -163,10 +163,11 @@ class Superoperator:
     vectorization convention.  Construction checks ``dim``, the shape and
     that the matrix maps hermitian matrices to hermitian matrices, as every
     Lindblad generator does; a matrix that does not, or that has a NaN or
-    infinite entry, raises :class:`ValidationError`.  Any real matrix in
-    hermitian coordinates passes, so synthetic spectra can be injected;
-    matrices produced by :func:`build_generator` also annihilate the trace
-    functional (``vec(I)^dag @ matrix ~ 0``).  The matrix is
+    infinite entry, raises :class:`ValidationError`, and one whose
+    hermitian form overflows the float range :class:`NumericalFailure`.
+    Any real matrix in hermitian coordinates passes, so synthetic spectra
+    can be injected; matrices produced by :func:`build_generator` also
+    annihilate the trace functional (``vec(I)^dag @ matrix ~ 0``).  The matrix is
     stored read-only: a caller's array is copied, unless it is already a
     read-only complex array that owns its memory.  Formed once here for
     every stage, the read-only ``hermitian_form`` is the generator in
@@ -344,7 +345,8 @@ def build_generator(model: LindbladModel) -> Superoperator:
 
     The output annihilates the trace functional by construction; this is
     re-checked numerically as a guard against degenerate inputs.  A
-    generator with an entry past the float range raises :class:`NumericalFailure`.
+    generator with an entry past the float range raises :class:`NumericalFailure`,
+    as does one whose hermitian form overflows, when the form is formed.
     No n^2 x n^2 complex matrix is formed: a model with an active jump
     assembles the rows ``jk`` (``j <= k``) of its matrix, about half of
     it, from ``G = -iH - (1/2) sum rate L^dag L`` and the jumps, reads both
@@ -549,6 +551,33 @@ def _check_density_matrix(arr: np.ndarray, name: str | Callable[[int], str], *,
     return arr
 
 
+def _check_evolved(states: np.ndarray, n: int, name: str | Callable[[int], str]) -> np.ndarray:
+    """The matrices with the real coordinates ``states`` (last axis), checked as evolved states.
+
+    :func:`_check_density_matrix` with ``evolved=True`` on
+    ``_from_coordinates(states, n)``, with the same verdict, and the same
+    error, for every input.  A matrix formed from real coordinates is
+    exactly hermitian wherever it is finite (each entry ``kj`` is the
+    conjugate of ``jk`` and the diagonal is real), so finiteness stands in
+    for the hermiticity test; the trace test and the Cholesky certificate
+    follow.  The certificate factors ``A - floor * I``: when it succeeds,
+    ``A`` has unit trace and is positive, so its entries are far below the
+    float limit and ``(A + A^dag) / 2`` is ``A`` bit for bit.  A stack that
+    fails any test is checked again by :func:`_check_density_matrix`,
+    which names the first failing matrix and its first failing test.
+    """
+    formed = _from_coordinates(states, n)
+    stack = formed if formed.ndim == 3 else formed[None]
+    if (np.isfinite(stack).all()
+            and (np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= EVOLVE_TRACE_ATOL).all()):
+        try:
+            np.linalg.cholesky(stack - EVOLVE_EIG_FLOOR * np.eye(n))
+            return formed
+        except np.linalg.LinAlgError:
+            pass
+    return _check_density_matrix(formed, name, evolved=True)
+
+
 def validate_density_matrix(rho, *, dim: int | None = None, name: str = "rho") -> np.ndarray:
     """Check hermiticity, unit trace and positivity; return the coerced array."""
     arr = _square(rho, name, dtype=complex)
@@ -565,13 +594,15 @@ def evolve(gen: Superoperator, rho0, t: float) -> np.ndarray:
     generator, after checking that it is still a density matrix: unit
     trace to 1e-10 and eigenvalues above -1e-8.  A violation is reported as
     a numerical failure naming the instant rather than silently repaired.
+    The state is formed from its coordinates, so it is hermitian wherever
+    it is finite, and is checked by :func:`_check_evolved`.
     The exponential is the generator's kept step, so evolving by the same
     ``t`` again forms no new one.
     """
     rho0 = validate_density_matrix(rho0, dim=_instance(gen, Superoperator, "gen").dim, name="rho0")
     t = _nonnegative_real(t, "propagation time")
     x = _propagated(gen, np.array([t], dtype=float), _coordinates(rho0))[:, 0]
-    return _check_density_matrix(_from_coordinates(x, gen.dim), f"evolved state at t={t:.6g}", evolved=True)
+    return _check_evolved(x, gen.dim, f"evolved state at t={t:.6g}")
 
 
 # --- JSON encoding -------------------------------------------------------

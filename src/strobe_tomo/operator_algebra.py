@@ -588,19 +588,42 @@ def _form_of_rows(upper_rows: np.ndarray, n: int) -> np.ndarray:
     rest are not read, so ``m`` must map hermitian matrices to hermitian
     matrices (see :func:`_hermitian_form`).  The one step from a generator's
     entries to its hermitian form, shared by :func:`_hermitian_form` and the
-    generators that :func:`build_generator` assembles row by row.
+    generators that :func:`build_generator` assembles row by row.  Finite
+    entries near the float limit can overflow in the sums and the
+    ``sqrt(2)`` scaling: an ``R`` that is not finite raises
+    :class:`NumericalFailure`, without numpy's warnings.
     """
     _, cols, pairs, levels = _hermitian_indices(n)
-    # sqrt(2) (m T) on the rows jk (j < k) and jj: the symmetric and the
-    # antisymmetric family from the entry pairs, the others from levels
-    block = upper_rows.take(cols, axis=1)
-    upper, lower = block[:, :pairs], block[:, pairs:2 * pairs]
-    diagonal = block[:, 2 * pairs:] @ (levels * np.sqrt(2.0))
-    scaled = np.concatenate([diagonal[:, :1], upper + lower, (lower - upper) * 1j, diagonal[:, 1:]], axis=1)
-    return _scaled_coordinates(scaled, n)
+    with np.errstate(all="ignore"):
+        # sqrt(2) (m T) on the rows jk (j < k) and jj: the symmetric and the
+        # antisymmetric family from the entry pairs, the others from levels
+        block = upper_rows.take(cols, axis=1)
+        upper, lower = block[:, :pairs], block[:, pairs:2 * pairs]
+        diagonal = block[:, 2 * pairs:] @ (levels * np.sqrt(2.0))
+        scaled = np.concatenate([diagonal[:, :1], upper + lower, (lower - upper) * 1j, diagonal[:, 1:]], axis=1)
+        form = _scaled_coordinates(scaled, n)
+    if not np.isfinite(form).all():
+        raise NumericalFailure("the generator overflows the float range")
+    return form
+
+
+def _random_hermitians(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` random hermitian ``n x n`` matrices, stacked, from one ``standard_normal`` draw.
+
+    Matrix ``i`` takes its real parts, then its imaginary parts, from the
+    draw in order, so the stack holds what ``count`` calls of
+    :func:`random_hermitian` on the same generator return, bit for bit,
+    and leaves the generator in the same state.
+    """
+    parts = rng.standard_normal((count, 2, n, n))
+    g = parts[:, 0] + 1j * parts[:, 1]
+    return (g + g.conj().swapaxes(-2, -1)) / 2.0
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random hermitian matrix: complex Gaussian entries, symmetrized."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (g + g.conj().T) / 2.0
+    """Random hermitian matrix: complex Gaussian entries, symmetrized.
+
+    The real parts of the ``n x n`` entries are drawn first, in row order,
+    then the imaginary parts; the matrix is ``(G + G^dag) / 2``.
+    """
+    return _random_hermitians(n, 1, rng)[0]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import NumericalFailure, RankDeficiencyError, ValidationError
 from .lindblad import (
     LindbladModel,
-    _check_density_matrix,
+    _check_evolved,
     _integer,
     _nonnegative_real,
     _propagated,
@@ -61,8 +62,11 @@ def _real_array(values) -> np.ndarray:
 
     numpy reads text as numbers and a bool as 0 or 1, and it makes numbers
     of a list that mixes bools with numbers, so the entries of a list and
-    of an object array are inspected one by one.
+    of an object array are inspected one by one.  A plain float64 array
+    is returned as it is.
     """
+    if type(values) is np.ndarray and values.dtype == np.float64:
+        return values
     if values is None:
         raise TypeError("got None")
     raw = np.asarray(values)
@@ -196,7 +200,8 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     step, and a set equal to the last one the generator checked is not
     checked again (see :class:`Superoperator`); a model whose generator
     cannot be built fails before its observables are checked.  Every
-    evolved state is checked to be a density matrix, as in :func:`evolve`.  With ``noise_sigma > 0`` (a finite real)
+    evolved state is checked to be a density matrix from its coordinates
+    in one batched pass, as in :func:`evolve`.  With ``noise_sigma > 0`` (a finite real)
     the values get independent additive Gaussian noise, drawn in entry
     order from a generator seeded with ``seed`` (an integer >= 0), so
     records are bit-identical across runs with the same arguments.
@@ -210,8 +215,7 @@ def simulate_measurements(model: LindbladModel, rho0, observables: Sequence[np.n
     coordinates = _observable_coordinates(observables, gen)
 
     states = _propagated(gen, grid, state0)
-    _check_density_matrix(_from_coordinates(states.T, model.dim),
-                          lambda j: f"evolved state at t={grid[j]:.6g}", evolved=True)
+    _check_evolved(states.T, model.dim, lambda j: f"evolved state at t={grid[j]:.6g}")
     values = coordinates @ states
     if noise_sigma > 0:
         values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, values.shape)
@@ -284,7 +288,9 @@ def reconstruct(model: LindbladModel, observables: Sequence[np.ndarray],
         )
     condition = float(sigma[0] / sigma[-1])
     rho_hat = _from_coordinates(np.concatenate([[identity_coeff], coeffs]), n)
-    residual = float(np.linalg.norm(traceless @ coeffs - target))
+    misfit = traceless @ coeffs - target
+    # |misfit|_2 as np.linalg.norm takes it for a real vector
+    residual = math.sqrt(misfit.dot(misfit))
     if not (np.all(np.isfinite(coeffs)) and np.isfinite(residual)):
         raise NumericalFailure("least-squares estimate is not finite; the record values overflow")
 

@@ -311,3 +311,78 @@ def clusters_by_key_sorts(values: np.ndarray, norm_f: float, real: bool, counts,
     level = np.cumsum(np.diff([c.value.real for c in clusters], prepend=np.inf) < -radius).tolist()
     order = sorted(range(len(clusters)), key=lambda i: (level[i], clusters[i].value.imag))
     return tuple(clusters[i] for i in order)
+
+
+def hermitian_of_one_draw(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One random hermitian matrix from two ``standard_normal`` calls: the real parts, then the imaginary parts.
+
+    The reference for ``random_hermitian`` and the batched draws of ``find_observables``.
+    """
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (g + g.conj().T) / 2.0
+
+
+def verify_by_orthogonalize(gen, observables, tol=None) -> tuple[bool, int]:
+    """The Arnoldi loop of ``verify_observables`` with a Gram-Schmidt helper and ``np.linalg.norm``: its reference.
+
+    Returns ``(ok, achieved_rank)``.  Each residual is taken against the
+    basis so far, twice, by a helper, each 2-norm by ``np.linalg.norm``,
+    and each new basis row is assigned.
+    """
+    from strobe_tomo import DEFAULT_TOLERANCES
+    from strobe_tomo.operator_algebra import _coordinates
+
+    def orthogonalize(w, basis):
+        for _ in range(2):
+            w = w - basis.T @ (basis @ w)
+        return w
+
+    tol = DEFAULT_TOLERANCES if tol is None else tol
+    coordinates = _coordinates(np.asarray(list(observables), dtype=complex))
+    adjoint = gen.hermitian_form.T
+    n2 = gen.dim * gen.dim
+    floor = tol.rank_rtol * float(np.linalg.norm(gen.hermitian_form.T, 2))
+    basis = np.zeros((n2, n2))
+    size = 0
+    for candidate in coordinates:
+        threshold = tol.rank_rtol * float(np.linalg.norm(candidate))
+        while size < n2:
+            resid = orthogonalize(candidate, basis[:size])
+            norm = float(np.linalg.norm(resid))
+            if not norm > threshold:
+                break
+            basis[size] = resid / norm
+            size += 1
+            if size == n2:
+                break
+            candidate = adjoint @ basis[size - 1]
+            threshold = floor
+    return size == n2, size
+
+
+def find_by_single_draws(gen, tol=None, seed: int = 0, max_attempts: int = 100) -> list[np.ndarray]:
+    """The search of ``find_observables`` with one :func:`hermitian_of_one_draw` per observable: its reference.
+
+    Each attempt draws ``eta`` matrices one at a time and checks them with
+    :func:`verify_by_orthogonalize`; the first passing set is returned, and
+    :class:`SearchExhausted` carries the same message and ``best_rank``.
+    """
+    from strobe_tomo import DEFAULT_TOLERANCES, SearchExhausted, spectral_report
+
+    tol = DEFAULT_TOLERANCES if tol is None else tol
+    eta = spectral_report(gen, tol).eta
+    rng = np.random.default_rng(seed)
+    best_rank = 0
+    for _ in range(max_attempts):
+        candidate = [hermitian_of_one_draw(gen.dim, rng) for _ in range(eta)]
+        ok, achieved = verify_by_orthogonalize(gen, candidate, tol)
+        if ok:
+            return candidate
+        best_rank = max(best_rank, achieved)
+    raise SearchExhausted(
+        f"no passing observable set in {max_attempts} attempts "
+        f"(best spanning rank {best_rank} of {gen.dim * gen.dim} needed, "
+        f"eta={eta}, seed={seed})",
+        attempts=max_attempts,
+        best_rank=best_rank,
+    )

@@ -31,7 +31,9 @@ from strobe_tomo.analysis import _observable_coordinates
 from strobe_tomo.operator_algebra import _hermitian_form
 
 from helpers import (
+    find_by_single_draws,
     gell_mann_basis,
+    hermitian_of_one_draw,
     kron_generator,
     krylov_subspace,
     random_density,
@@ -39,6 +41,7 @@ from helpers import (
     simple_spectrum_models,
     span_rank,
     superoperator_from_real,
+    verify_by_orthogonalize,
 )
 
 
@@ -769,3 +772,87 @@ class TestSpanningAgainstBasisOracle:
             for element in krylov_subspace(cooling_gen, q, 3):
                 rows.append([np.vdot(b, element).real for b in basis])
         assert span_rank(np.array(rows)) == 9
+
+
+def _model_of_kind(kind: str, n: int, rng: np.random.Generator) -> LindbladModel:
+    """A dissipative model (1-2 complex Gaussian jumps), a closed one, or the zero generator's model."""
+    if kind == "zero":
+        return LindbladModel(dim=n)
+    ham = random_hermitian(n, rng)
+    if kind == "closed":
+        return LindbladModel(dim=n, hamiltonian=ham)
+    jumps = tuple((float(rng.uniform(0.1, 1.5)), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                  for _ in range(int(rng.integers(1, 3))))
+    return LindbladModel(dim=n, hamiltonian=ham, jumps=jumps)
+
+
+def _outcome(call):
+    """The observables' bytes a search returns, or its error's type, message and best rank."""
+    try:
+        return [q.tobytes() for q in call()]
+    except SearchExhausted as exc:
+        return type(exc), str(exc), exc.attempts, exc.best_rank
+
+
+class TestSameDecisionsAsTheReferenceLoops:
+    """The Arnoldi steps and the batched draws decide as the loops written with a helper per step and a draw per observable."""
+
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["dissipative", "closed", "zero"]),
+           kind_of_set=st.sampled_from(["eta-1", "eta", "eta+1", "duplicated", "identity", "zero",
+                                        "identity-first", "zero-first"]))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    def test_verify_matches_the_reference(self, n, seed, kind, kind_of_set):
+        rng = np.random.default_rng(seed)
+        gen = build_generator(_model_of_kind(kind, n, rng))
+        eta = spectral_report(gen).eta
+        count = {"eta-1": max(eta - 1, 1), "eta+1": eta + 1}.get(kind_of_set, eta)
+        observables = [random_hermitian(n, rng) for _ in range(count)]
+        if kind_of_set == "duplicated":
+            observables.insert(1, observables[0].copy())
+        elif kind_of_set in ("identity", "zero"):
+            observables = [np.eye(n) if kind_of_set == "identity" else np.zeros((n, n))]
+        elif kind_of_set.endswith("-first"):
+            observables.insert(0, np.eye(n) if kind_of_set == "identity-first" else np.zeros((n, n)))
+        result = verify_observables(gen, observables)
+        assert (type(result.ok), type(result.achieved_rank)) == (bool, int)
+        assert tuple(result) == verify_by_orthogonalize(gen, observables)
+
+    @given(eta=st.integers(1, 4), model_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 50))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    def test_search_draws_the_reference_observables(self, eta, model_seed, seed):
+        # a closed model on eta levels has eta = its dimension; a dissipative one, generically 1
+        rng = np.random.default_rng(model_seed)
+        gen = build_generator(_model_of_kind("closed", eta, rng) if eta > 1 or model_seed % 2
+                              else _model_of_kind("dissipative", int(rng.integers(2, 4)), rng))
+        assert spectral_report(gen).eta == eta
+        found = find_observables(gen, seed=seed)
+        assert isinstance(found, list) and all(q.shape == (gen.dim, gen.dim) for q in found)
+        assert _outcome(lambda: found) == _outcome(lambda: find_by_single_draws(gen, seed=seed))
+
+    @pytest.mark.parametrize("seed", range(51))
+    def test_laser_cooling_search_draws_the_reference_observables(self, cooling_gen, seed):
+        assert _outcome(lambda: find_observables(cooling_gen, seed=seed)) == \
+            _outcome(lambda: find_by_single_draws(cooling_gen, seed=seed))
+
+    @given(n=st.integers(3, 4), model_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 50),
+           max_attempts=st.integers(1, 3), rank_rtol=st.sampled_from([0.2, 0.5]))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    def test_exhausted_search_matches_the_reference(self, n, model_seed, seed, max_attempts, rank_rtol):
+        # a rank threshold this large leaves a 3- or 4-level generator deficient: no set reaches n^2 directions
+        gen = build_generator(_model_of_kind("dissipative", n, np.random.default_rng(model_seed)))
+        tol = ToleranceConfig(rank_rtol=rank_rtol)
+        outcome = _outcome(lambda: find_observables(gen, tol, seed=seed, max_attempts=max_attempts))
+        assert outcome[0] is SearchExhausted and outcome[2] == max_attempts
+        assert outcome == _outcome(lambda: find_by_single_draws(gen, tol, seed=seed, max_attempts=max_attempts))
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (3, 4), (5, 1), (4, 2), (6, 3)])
+    def test_batched_draw_is_the_single_draws(self, n, count):
+        # the same bytes, and the generator left in the same state
+        batched, single = np.random.default_rng(n), np.random.default_rng(n)
+        stack = strobe_tomo.operator_algebra._random_hermitians(n, count, batched)
+        expected = [hermitian_of_one_draw(n, single) for _ in range(count)]
+        assert stack.shape == (count, n, n)
+        assert [q.tobytes() for q in stack] == [q.tobytes() for q in expected]
+        assert batched.bit_generator.state == single.bit_generator.state
+        assert random_hermitian(n, batched).tobytes() == hermitian_of_one_draw(n, single).tobytes()

@@ -26,8 +26,8 @@ from strobe_tomo import (
 )
 
 from strobe_tomo import lindblad
-from strobe_tomo.lindblad import EVOLVE_EIG_FLOOR, MAX_DIM, STATE_EIG_FLOOR, _check_density_matrix
-from strobe_tomo.operator_algebra import _hermitian_form
+from strobe_tomo.lindblad import EVOLVE_EIG_FLOOR, MAX_DIM, STATE_EIG_FLOOR, _check_density_matrix, _check_evolved
+from strobe_tomo.operator_algebra import _coordinates, _from_coordinates, _hermitian_form
 
 from helpers import (
     kron_generator,
@@ -297,6 +297,9 @@ class TestBuildGenerator:
                 build_generator(model)
 
     ACTIVE_EDGE_MODELS = with_active_jump(EDGE_MODELS)
+    #: models whose M passes the guards while R, which sums M's entries in pairs and scales
+    #: them by sqrt(2), leaves the float range
+    OVERFLOWING_FORMS = ("huge-off-diagonal+decay", "jump-1.2e+154", "jump-1.3e+154")
 
     @pytest.mark.parametrize("name", ACTIVE_EDGE_MODELS)
     def test_guards_match_the_formed_matrix(self, name):
@@ -304,14 +307,37 @@ class TestBuildGenerator:
         ham, jumps = self.ACTIVE_EDGE_MODELS[name]
         model = LindbladModel(dim=3, hamiltonian=ham, jumps=jumps)
         expected = self.guard_message_of_the_formed_matrix(model)
+        if expected is None and name in self.OVERFLOWING_FORMS:
+            expected = "the generator overflows the float range"
         if expected is None:
-            # some of these pass the guards and overflow in R, with numpy's warnings, as the
-            # generator made of the formed matrix does
-            with np.errstate(all="ignore"):
-                assert build_generator(model)._energies is None
+            assert build_generator(model)._energies is None
         else:
-            with pytest.raises(NumericalFailure, match=f"^{re.escape(expected)}$"):
-                build_generator(model)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalFailure, match=f"^{re.escape(expected)}$"):
+                    build_generator(model)
+
+    def test_closed_form_overflow_is_a_numerical_failure(self):
+        # the guards read M's entries off G = -iH and pass; R is formed on first read
+        ham, jumps = self.EDGE_MODELS["huge-off-diagonal"]
+        gen = build_generator(LindbladModel(dim=3, hamiltonian=ham, jumps=jumps))
+        assert gen._energies is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^the generator overflows the float range$"):
+                gen.hermitian_form
+        assert "hermitian_form" not in vars(gen)
+
+    def test_hand_made_form_overflow_is_a_numerical_failure(self):
+        # the reshuffle test reads M's entries, which are finite; R is not
+        ham, jumps = self.ACTIVE_EDGE_MODELS["huge-off-diagonal+decay"]
+        with np.errstate(all="ignore"):
+            formed = kron_generator(LindbladModel(dim=3, hamiltonian=ham, jumps=jumps))
+        assert np.isfinite(formed).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^the generator overflows the float range$"):
+                Superoperator(dim=3, matrix=formed)
 
     def test_one_level_model_with_a_strong_jump_builds(self):
         # its generator is 0 up to the roundoff of rate |L|^2 = 6e5: far above the 1e-12 * (1 + |M|)
@@ -627,6 +653,56 @@ class TestStackedDensityCheck:
         assert _check_density_matrix(stack, "s{}".format, evolved=True) is stack
         state = stack[0]
         assert _check_density_matrix(state, "s0") is state
+
+
+def _verdict(call):
+    """The bytes and shape of the array a check returns, or its error's type and message."""
+    with np.errstate(all="ignore"):
+        try:
+            out = call()
+        except (NumericalFailure, ValidationError) as exc:
+            return type(exc), str(exc)
+    return out.tobytes(), out.shape
+
+
+class TestEvolvedFromCoordinates:
+    """States formed from real coordinates are checked with the verdict and the message of the stacked check."""
+
+    @given(n=st.integers(1, 5), count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150, 1e307, 1.7e308]),
+           scaled=st.sampled_from(["none", "traceless", "all"]),
+           defect=st.sampled_from(["none", "inf", "-inf", "nan", "trace", "floor"]), single=st.booleans())
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    def test_same_verdict_and_message_as_the_stacked_check(self, n, count, seed, scale, scaled, defect, single):
+        rng = np.random.default_rng(seed)
+        states = _coordinates(np.stack([random_density(n, rng) for _ in range(count)]))
+        at = int(rng.integers(count))
+        if scaled == "traceless":
+            states[at, 1:] *= scale
+        elif scaled == "all":
+            states[at] *= scale
+        if defect in ("inf", "-inf", "nan"):
+            states[at, int(rng.integers(n * n))] = float(defect)
+        elif defect == "trace":
+            states[at, 0] += 1e-9
+        elif defect == "floor" and n > 1:
+            states[at] = _coordinates(_with_lowest(-1e-6, n, rng))
+        if single:
+            states, name = states[at], "evolved state"
+        else:
+            name = "s{}".format
+        assert _verdict(lambda: _check_evolved(states, n, name)) == \
+            _verdict(lambda: _check_density_matrix(_from_coordinates(states, n), name, evolved=True))
+
+    def test_formed_states_pass_without_the_hermiticity_test(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        states = _coordinates(np.stack([random_density(3, rng) for _ in range(5)]))
+
+        def hermiticity(_):
+            raise AssertionError("hermiticity tested")
+        monkeypatch.setattr(lindblad, "_hermiticity", hermiticity)
+        formed = _check_evolved(states, 3, "s{}".format)
+        assert formed.tobytes() == _from_coordinates(states, 3).tobytes()
 
 
 def _with_lowest(lowest: float, n: int, rng: np.random.Generator) -> np.ndarray:

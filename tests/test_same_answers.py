@@ -1,4 +1,4 @@
-"""``tools/same_answers.py``: which ``rho_hat`` gaps and changed hashes it lists, what it prints, and its spectral hashes."""
+"""``tools/same_answers.py``: which ``rho_hat`` gaps and changed hashes it lists, what it prints, its spectral hashes, and its search and verification answers."""
 
 import hashlib
 import importlib.util
@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import strobe_tomo
+
+from helpers import hermitian_of_one_draw, verify_by_orthogonalize
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "same_answers.py"
 
@@ -109,3 +111,50 @@ class TestSpectralHashes:
         listed = [line for line in out.splitlines() if line.startswith("  ")]
         assert sorted(listed) == ["  long-record seed 1 dissipative-6 round 1: 'b' -> 'c'",
                                   "  long-record seed 1 dissipative-6 round 2: 'a' -> 'd'"]
+
+
+class TestSearchAndVerifyAnswers:
+    def test_verify_ranks_of_three_seeded_sets(self, same_answers):
+        model = strobe_tomo.laser_cooling_model(1.0, 2.0)
+        gen = strobe_tomo.build_generator(model)
+        rng = np.random.default_rng(same_answers.VERIFY_SEED)
+        # eta = 4: three observables never span the nine directions, four and five do
+        expected = [verify_by_orthogonalize(gen, [hermitian_of_one_draw(3, rng) for _ in range(count)])[1]
+                    for count in (3, 4, 5)]
+        assert expected[0] < 9 == expected[1] == expected[2]
+        assert same_answers.verify_ranks(strobe_tomo, model) == expected
+
+    def test_empty_set_and_failed_build_are_named(self, same_answers):
+        # a driven, decaying qubit has eta = 1, so its first set is empty
+        decay = np.array([[0.0, 1.0], [0.0, 0.0]])
+        driven = strobe_tomo.LindbladModel(dim=2, hamiltonian=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                           jumps=((0.5, decay),))
+        ranks = same_answers.verify_ranks(strobe_tomo, driven)
+        assert ranks[0] == "ValidationError" and ranks[1:] == [4, 4]
+        model = strobe_tomo.LindbladModel(dim=2, jumps=((1.0, np.array([[0.0, 1e200], [0.0, 0.0]])),))
+        assert same_answers.verify_ranks(strobe_tomo, model) == "NumericalFailure"
+
+    def test_search_probe_keeps_the_hash_of_the_set_or_the_error(self, same_answers):
+        gen = strobe_tomo.build_generator(strobe_tomo.laser_cooling_model(1.0, 2.0))
+        probe = same_answers.SearchProbe(strobe_tomo.find_observables)
+        found = probe(gen, seed=3)
+        assert probe.last == {"observables_sha256":
+                              hashlib.sha256(b"".join(q.tobytes() for q in found)).hexdigest()}
+        with pytest.raises(strobe_tomo.SearchExhausted):
+            probe(gen, strobe_tomo.ToleranceConfig(rank_rtol=0.5), seed=0, max_attempts=1)
+        assert probe.last == {"observables_sha256": "SearchExhausted"}
+
+    def test_changed_observables_or_ranks_are_listed(self, same_answers, tmp_path, capsys):
+        rho = np.eye(2) / 2
+        first = [dict(entry(k, rho, 10.0), observables_sha256="a", verify_ranks=[3, 4, 4]) for k in range(3)]
+        second = [dict(first[0]), dict(first[1], observables_sha256="b"), dict(first[2], verify_ranks=[2, 4, 4])]
+        paths = []
+        for name, answers in (("first.json", first), ("second.json", second)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps({"checkout": name, "answers": answers}))
+        assert same_answers.main(["compare", str(paths[0]), str(paths[1])]) == 1
+        out = capsys.readouterr().out
+        assert "observables_sha256: 1 inputs differ" in out and "verify_ranks: 1 inputs differ" in out
+        listed = [line for line in out.splitlines() if line.startswith("  ")]
+        assert sorted(listed) == ["  long-record seed 1 dissipative-6 round 1: 'a' -> 'b'",
+                                  "  long-record seed 1 dissipative-6 round 2: [3, 4, 4] -> [2, 4, 4]"]

@@ -13,7 +13,15 @@ design rank and condition that ``reconstruct`` reported, and two
 SHA-256 hashes of the generator that a fresh model of the input builds:
 of its ``hermitian_form`` bytes, and of its clusters (each value's
 bytes, its multiplicities and index); or, for both, the name of the
-exception the build or the report raised.  For a
+exception the build or the report raised.  It also holds
+``verify_ranks``, the ``achieved_rank`` that ``verify_observables``
+reports on that generator for three sets of ``eta - 1``, ``eta`` and
+``eta + 1`` random hermitian observables drawn here from a fixed seed
+(:data:`VERIFY_SEED`), so rank-deficient chains are compared too; a
+call that raises gives its exception's name.  For an input whose
+workload searches for observables, ``observables_sha256`` is the
+SHA-256 of the bytes of the set ``find_observables`` returned, or the
+name of the exception it raised.  For a
 long-record input it also holds the SHA-256 of the CSV that
 ``write_record_csv`` makes of two fixed records, whose values the oracle
 computes with one exponential per instant, and whether ``read_record_csv``
@@ -29,7 +37,8 @@ each re-spelling reads as.  Compare two such files::
     python3 tools/same_answers.py compare parent.json change.json
 
 The comparison lists every input whose ``eta``, ``mu``, causes, design
-rank, spectral hashes, CSV bytes, CSV roundtrips or re-spelled reads differ, or whose ``rho_hat`` differs from the first
+rank, spectral hashes, observables hash, verification ranks, CSV bytes,
+CSV roundtrips or re-spelled reads differ, or whose ``rho_hat`` differs from the first
 file's by more than 1e-14 times the first file's design condition, or
 1e-12 where that condition is below 100 (Frobenius): an allowance that
 grows with the condition, as the solve's roundoff does, without a jump.
@@ -67,6 +76,8 @@ SHOWN = 20
 #: noise level and noise seed of the second oracle record
 NOISY_SIGMA = 1e-6
 NOISE_SEED = 0
+#: seed of the observable sets whose spanning ranks are recorded
+VERIFY_SEED = 0
 #: spellings of a written record CSV that read back to the same entries; ``int()`` and
 #: ``float()`` read the last one (``_`` between digits) but ``np.loadtxt`` does not, so
 #: ``read_record_csv`` reads it line by line
@@ -120,6 +131,48 @@ class DesignProbe:
             raise
         self.last = {"design_rank": result.design_rank, "design_condition": result.design_condition}
         return result
+
+
+class SearchProbe:
+    """Wraps ``find_observables`` to keep the SHA-256 of the set its last call returned, or its error's name."""
+
+    def __init__(self, find):
+        self.find = find
+        self.last: dict = {}
+
+    def __call__(self, *args, **kwargs):
+        try:
+            found = self.find(*args, **kwargs)
+        except Exception as exc:
+            self.last = {"observables_sha256": type(exc).__name__}
+            raise
+        self.last = {"observables_sha256": hashlib.sha256(b"".join(q.tobytes() for q in found)).hexdigest()}
+        return found
+
+
+def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random hermitian matrix drawn here, so every checkout verifies the same sets."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (g + g.conj().T) / 2
+
+
+def verify_ranks(st, model) -> list | str:
+    """The ``achieved_rank`` of ``verify_observables`` on ``eta - 1``, ``eta`` and ``eta + 1`` random
+    observables, each call's exception name in its place; the build's or the report's exception name alone."""
+    try:
+        gen = st.build_generator(model)
+        eta = st.spectral_report(gen).eta
+    except Exception as exc:  # the answer is the failure
+        return type(exc).__name__
+    rng = np.random.default_rng(VERIFY_SEED)
+    ranks = []
+    for count in (eta - 1, eta, eta + 1):
+        observables = [random_hermitian(gen.dim, rng) for _ in range(count)]
+        try:
+            ranks.append(st.verify_observables(gen, observables).achieved_rank)
+        except Exception as exc:  # an empty set, for eta = 1
+            ranks.append(type(exc).__name__)
+    return ranks
 
 
 def oracle_record(st, oracle, inp: dict, path: str, sigma: float = 0.0):
@@ -196,8 +249,10 @@ def record(args) -> None:
     if not os.path.abspath(strobe_tomo.__file__).startswith(os.path.join(root, "src") + os.sep):
         sys.exit(f"same_answers: imported strobe_tomo from {strobe_tomo.__file__}, not from {root}")
     probe = DesignProbe(strobe_tomo.reconstruct)
-    # workloads calls strobe_tomo.reconstruct, and the CLI its own imported name
+    search = SearchProbe(strobe_tomo.find_observables)
+    # workloads calls strobe_tomo.reconstruct and find_observables, and the CLI its own imported names
     strobe_tomo.reconstruct = strobe_tomo.cli.reconstruct = probe
+    strobe_tomo.find_observables = strobe_tomo.cli.find_observables = search
     answers = []
     workdir = tempfile.mkdtemp(prefix="same-answers-")
     try:
@@ -208,7 +263,7 @@ def record(args) -> None:
                     for cls, cls_name in enumerate(wl.classes):
                         inp = wl.make(seed, cls, k)
                         out: dict = {}
-                        probe.last = {}
+                        probe.last = search.last = {}
                         try:
                             wl.run(inp, out)
                         except Exception as exc:  # the answer is the failure's cause
@@ -219,7 +274,9 @@ def record(args) -> None:
                             causes = ["unverifiable"]
                         entry = {"workload": name, "seed": seed, "class": cls_name, "round": k,
                                  "eta": out.get("eta"), "mu": out.get("mu"), "causes": causes,
-                                 **probe.last, **spectral_answers(strobe_tomo, workloads._model(inp))}
+                                 **probe.last, **search.last,
+                                 **spectral_answers(strobe_tomo, workloads._model(inp)),
+                                 "verify_ranks": verify_ranks(strobe_tomo, workloads._model(inp))}
                         if "rho_hat" in out:
                             rho = np.asarray(out["rho_hat"], dtype=complex)
                             entry["rho_hat"] = [rho.real.tolist(), rho.imag.tolist()]
@@ -267,8 +324,9 @@ def compare(args) -> int:
         a, b = first[k], second[k]
         label = "{} seed {} {} round {}".format(*k)
         for field in ("eta", "mu", "causes", "design_rank", "form_sha256", "clusters_sha256",
-                      "csv_sha256", "csv_roundtrip", "csv_respelled_sha256", "noisy_csv_sha256",
-                      "noisy_csv_roundtrip", "noisy_csv_respelled_sha256"):
+                      "observables_sha256", "verify_ranks", "csv_sha256", "csv_roundtrip",
+                      "csv_respelled_sha256", "noisy_csv_sha256", "noisy_csv_roundtrip",
+                      "noisy_csv_respelled_sha256"):
             if a.get(field) != b.get(field):
                 differences.setdefault(field, []).append(f"{label}: {a.get(field)!r} -> {b.get(field)!r}")
         gap = rho_gap(a, b)
