@@ -91,8 +91,8 @@ def spectral_report(gen: Superoperator, tol: ToleranceConfig = DEFAULT_TOLERANCE
     is the largest geometric multiplicity, ``mu`` the sum of the
     eigenvalue indices (the minimal-polynomial degree).  Only multiple
     eigenvalues cost an SVD, and defective generators are handled like any
-    other.  The generator of a closed model (every jump at rate 0 or with
-    an all-zero operator; see :func:`build_generator`) is ``-i[H, .]``,
+    other.  The generator of a closed model (no active jump: each has rate
+    0 or an all-zero operator; see :func:`build_generator`) is ``-i[H, .]``,
     diagonalizable with the Bohr frequencies ``-i (E_j - E_k)`` as its
     eigenvalues: its clusters are those n^2 values grouped by the same
     rule, with the radius from their own Frobenius norm (which can differ

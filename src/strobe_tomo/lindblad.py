@@ -112,6 +112,9 @@ class LindbladModel:
     ``dim x dim`` with finite entries, and the Hamiltonian must be
     hermitian.  Time-dependent Hamiltonians are rejected: the vectorized
     generator built from this model is only meaningful when it is constant.
+    A jump is active when its rate and its operator are nonzero; a silent
+    one, of rate 0 or with an all-zero operator, stays in ``jumps`` and in
+    the model's JSON but adds nothing to the generator.
     A model is immutable: it is frozen and its operators are stored as
     read-only copies, so it builds its generator once, on first use, and
     keeps it for :func:`build_generator` and every later stage; a build
@@ -167,7 +170,8 @@ class Superoperator:
     hermitian form overflows the float range :class:`NumericalFailure`.
     Any real matrix in hermitian coordinates passes, so synthetic spectra
     can be injected; matrices produced by :func:`build_generator` also
-    annihilate the trace functional (``vec(I)^dag @ matrix ~ 0``).  The matrix is
+    annihilate the trace functional (``vec(I)^dag @ matrix ~ 0``), by
+    construction, and it is not checked.  The matrix is
     stored read-only: a caller's array is copied, unless it is already a
     read-only complex array that owns its memory.  Formed once here for
     every stage, the read-only ``hermitian_form`` is the generator in
@@ -183,9 +187,10 @@ class Superoperator:
     assembled off ``G`` and the jumps, and ``matrix`` only when a caller
     reads it, both bit for bit as here, and it skips the hermiticity test
     (each mirrored pair of entries is made of the same finite products).
-    ``repr()`` and error messages show it as a ``Superoperator``, and
-    ``repr()`` forms nothing.  Of a closed model, one whose every jump has
-    rate 0 or an all-zero operator, it keeps the eigenvalues ``E`` of the
+    The jumps are the model's active ones, so ``matrix`` is the ``kron``
+    sum over them.  ``repr()`` and error messages show it as a
+    ``Superoperator``, and ``repr()`` forms nothing.  Of a closed model,
+    one with no active jump, it keeps the eigenvalues ``E`` of the
     model's Hamiltonian and reads its clusters off the Bohr frequencies
     ``-i (E_j - E_k)``: one n x n ``eigvalsh`` when it is built plus a
     grouping of n^2 values, with the radius taken from
@@ -266,10 +271,10 @@ class Superoperator:
 class _BuiltGenerator(Superoperator):
     """The generator of a model, as :func:`build_generator` makes it: its matrix is formed only when read.
 
-    It holds the parts ``matrix`` is assembled from, ``G`` and the jumps
-    (see :func:`_assembled`), and of a closed model ``eigvalsh(H)``, which
-    its spectral analysis reads instead of ``hermitian_form`` (see
-    :meth:`_analysed`).  ``matrix``, and a closed model's
+    It holds the parts ``matrix`` is assembled from, ``G`` and the model's
+    active jumps (see :func:`_assembled`), and of a closed model
+    ``eigvalsh(H)``, which its spectral analysis reads instead of
+    ``hermitian_form`` (see :meth:`_analysed`).  ``matrix``, and a closed model's
     ``hermitian_form``, are formed when a stage first reads them, bit for
     bit as a ``Superoperator`` made of the same matrix forms them, and
     kept read-only.  The reshuffle test of :func:`_hermitian_form` is
@@ -284,13 +289,13 @@ class _BuiltGenerator(Superoperator):
     """
 
     matrix: np.ndarray = field(init=False)
-    # (G, jumps) that _assembled forms the entries of matrix from
+    # (G, active jumps) that _assembled forms the entries of matrix from
     _parts: tuple = field(repr=False)
     # eigvalsh(H) of a closed model; None when a jump is active
     _energies: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
-        """Nothing to check: :func:`_vectorized` checked the model and its guards."""
+        """Nothing to check: :func:`_vectorized` built it from the model's active jumps and checked its overflow guard."""
 
     def __repr__(self) -> str:
         matrix = vars(self).get("matrix")
@@ -343,30 +348,27 @@ def laser_cooling_model(gamma1: float, gamma2: float) -> LindbladModel:
 def build_generator(model: LindbladModel) -> Superoperator:
     """Vectorize a model into its dim^2 x dim^2 generator matrix.
 
-    The output annihilates the trace functional by construction; this is
-    re-checked numerically as a guard against degenerate inputs.  A
-    generator with an entry past the float range raises :class:`NumericalFailure`,
-    as does one whose hermitian form overflows, when the form is formed.
+    The generator is built from the model's active jumps (see
+    :class:`LindbladModel`), so the matrix is the ``kron`` sum over them.
+    It annihilates the trace functional by construction, so that is not
+    checked.  A generator with an entry past the float range raises
+    :class:`NumericalFailure`, as does one whose hermitian form overflows,
+    when the form is formed.
     No n^2 x n^2 complex matrix is formed: a model with an active jump
     assembles the rows ``jk`` (``j <= k``) of its matrix, about half of
-    it, from ``G = -iH - (1/2) sum rate L^dag L`` and the jumps, reads both
-    checks off them and forms the hermitian form from them; the matrix
-    is formed, bit for bit as the ``kron`` sum forms it, only when a
-    caller reads ``matrix``.
-    A model is closed when every jump has rate 0 or an all-zero operator;
-    its generator is then ``-i[H, .]``, and it keeps ``eigvalsh(H)`` for
-    its spectral analysis: one n x n ``eigvalsh`` here and a grouping of
-    the n^2 Bohr frequencies later, instead of an n^2 x n^2 eigensolver
-    and an SVD per multiple eigenvalue.  That analysis decides no rank, so
-    its answer does not depend on ``rank_rtol``.  Such a generator forms
-    its hermitian form too only when a stage first reads it, and
-    both checks here read the entries of its matrix off ``H``, so building
-    and analysing it takes O(n^2) memory.  The trace check allows a
-    residual of ``1e-10`` times the largest entry of the matrix or summand
-    of an entry (``max |G|``, and ``rate max |L|^2`` per jump), or 1e-10
-    when those are below 1: the residual is the roundoff of those
-    summands, which a multiple of the identity in ``H`` makes large while
-    it cancels out of the entries.
+    it, from ``G = -iH - (1/2) sum rate L^dag L`` and the active jumps,
+    reads the overflow check off them and forms the hermitian form from
+    them; the matrix is formed, bit for bit as the ``kron`` sum forms it,
+    only when a caller reads ``matrix``.
+    A model is closed when it has no active jump; its generator is then
+    ``-i[H, .]``, and it keeps ``eigvalsh(H)`` for its spectral analysis:
+    one n x n ``eigvalsh`` here and a grouping of the n^2 Bohr frequencies
+    later, instead of an n^2 x n^2 eigensolver and an SVD per multiple
+    eigenvalue.  That analysis decides no rank, so its answer does not
+    depend on ``rank_rtol``.  Such a generator forms its hermitian form
+    too only when a stage first reads it, and the overflow check here
+    reads the entries of its matrix off ``H``, so building and analysing
+    it takes O(n^2) memory.
     The model builds its generator on the first call and returns the same
     object on every later one (:func:`simulate_measurements` and
     :func:`reconstruct` read that one too); a build that raises is not
@@ -405,56 +407,35 @@ def _assembled(effective: np.ndarray, jumps, rows: np.ndarray) -> np.ndarray:
 
 
 def _vectorized(model: LindbladModel) -> Superoperator:
-    """The generator of :func:`build_generator`, built anew.
+    """The generator of :func:`build_generator`, built anew from the model's active jumps.
 
-    The guards read the matrix ``M`` without forming it.  A model with an
-    active jump assembles the rows ``jk`` with ``j <= k`` of ``M``, about
-    half of it, and forms ``R`` from them: each row ``kj`` is the conjugate
-    mirror of row ``jk``, so the largest entry of those rows is that of
-    ``M``, and the rows ``jj`` that ``vec(I)^T M`` sums are among them.  A
-    closed model's guards read the entries of ``M`` off ``G = -iH`` (plus
-    the silent jumps' zeros): ``G_jl`` (``j != l``), ``conj(G_km)``
-    (``k != m``) and ``G_jj + conj(G_kk)``, and the trace residual
-    ``vec(I)^T M`` is ``G^T + conj(G)``; so nothing of size n^2 x n^2 is formed.
+    The overflow guard reads ``M`` without forming it.  With an active
+    jump it reads the rows ``jk`` (``j <= k``) that ``R`` is formed from:
+    each row ``kj`` is the conjugate mirror of row ``jk``, so their largest
+    entry is that of ``M``.  A closed model's guard reads the entries of
+    ``M`` off ``G = -iH``: ``G_jl`` (``j != l``), ``conj(G_km)`` (``k !=
+    m``) and ``G_jj + conj(G_kk)``, so nothing of size n^2 x n^2 is formed.
     """
     n = model.dim
-    closed = all(rate == 0 or not op.any() for rate, op in model.jumps)
+    active = tuple((rate, op) for rate, op in model.jumps if rate > 0 and op.any())
     with np.errstate(all="ignore"):
         # G rho + rho G^dag + sum rate L rho L^dag, with G = -iH - (1/2) sum rate L^dag L
         effective = -1j * model.hamiltonian
-        for rate, op in model.jumps:
+        for rate, op in active:
             effective = effective - 0.5 * rate * (op.conj().T @ op)
-        if closed:
-            diagonal = effective.diagonal()
-            top = float(np.max([np.abs(effective[~np.eye(n, dtype=bool)]).max(initial=0.0),
-                                np.abs(diagonal[:, None] + diagonal.conj()).max()]))
-            # a silent jump adds exact zeros to M unless a product L_jl conj(L_km) overflows, which
-            # takes an entry above 1e150; 0 * inf is then NaN, as in the formed matrix
-            if any(np.abs(op).max() > 1e150 and not np.isfinite(np.multiply.outer(op, op.conj())).all()
-                   for _, op in model.jumps):
-                top = np.nan
-            residual = float(np.abs(effective.T + effective.conj()).max())
+        if active:
+            upper_rows = _assembled(effective, active, _hermitian_indices(n)[0])
+            top = np.abs(upper_rows).max()
         else:
-            upper_rows = _assembled(effective, model.jumps, _hermitian_indices(n)[0])
-            top = float(np.abs(upper_rows).max())
-            # the rows jj come last
-            residual = float(np.abs(upper_rows[-n:].sum(axis=0)).max())
+            diagonal = effective.diagonal()
+            top = max(np.abs(effective[~np.eye(n, dtype=bool)]).max(initial=0.0),
+                      np.abs(diagonal[:, None] + diagonal.conj()).max())
     if not top < np.inf:
         raise NumericalFailure("the generator overflows the float range")
-    if residual > 1e-10 * max(1.0, top):
-        # a multiple of the identity in H cancels out of M's entries but not out of the
-        # residual's summands, whose roundoff it sets: the largest summand scales it too
-        with np.errstate(over="ignore"):
-            summand = max([np.abs(effective).max()]
-                          + [rate * np.abs(op).max() ** 2 for rate, op in model.jumps if rate])
-        if residual > 1e-10 * summand:
-            raise NumericalFailure(
-                f"generator fails to annihilate the trace functional (residual {residual:.3e})"
-            )
     effective.setflags(write=False)
-    gen = _BuiltGenerator(dim=n, _parts=(effective, model.jumps),
-                          _energies=np.linalg.eigvalsh(model.hamiltonian) if closed else None)
-    if not closed:
+    gen = _BuiltGenerator(dim=n, _parts=(effective, active),
+                          _energies=None if active else np.linalg.eigvalsh(model.hamiltonian))
+    if active:
         form = _form_of_rows(upper_rows, n)
         form.setflags(write=False)
         object.__setattr__(gen, "hermitian_form", form)

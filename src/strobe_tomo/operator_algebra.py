@@ -111,16 +111,16 @@ def _square(a, name: str = "matrix", dtype=None) -> np.ndarray:
     return arr
 
 
-def _hermiticity(stack: np.ndarray, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def _hermiticity(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermiticity of each square matrix on the last two axes: ``max |A - A^dag|`` and the test.
 
-    The test is ``max |A - A^dag| <= atol * (1 + max |A|)``; a matrix with a
-    NaN or infinite entry fails it.
+    The test is ``max |A - A^dag| <= HERMITICITY_ATOL * (1 + max |A|)``; a
+    matrix with a NaN or infinite entry fails it.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         scale = 1.0 + np.abs(stack).max(axis=(-2, -1), initial=0.0)
         dev = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
-    return dev, (scale < np.inf) & (dev <= atol * scale)
+    return dev, (scale < np.inf) & (dev <= HERMITICITY_ATOL * scale)
 
 
 def assert_hermitian(a, name: str = "matrix") -> np.ndarray:

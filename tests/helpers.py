@@ -170,6 +170,12 @@ def kron_generator(model: LindbladModel) -> np.ndarray:
     return mat
 
 
+def without_silent_jumps(model: LindbladModel) -> LindbladModel:
+    """The same model with its active jumps alone: those with a nonzero rate and operator."""
+    return LindbladModel(dim=model.dim, hamiltonian=model.hamiltonian,
+                         jumps=tuple((rate, op) for rate, op in model.jumps if rate > 0 and op.any()))
+
+
 def laser_cooling_populations(gamma1: float, gamma2: float, t: float) -> np.ndarray:
     """Analytic solution of the rate equations for the start state |2><2|.
 

@@ -166,6 +166,15 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 3
         assert capsys.readouterr().err.splitlines() == ["error: the generator overflows the float range"]
 
+    def test_overflowing_silent_jump_file(self, tmp_path, capsys):
+        # a rate-0 jump adds no term, so the products of its entry of 1e160 never overflow
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"dim": 2, "hamiltonian": [[1, 0], [0, -1]],
+                                    "jumps": [{"rate": 0, "matrix": [[0, 1e160], [0, 0]]}]}))
+        assert main(["analyze", str(path), "--json"]) == 0
+        analysis = json.loads(capsys.readouterr().out)["analysis"]
+        assert (analysis["eta"], analysis["mu"]) == (2, 3)
+
     def test_overflow_reports_one_error_line(self, tmp_path, capsys):
         doc = model_to_json(laser_cooling_model(1.0, 2.0))
         doc["jumps"][0]["rate"] = 1e200

@@ -22,6 +22,7 @@ from strobe_tomo import (
     matrix_from_json,
     matrix_to_json,
     random_hermitian,
+    spectral_report,
     validate_density_matrix,
 )
 
@@ -36,6 +37,7 @@ from helpers import (
     random_density,
     random_model,
     superoperator_from_real,
+    without_silent_jumps,
 )
 
 
@@ -228,18 +230,40 @@ class TestBuildGenerator:
         gen = build_generator(LindbladModel(dim=3))
         assert np.array_equal(gen.matrix, np.zeros((9, 9)))
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_annihilates_trace_functional(self, n):
+        # the build checks no trace residual: the kron sum annihilates the trace functional to the
+        # roundoff of its largest summand, max |G| or rate max |L|^2, at any scale of H, a rotated
+        # multiple of the identity included, at any rate, and whatever silent jumps it carries
         rng = np.random.default_rng(100 + n)
-        for _ in range(20):
-            gen = build_generator(random_model(n, rng))
-            assert trace_residual(gen) <= 1e-10
+        models = [random_model(n, rng) for _ in range(20)]
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        models += [LindbladModel(dim=n, hamiltonian=q @ (scale * np.eye(n)) @ q.conj().T)
+                   for scale in (1.0, 1e9, 1e100, 1e300)]
+        for h_scale in (1e-150, 1e-75, 1.0, 1e75, 1e150):
+            for rate_scale in (1e-10, 1e-5, 1.0, 1e5, 1e10):
+                for silent in ("none", "rate-0", "zero-operator"):
+                    channels = [(rate_scale * float(rng.uniform(0.1, 1.5)),
+                                 rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                                for _ in range(int(rng.integers(1, 4)))]
+                    if silent == "rate-0":
+                        channels[-1] = (0.0, channels[-1][1])
+                    elif silent == "zero-operator":
+                        channels[-1] = (channels[-1][0], np.zeros((n, n)))
+                    models.append(LindbladModel(dim=n, hamiltonian=h_scale * random_hermitian(n, rng),
+                                                jumps=tuple(channels)))
+        for model in models:
+            effective = -1j * model.hamiltonian
+            for rate, op in model.jumps:
+                effective = effective - 0.5 * rate * (op.conj().T @ op)
+            summand = max([np.abs(effective).max()] + [rate * np.abs(op).max() ** 2 for rate, op in model.jumps])
+            assert trace_residual(build_generator(model)) <= 1e-12 * summand
 
     @pytest.mark.parametrize("jumps", [(), ((1.0, np.outer(np.eye(3)[0], np.eye(3)[1])),)],
                              ids=["closed", "dissipative"])
     def test_rotated_multiple_of_the_identity_builds(self, jumps):
         # the identity part cancels in the matrix's entries but not in the residual's summands,
-        # whose roundoff is about eps |H|; the threshold scaled by max |M| alone read 1e-16
+        # whose roundoff is about eps |H|: far above eps max |M|, and not checked by the build
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         model = LindbladModel(dim=3, hamiltonian=q @ (1e9 * np.eye(3)) @ q.conj().T, jumps=jumps)
@@ -248,20 +272,10 @@ class TestBuildGenerator:
 
     @staticmethod
     def guard_message_of_the_formed_matrix(model: LindbladModel) -> str | None:
-        """The guards' verdict read off the matrix written out: the failure message, or None."""
+        """The guard's verdict read off the matrix of the active jumps written out: the failure message, or None."""
         with np.errstate(all="ignore"):
-            mat = kron_generator(model)
-            top = np.abs(mat).max()
-            if not top < np.inf:
-                return "the generator overflows the float range"
-            residual = np.abs(np.eye(model.dim).reshape(-1) @ mat).max()
-            effective = -1j * model.hamiltonian
-            for rate, op in model.jumps:
-                effective = effective - 0.5 * rate * (op.conj().T @ op)
-            summand = max([np.abs(effective).max()] + [rate * np.abs(op).max() ** 2 for rate, op in model.jumps])
-        if residual > 1e-10 * max(1.0, top, summand):
-            return f"generator fails to annihilate the trace functional (residual {residual:.3e})"
-        return None
+            top = np.abs(kron_generator(without_silent_jumps(model))).max()
+        return None if top < np.inf else "the generator overflows the float range"
 
     @staticmethod
     def silent(size: float) -> tuple:
@@ -369,7 +383,8 @@ class TestBuildGenerator:
             channels[0] = (channels[0][0], np.zeros((n, n)))
         model = LindbladModel(dim=n, hamiltonian=ham, jumps=tuple(channels))
         gen = build_generator(model)
-        formed = kron_generator(model)
+        # a silent jump adds no term: the generator is that of the active jumps
+        formed = kron_generator(without_silent_jumps(model))
         assert gen.hermitian_form.tobytes() == _hermitian_form(formed, n).tobytes()
         assert gen.matrix.tobytes() == formed.tobytes()
 
@@ -388,6 +403,23 @@ class TestBuildGenerator:
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure, match=r"^the generator overflows the float range$"):
                 build_generator(model)
+
+    @staticmethod
+    def report_contents(model: LindbladModel) -> tuple:
+        report = spectral_report(build_generator(model))
+        return report.distinct_eigenvalues, report.eta, report.mu, report.measurement_budget
+
+    def test_overflowing_silent_jump_leaves_a_closed_model_closed(self):
+        # the products of a rate-0 jump with entries of 1e160 overflow, but the jump adds no term
+        model = LindbladModel(dim=3, hamiltonian=np.eye(3), jumps=self.silent(1e160))
+        assert build_generator(model)._energies is not None
+        assert self.report_contents(model) == self.report_contents(LindbladModel(dim=3, hamiltonian=np.eye(3)))
+
+    def test_overflowing_silent_jump_adds_nothing_to_a_dissipative_model(self):
+        decay = (1.0, np.outer(np.eye(3)[0], np.eye(3)[1]))
+        model = LindbladModel(dim=3, hamiltonian=np.eye(3), jumps=self.silent(1e160) + (decay,))
+        alone = LindbladModel(dim=3, hamiltonian=np.eye(3), jumps=(decay,))
+        assert build_generator(model).hermitian_form.tobytes() == build_generator(alone).hermitian_form.tobytes()
 
 
 class TestSuperoperator:
